@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .model import ProblemSpec
 from .posterior import h_costs
@@ -207,6 +206,8 @@ def _full_knots(breaks: np.ndarray) -> np.ndarray:
 
 def _design(t: np.ndarray, x: np.ndarray, deriv: int = 0) -> np.ndarray:
     """Evaluate every cubic B-spline basis function (column) at ``x``."""
+    from scipy.interpolate import BSpline
+
     nb = t.size - 4
     x = np.clip(x, t[0], t[-1])
     cols = np.empty((x.size, nb))
@@ -322,6 +323,8 @@ def fit_boundary(
 
 def evaluate_boundary(sb: SplineBoundary, beta) -> np.ndarray | float:
     """Fitted radius at the given angle(s), linear beyond the end knots."""
+    from scipy.interpolate import BSpline
+
     x = np.asarray(beta, dtype=np.float64)
     single = x.ndim == 0
     x = np.atleast_1d(x)

@@ -14,13 +14,11 @@ spatial embedding of the 3-type simplex.
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .model import ProblemSpec
 from .solver import SimplexGrid, ValueTable, _stencil, build_grid, transition_matrix
@@ -70,19 +68,25 @@ def extract_region(
     tolerance (defaulting to the table's final sweep change) absorbs the
     fact that V is itself only tol-converged.  Ties go to stopping and the
     announced type is the smallest index attaining the minimum of h.
+
+    At the table's own ``stop_tol`` this is exactly the labeling the solver
+    stored with the table, which is reused; only another tolerance needs
+    the continuation costs, rebuilt from T when the table was loaded.
     """
     if stop_tol is None:
         stop_tol = table.stop_tol
     grid = table.grid
     h_all = grid.nodes @ spec.a
-    h = h_all.min(axis=1)
-    cont = table.continuation
-    if cont is None:
-        delay = spec.c * (1.0 - grid.nodes[:, 0])
-        cont = delay + transition_matrix(spec, grid) @ table.values
-    labels = np.where(h <= cont + stop_tol, h_all.argmin(axis=1) + 1, 0).astype(
-        np.int8
-    )
+    if stop_tol == table.stop_tol:
+        labels = table.labels.astype(np.int8)
+    else:
+        cont = table.continuation
+        if cont is None:
+            delay = spec.c * (1.0 - grid.nodes[:, 0])
+            cont = delay + transition_matrix(spec, grid) @ table.values
+        labels = np.where(
+            h_all.min(axis=1) <= cont + stop_tol, h_all.argmin(axis=1) + 1, 0
+        ).astype(np.int8)
     return StoppingRegion(
         grid=grid,
         labels=labels,
@@ -133,6 +137,9 @@ def _neighbor_ids(grid: SimplexGrid) -> np.ndarray:
 def _component_count(grid: SimplexGrid, mask: np.ndarray, neighbors: np.ndarray) -> int:
     """Number of connected components of the masked node set under lattice
     adjacency (steps of the form e_a - e_b)."""
+    import scipy.sparse
+    from scipy.sparse.csgraph import connected_components
+
     ids = np.flatnonzero(mask)
     if ids.size == 0:
         return 0
@@ -300,6 +307,10 @@ def boundary_nodes(region: StoppingRegion, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Rows formatted per write; bounds the text held in memory at once.
+_EXPORT_CHUNK = 4096
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -310,7 +321,9 @@ def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> N
     ``fmt`` is "embedded" (adds plot coordinates, M must be 2 or 3) or
     "raw" (lattice and simplex coordinates only, any M).  The first line is
     a comment carrying the grid shape and extraction parameters so the file
-    round-trips through import_region.
+    round-trips through import_region.  Integers are written in decimal,
+    floats with 17 significant digits (exact round trip), rows end in
+    CRLF.
     """
     grid = region.grid
     M = grid.M
@@ -319,61 +332,85 @@ def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> N
     if fmt == "embedded" and M not in (2, 3):
         raise ValueError(f"embedded export needs 2 or 3 types, grid has M={M}")
 
-    coords = embed(grid.nodes, M) if fmt == "embedded" else None
+    # (column names, printf format, per-node array); every entry is exact
+    # in float64, so each chunk is formatted as one float block
+    parts = [
+        ([f"k{i}" for i in range(M + 1)], "%d", grid.lattice),
+        ([f"pi{i}" for i in range(M + 1)], "%.17g", grid.nodes),
+    ]
+    if fmt == "embedded":
+        parts.append((["x", "y", "z"][:M], "%.17g", embed(grid.nodes, M)))
+    parts += [
+        (["label"], "%d", region.labels[:, None]),
+        (["value"], "%.17g", region.values[:, None]),
+        (["h"], "%.17g", region.h_all.min(axis=1)[:, None]),
+        ([f"h{j}" for j in range(1, M + 1)], "%.17g", region.h_all),
+    ]
+    header = ",".join(name for names, _, _ in parts for name in names)
+    row_fmt = ",".join(conv for names, conv, _ in parts for _ in names) + "\r\n"
+
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# changediag-region M={M} Q={grid.Q} N={region.N_used} "
             f"stop_tol={_fmt(region.stop_tol)} format={fmt}\n"
         )
-        writer = csv.writer(fh)
-        header = [f"k{i}" for i in range(M + 1)]
-        header += [f"pi{i}" for i in range(M + 1)]
-        if fmt == "embedded":
-            header += ["x", "y", "z"][: M if M == 3 else 2]
-        header += ["label", "value", "h"]
-        header += [f"h{j}" for j in range(1, M + 1)]
-        writer.writerow(header)
-        h = region.h_all.min(axis=1)
-        for k in range(grid.n_nodes):
-            row = [str(int(v)) for v in grid.lattice[k]]
-            row += [_fmt(v) for v in grid.nodes[k]]
-            if coords is not None:
-                row += [_fmt(v) for v in coords[k]]
-            row += [str(int(region.labels[k])), _fmt(region.values[k]), _fmt(h[k])]
-            row += [_fmt(v) for v in region.h_all[k]]
-            writer.writerow(row)
+        fh.write(header + "\r\n")
+        for start in range(0, grid.n_nodes, _EXPORT_CHUNK):
+            rows = slice(start, start + _EXPORT_CHUNK)
+            chunk = np.hstack([arr[rows] for _, _, arr in parts])
+            fh.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def import_region(path: str) -> StoppingRegion:
-    """Rebuild a StoppingRegion from an exported CSV."""
-    with open(path, newline="") as fh:
+    """Rebuild a StoppingRegion from an exported CSV.
+
+    Raises:
+        ValueError: on a malformed header, unparsable rows, a row count
+            other than the grid's node count, rows out of node order, or
+            labels outside 0..M.
+    """
+    with open(path) as fh:
         head = fh.readline()
         if not head.startswith("# changediag-region"):
             raise ValueError(f"{path}: not a region export")
-        meta = dict(part.split("=", 1) for part in head[2:].split()[1:])
-        M = int(meta["M"])
-        Q = int(meta["Q"])
+        try:
+            meta = dict(part.split("=", 1) for part in head[2:].split()[1:])
+            M = int(meta["M"])
+            Q = int(meta["Q"])
+            N_used = int(meta["N"])
+            stop_tol = float(meta["stop_tol"])
+            col = {name: i for i, name in enumerate(fh.readline().strip().split(","))}
+            tail_cols = [col[f"k{i}"] for i in range(1, M + 1)]
+            h_cols = [col[f"h{j}"] for j in range(1, M + 1)]
+            used = tail_cols + [col["label"], col["value"]] + h_cols
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed region header ({exc})") from exc
         grid = build_grid(M, Q)
-        reader = csv.reader(fh)
-        header = next(reader)
-        col = {name: i for i, name in enumerate(header)}
-        labels = np.zeros(grid.n_nodes, dtype=np.int8)
-        values = np.zeros(grid.n_nodes)
-        h_all = np.zeros((grid.n_nodes, M))
-        for k, row in enumerate(reader):
-            tail = tuple(int(row[col[f"k{i}"]]) for i in range(1, M + 1))
-            node = int(grid.lookup[tail])
-            if node != k:
-                raise ValueError(f"{path}: rows out of node order at line {k + 3}")
-            labels[k] = int(row[col["label"]])
-            values[k] = float(row[col["value"]])
-            for j in range(1, M + 1):
-                h_all[k, j - 1] = float(row[col[f"h{j}"]])
+        with warnings.catch_warnings():
+            # an empty body is reported below as a row-count mismatch
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(
+                fh, delimiter=",", usecols=used, ndmin=2, dtype=np.float64
+            )
+    if data.shape[0] != grid.n_nodes:
+        raise ValueError(
+            f"{path}: {data.shape[0]} data rows, but a grid with M={M}, "
+            f"Q={Q} has {grid.n_nodes} nodes"
+        )
+    tail = data[:, :M]
+    misplaced = np.flatnonzero((tail != grid.lattice[:, 1:]).any(axis=1))
+    if misplaced.size:
+        raise ValueError(
+            f"{path}: rows out of node order at line {misplaced[0] + 3}"
+        )
+    labels = data[:, M]
+    if not np.isin(labels, np.arange(M + 1)).all():
+        raise ValueError(f"{path}: labels outside 0..{M}")
     return StoppingRegion(
         grid=grid,
-        labels=labels,
-        values=values,
-        h_all=h_all,
-        N_used=int(meta["N"]),
-        stop_tol=float(meta["stop_tol"]),
+        labels=labels.astype(np.int8),
+        values=data[:, M + 1].copy(),
+        h_all=data[:, M + 2 :].copy(),
+        N_used=N_used,
+        stop_tol=stop_tol,
     )

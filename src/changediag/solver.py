@@ -25,18 +25,21 @@ corners are the only ones that may fall outside, and those are discarded).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linprog
 
 from .model import ProblemSpec, spec_from_dict, spec_to_dict
 from .posterior import d_vector, h_costs
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "GridSizeError",
@@ -96,15 +99,25 @@ class SimplexGrid:
 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """Nonnegative integer vectors of length ``parts`` summing to ``total``,
-    in ascending lexicographic order."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int32)
-    blocks = []
-    for first in range(total + 1):
-        tail = _compositions(total - first, parts - 1)
-        head = np.full((tail.shape[0], 1), first, dtype=np.int32)
-        blocks.append(np.hstack([head, tail]))
-    return np.vstack(blocks)
+    in ascending lexicographic order.
+
+    Stars and bars: each vector is a choice of ``parts - 1`` bar positions
+    among ``total + parts - 1`` slots, its entries the star counts between
+    consecutive bars.  Bar positions enumerated in lexicographic order give
+    the vectors in lexicographic order.
+    """
+    bars = parts - 1
+    slots = total + bars
+    count = math.comb(slots, bars)
+    edges = np.empty((count, parts + 1), dtype=np.int32)
+    edges[:, 0] = -1
+    edges[:, -1] = slots
+    edges[:, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), bars)),
+        dtype=np.int32,
+        count=count * bars,
+    ).reshape(count, bars)
+    return np.diff(edges, axis=1) - 1
 
 
 def build_grid(M: int, Q: int, max_nodes: int = DEFAULT_MAX_NODES) -> SimplexGrid:
@@ -208,6 +221,8 @@ def transition_matrix(
     updated posterior.  Rows sum to 1, so (T f) at the nodes is one sparse
     product, and constants are reproduced exactly.
     """
+    import scipy.sparse
+
     nodes = grid.nodes
     n = grid.n_nodes
     rows, cols, vals = [], [], []
@@ -240,6 +255,8 @@ def stopping_cost_sup(spec: ProblemSpec) -> float:
     not sit at a simplex corner; it is the value of the small linear
     program max t subject to t <= h_j(pi) for all j and pi in the simplex.
     """
+    from scipy.optimize import linprog
+
     M = spec.num_types
     # Variables (pi_0 .. pi_M, t); maximize t.
     c_obj = np.zeros(M + 2)
@@ -437,6 +454,10 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
     Returns the table and, when the sidecar is readable, the problem
     instance it embeds (None otherwise; commands that need the model then
     fail with a clear message instead of guessing).
+
+    Raises:
+        ValueError: on a malformed, truncated or overlong file, or when the
+            sidecar disagrees with the header about M, Q or the alphabet.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -466,6 +487,8 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
         labels = np.frombuffer(fh.read(n), dtype=np.uint8).astype(np.int8)
         if values.shape[0] != n or labels.shape[0] != n:
             raise ValueError(f"{path}: truncated node data")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the node data")
 
     table = ValueTable(
         grid=grid,
@@ -484,6 +507,17 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
             doc = json.load(fh)
+        # both the sidecar's own fields and its embedded model must describe
+        # the grid and alphabet the binary header was written for
+        claims = [(key, doc.get(key)) for key in ("M", "Q", "alphabet_size")]
         if "model" in doc:
             spec = spec_from_dict(doc["model"])
+            claims += [("M", spec.num_types), ("alphabet_size", spec.alphabet_size)]
+        header = {"M": M, "Q": Q, "alphabet_size": alphabet_size}
+        for key, claimed in claims:
+            if claimed is not None and claimed != header[key]:
+                raise ValueError(
+                    f"{sidecar}: {key}={claimed} disagrees with the table "
+                    f"header ({key}={header[key]})"
+                )
     return table, spec

@@ -47,6 +47,23 @@ FIGURES = {
 }
 
 
+def three_type() -> ProblemSpec:
+    """Three post-change types on the same alphabet, uniform error costs."""
+    a = np.full((4, 3), 3.0)
+    a[0, :] = 10.0
+    np.fill_diagonal(a[1:], 0.0)
+    return ProblemSpec(
+        alphabet_size=4,
+        num_types=3,
+        p0=1 / 50,
+        p=1 / 20,
+        nu=np.full(3, 1 / 3),
+        f=np.vstack([TWO_TYPE_F, [[0.25, 0.40, 0.25, 0.10]]]),
+        c=1.0,
+        a=a,
+    )
+
+
 def shiryaev_binary(c: float = 1.0) -> ProblemSpec:
     """Pure change detection, one post-change alternative, two symbols."""
     return ProblemSpec(

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +140,62 @@ def test_fit_boundary_too_many_segments(runner, model_path, tmp_path):
     )
     assert result.exit_code == 1
     assert "error:" in result.output
+
+
+def test_fit_boundary_rejects_truncated_region_csv(runner, model_path, tmp_path):
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "60").exit_code == 0
+    region_csv = tmp_path / "region.csv"
+    assert runner.invoke(
+        main, ["regions", table_path, "-o", str(region_csv)]
+    ).exit_code == 0
+    lines = region_csv.read_bytes().splitlines(keepends=True)
+    region_csv.write_bytes(b"".join(lines[: 2 + 1000]))
+    result = runner.invoke(
+        main,
+        ["fit-boundary", str(region_csv), "-j", "1", "-o", str(tmp_path / "g.json")],
+    )
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert len(result.output.strip().splitlines()) == 1
+    assert "1000 data rows" in result.output
+    assert not (tmp_path / "g.json").exists()
+
+
+def scipy_modules_after(code: str, cwd) -> list[str]:
+    """scipy modules loaded by ``code`` run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cd.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    loaded = scipy_modules_after("import changediag.cli", tmp_path)
+    for heavy in ("scipy.optimize", "scipy.interpolate", "scipy.sparse"):
+        assert heavy not in loaded
+
+
+def test_version_and_table_simulation_load_no_scipy(runner, model_path, tmp_path):
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "8").exit_code == 0
+    args = [["--version"],
+            ["simulate", model_path, "--table", table_path, "--runs", "50",
+             "--threads", "1", "-o", str(tmp_path / "sim.json")]]
+    code = (
+        "from changediag.cli import main\n"
+        f"for args in {args!r}:\n"
+        "    assert main(args, standalone_mode=False) in (None, 0)\n"
+    )
+    assert scipy_modules_after(code, tmp_path) == []
+    assert (tmp_path / "sim.json").exists()
 
 
 def test_simulate_stop_at_zero_uniform_cost(runner, tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.spatial.distance import pdist
 import changediag as cd
 from changediag.posterior import h_values_many
 from changediag.regions import boundary_nodes, corner_node, nearest_node
+from changediag.solver import transition_matrix
 
 import instances
 
@@ -228,3 +230,116 @@ def test_helper_node_lookups(grid200):
     pi = np.array([0.501, 0.249, 0.25])
     node = nearest_node(grid200, pi)
     assert np.abs(grid200.nodes[node] - pi).max() <= 1.0 / grid200.Q
+
+
+def small_region(spec, Q):
+    grid = cd.build_grid(spec.num_types, Q)
+    return cd.extract_region(spec, cd.value_iterate(spec, grid))
+
+
+def csv_writer_reference(region, fmt):
+    """The export written row by row with csv.writer and str formatting."""
+    grid = region.grid
+    M = grid.M
+    g = lambda x: format(float(x), ".17g")  # noqa: E731
+    lines = io.StringIO(newline="")
+    lines.write(
+        f"# changediag-region M={M} Q={grid.Q} N={region.N_used} "
+        f"stop_tol={g(region.stop_tol)} format={fmt}\n"
+    )
+    writer = csv.writer(lines)
+    header = [f"k{i}" for i in range(M + 1)] + [f"pi{i}" for i in range(M + 1)]
+    if fmt == "embedded":
+        header += ["x", "y"]
+    header += ["label", "value", "h"] + [f"h{j}" for j in range(1, M + 1)]
+    writer.writerow(header)
+    for k in range(grid.n_nodes):
+        lat = [int(v) for v in grid.lattice[k]]
+        pi = [v / grid.Q for v in lat]
+        row = [str(v) for v in lat] + [g(v) for v in pi]
+        if fmt == "embedded":
+            row += [g((2.0 * pi[1] + pi[2]) / math.sqrt(3.0)), g(pi[2])]
+        h_row = [float(v) for v in region.h_all[k]]
+        row += [str(int(region.labels[k])), g(region.values[k]), g(min(h_row))]
+        row += [g(v) for v in h_row]
+        writer.writerow(row)
+    return lines.getvalue()
+
+
+@pytest.mark.parametrize(
+    "spec,Q,fmt",
+    [
+        (instances.FIGURES["merged"], 12, "embedded"),
+        (instances.three_type(), 8, "raw"),
+    ],
+    ids=["M2-embedded", "M3-raw"],
+)
+def test_export_bytes_match_csv_writer(tmp_path, spec, Q, fmt):
+    region = small_region(spec, Q)
+    path = tmp_path / "region.csv"
+    cd.export_region(region, str(path), fmt=fmt)
+    expected = csv_writer_reference(region, fmt)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_export_import_round_trip_three_types(tmp_path):
+    region = small_region(instances.three_type(), 8)
+    for fmt in ("embedded", "raw"):
+        path = tmp_path / f"region-{fmt}.csv"
+        cd.export_region(region, str(path), fmt=fmt)
+        back = cd.import_region(str(path))
+        assert back.grid.M == 3 and back.grid.Q == 8
+        assert np.array_equal(back.labels, region.labels)
+        assert np.array_equal(back.values, region.values)
+        assert np.array_equal(back.h_all, region.h_all)
+        assert back.N_used == region.N_used
+        assert back.stop_tol == region.stop_tol
+
+
+@pytest.fixture()
+def exported_csv(tmp_path):
+    path = tmp_path / "region.csv"
+    cd.export_region(small_region(instances.FIGURES["merged"], 60), str(path))
+    return path
+
+
+def test_import_rejects_truncated_csv(exported_csv):
+    lines = exported_csv.read_bytes().splitlines(keepends=True)
+    exported_csv.write_bytes(b"".join(lines[: 2 + 1000]))
+    with pytest.raises(ValueError, match="1000 data rows.*1891 nodes"):
+        cd.import_region(str(exported_csv))
+    exported_csv.write_bytes(b"".join(lines[:2]))
+    with pytest.raises(ValueError, match="0 data rows"):
+        cd.import_region(str(exported_csv))
+    exported_csv.write_bytes(lines[0].replace(b"Q=60", b"Q=") + b"".join(lines[1:]))
+    with pytest.raises(ValueError, match="malformed region header"):
+        cd.import_region(str(exported_csv))
+
+
+def test_import_rejects_extra_and_reordered_rows(exported_csv):
+    lines = exported_csv.read_bytes().splitlines(keepends=True)
+    exported_csv.write_bytes(b"".join(lines + lines[-1:]))
+    with pytest.raises(ValueError, match="1892 data rows"):
+        cd.import_region(str(exported_csv))
+    lines[10], lines[11] = lines[11], lines[10]
+    exported_csv.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match="out of node order at line 11"):
+        cd.import_region(str(exported_csv))
+
+
+@pytest.mark.parametrize("stop_tol", [None, 0.0, 1e-3])
+def test_extract_region_from_loaded_table_matches_recomputation(tmp_path, stop_tol):
+    spec = instances.FIGURES["merged"]
+    grid = cd.build_grid(2, 40)
+    path = str(tmp_path / "t.cdvt")
+    cd.save_table(cd.value_iterate(spec, grid), spec, path)
+    table, _ = cd.load_table(path)
+    assert table.continuation is None
+    region = cd.extract_region(spec, table, stop_tol)
+
+    tol = table.stop_tol if stop_tol is None else stop_tol
+    h_all = grid.nodes @ spec.a
+    cont = spec.c * (1.0 - grid.nodes[:, 0]) + transition_matrix(spec, grid) @ table.values
+    expected = np.where(h_all.min(axis=1) <= cont + tol, h_all.argmin(axis=1) + 1, 0)
+    assert np.array_equal(region.labels, expected)
+    assert region.stop_tol == tol

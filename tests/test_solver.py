@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import changediag as cd
 from changediag import solver
+from changediag.model import spec_to_dict
 from changediag.posterior import h_values_many
 
 import instances
@@ -29,6 +32,20 @@ def test_grid_nodes_are_exact_lattice_points():
     assert (grid.lattice >= 0).all()
     # lexicographic enumeration is deterministic
     assert np.array_equal(grid.lattice, np.array(sorted(map(tuple, grid.lattice))))
+
+
+@pytest.mark.parametrize("M,Q", [(1, 5), (2, 7), (3, 9), (4, 6)])
+def test_grid_lattice_matches_product_enumeration(M, Q):
+    grid = cd.build_grid(M, Q)
+    reference = sorted(
+        k for k in itertools.product(range(Q + 1), repeat=M + 1) if sum(k) == Q
+    )
+    assert np.array_equal(grid.lattice, np.array(reference))
+    assert np.array_equal(grid.nodes, np.array(reference) / Q)
+    # lookup inverts the enumeration and marks every other cell unused
+    ids = grid.lookup[tuple(grid.lattice[:, j] for j in range(1, M + 1))]
+    assert np.array_equal(ids, np.arange(grid.n_nodes))
+    assert np.count_nonzero(grid.lookup >= 0) == grid.n_nodes
 
 
 def test_grid_size_cap():
@@ -260,6 +277,44 @@ def test_table_round_trip(tmp_path, solve200):
     assert np.array_equal(spec_back.f, spec.f)
     assert np.array_equal(spec_back.a, spec.a)
     assert (tmp_path / "table.cdvt.json").exists()
+
+
+@pytest.fixture()
+def saved_table(tmp_path):
+    spec = instances.FIGURES["merged"]
+    path = str(tmp_path / "table.cdvt")
+    cd.save_table(cd.value_iterate(spec, cd.build_grid(2, 6)), spec, path)
+    return path
+
+
+def test_load_table_rejects_trailing_bytes(saved_table):
+    with open(saved_table, "ab") as fh:
+        fh.write(b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        cd.load_table(saved_table)
+
+
+@pytest.mark.parametrize("key,wrong", [("M", 3), ("Q", 7), ("alphabet_size", 5)])
+def test_load_table_rejects_sidecar_header_mismatch(saved_table, key, wrong):
+    sidecar = saved_table + ".json"
+    with open(sidecar) as fh:
+        doc = json.load(fh)
+    doc[key] = wrong
+    with open(sidecar, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match=f"{key}={wrong} disagrees"):
+        cd.load_table(saved_table)
+
+
+def test_load_table_rejects_model_of_another_shape(saved_table):
+    sidecar = saved_table + ".json"
+    with open(sidecar) as fh:
+        doc = json.load(fh)
+    doc["model"] = spec_to_dict(instances.shiryaev_binary())
+    with open(sidecar, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="M=1 disagrees"):
+        cd.load_table(saved_table)
 
 
 def test_stopping_cost_sup_interior_peak():
