@@ -26,14 +26,13 @@ piecewise-quadratic integrand exactly).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .model import ProblemSpec
-from .posterior import h_costs
+from .model import ProblemSpec, _dump_json, _load_json
+from .posterior import h_values_many
 from .regions import StoppingRegion, boundary_nodes
 
 __all__ = [
@@ -49,6 +48,7 @@ __all__ = [
     "fit_boundary",
     "evaluate_boundary",
     "fast_member",
+    "fast_member_many",
     "is_concave",
     "save_boundary",
     "save_boundaries",
@@ -101,8 +101,19 @@ def corner_radius(pi: np.ndarray, corner: int) -> float:
     """Embedded Euclidean distance from ``pi`` to the corner."""
     pi = np.asarray(pi, dtype=np.float64)
     M = pi.shape[-1] - 1
-    sq = (1.0 + np.sum(pi * pi, axis=-1)) / 2.0 - pi[..., corner]
+    sq = (1.0 + (pi * pi).sum(axis=-1)) / 2.0 - pi[..., corner]
     return np.sqrt(C_M[M] * np.maximum(sq, 0.0))
+
+
+def _polar(pis: np.ndarray, corner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corner radius r, shape (n,), and angles beta, shape (n, M-1), of each
+    row of ``pis``; rows with r = 0 sit at the corner and get no usable
+    angle."""
+    keep, _ = _designated(pis.shape[1] - 1, corner)
+    r = corner_radius(pis, corner)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.arcsin(np.clip(pis[:, keep] / r[:, None], 0.0, 1.0))
+    return r, beta
 
 
 def to_polar(pi: np.ndarray, corner: int) -> PolarPoint:
@@ -111,14 +122,10 @@ def to_polar(pi: np.ndarray, corner: int) -> PolarPoint:
     Raises:
         DegenerateCorner: at the corner itself, where angles are undefined.
     """
-    pi = np.asarray(pi, dtype=np.float64)
-    M = pi.shape[0] - 1
-    keep, _ = _designated(M, corner)
-    r = float(corner_radius(pi, corner))
-    if r <= 0.0:
+    r, beta = _polar(np.asarray(pi, dtype=np.float64)[None, :], corner)
+    if r[0] <= 0.0:
         raise DegenerateCorner(f"posterior sits at corner {corner}")
-    beta = tuple(float(np.arcsin(min(max(pi[j] / r, 0.0), 1.0))) for j in keep)
-    return PolarPoint(corner=corner, r=r, beta=beta)
+    return PolarPoint(corner=corner, r=float(r[0]), beta=tuple(beta[0].tolist()))
 
 
 def from_polar(point: PolarPoint) -> np.ndarray:
@@ -159,17 +166,13 @@ def boundary_samples(
     """
     if region.grid.M != 2:
         raise ValueError("boundary curves are defined for the 2-type problem")
+    if j not in (1, 2):
+        raise ValueError(f"corner j={j} is not a type of the 2-type model")
     if node_ids is None:
         node_ids = boundary_nodes(region, j)
-    keep, _ = _designated(2, j)
-    pts = region.grid.nodes[node_ids]
-    r = np.sqrt(
-        C_M[2]
-        * np.maximum((1.0 + np.sum(pts * pts, axis=1)) / 2.0 - pts[:, j], 0.0)
-    )
+    r, beta = _polar(region.grid.nodes[node_ids], j)
     live = r > 0.0
-    pts, r = pts[live], r[live]
-    beta = np.arcsin(np.clip(pts[:, keep[0]] / r, 0.0, 1.0))
+    r, beta = r[live], beta[live, 0]
     order = np.argsort(beta, kind="stable")
     return beta[order], r[order]
 
@@ -330,15 +333,14 @@ def evaluate_boundary(sb: SplineBoundary, beta) -> np.ndarray | float:
     x = np.atleast_1d(x)
     t = _full_knots(sb.knots)
     spl = BSpline(t, sb.coefficients, 3)
-    dspl = spl.derivative(1)
     lo, hi = sb.knots[0], sb.knots[-1]
     out = spl(np.clip(x, lo, hi))
     left = x < lo
     if np.any(left):
-        out[left] = spl(lo) + dspl(lo) * (x[left] - lo)
+        out[left] = spl(lo) + spl.derivative(1)(lo) * (x[left] - lo)
     right = x > hi
     if np.any(right):
-        out[right] = spl(hi) + dspl(hi) * (x[right] - hi)
+        out[right] = spl(hi) + spl.derivative(1)(hi) * (x[right] - hi)
     return float(out[0]) if single else out
 
 
@@ -350,28 +352,41 @@ def is_concave(sb: SplineBoundary, eps: float = 1e-6) -> bool:
     return bool(np.all(d2 <= eps))
 
 
+def fast_member_many(
+    spec: ProblemSpec, boundaries: Mapping[int, SplineBoundary], pis: np.ndarray
+) -> np.ndarray:
+    """Online stopping check for a batch of posteriors, shape (n, 3).
+
+    Computes each row's cheapest terminal decision i, then tests membership
+    in that single stopping set by comparing the posterior's corner radius
+    to the fitted boundary radius at its angle.  Only the curves of decisions
+    some row picks are consulted; at the corner itself the answer is
+    immediate since every stopping set contains its own corner.
+
+    :return: int8 array, the announced type per row or 0 to continue.
+    """
+    if pis.shape[1] != 3:
+        raise ValueError("fast membership is built for the 2-type problem")
+    cols = h_values_many(spec, pis).argmin(axis=1)
+    out = np.zeros(pis.shape[0], dtype=np.int8)
+    for corner in (1, 2):
+        rows = np.flatnonzero(cols == corner - 1)
+        if rows.size == 0:
+            continue
+        r, beta = _polar(pis[rows], corner)
+        ghat = np.full(rows.size, np.inf)
+        live = r > 0.0
+        if np.any(live):
+            ghat[live] = boundaries[corner](beta[live, 0])
+        out[rows] = np.where(r <= ghat, corner, 0)
+    return out
+
+
 def fast_member(
     spec: ProblemSpec, boundaries: Mapping[int, SplineBoundary], pi: np.ndarray
 ) -> int | None:
-    """Online stopping check: the announced type, or None to continue.
-
-    Computes the cheapest terminal decision i, then tests membership in
-    that single stopping set by comparing the posterior's corner radius to
-    the fitted boundary radius at its angle.  Exactly one curve is
-    consulted per call; at the corner itself the answer is immediate since
-    every stopping set contains its own corner.
-    """
-    if pi.shape[0] != 3:
-        raise ValueError("fast membership is built for the 2-type problem")
-    _, _, col = h_costs(spec, pi)
-    i = col + 1
-    try:
-        pp = to_polar(pi, i)
-    except DegenerateCorner:
-        return i
-    if pp.r <= float(evaluate_boundary(boundaries[i], pp.beta[0])):
-        return i
-    return None
+    """Online stopping check: the announced type, or None to continue."""
+    return int(fast_member_many(spec, boundaries, pi[None, :])[0]) or None
 
 
 # ---------------------------------------------------------------------------
@@ -400,33 +415,17 @@ def _sb_from_dict(doc: Mapping) -> SplineBoundary:
 
 
 def save_boundary(sb: SplineBoundary, fp: IO[str] | str) -> None:
-    doc = _sb_to_dict(sb)
-    if isinstance(fp, str):
-        with open(fp, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-    else:
-        json.dump(doc, fp)
+    _dump_json(_sb_to_dict(sb), fp)
 
 
 def save_boundaries(boundaries: Iterable[SplineBoundary], fp: IO[str] | str) -> None:
     """Write several fitted curves as one JSON array (one per corner)."""
-    doc = [_sb_to_dict(sb) for sb in boundaries]
-    if isinstance(fp, str):
-        with open(fp, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-    else:
-        json.dump(doc, fp)
+    _dump_json([_sb_to_dict(sb) for sb in boundaries], fp)
 
 
 def load_boundaries(fp: IO[str] | str) -> dict[int, SplineBoundary]:
     """Read one curve or an array of curves; returns them keyed by corner."""
-    if isinstance(fp, str):
-        with open(fp) as handle:
-            doc = json.load(handle)
-    else:
-        doc = json.load(fp)
+    doc = _load_json(fp)
     entries = doc if isinstance(doc, list) else [doc]
     out = {}
     for entry in entries:

@@ -37,6 +37,8 @@ from .boundary import (
 )
 from .model import (
     SpecValidationError,
+    _dump_json,
+    _load_json,
     load_sa_spec,
     load_spec,
     derive_suspended_animation,
@@ -84,9 +86,7 @@ def _write_manifest(
     }
     if report is not None:
         doc["report"] = report
-    with open(anchor + ".manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _dump_json(doc, anchor + ".manifest.json")
 
 
 @click.group()
@@ -174,9 +174,7 @@ def regions(
         fine, coarse = coarser, region
     report = check_region_properties(fine, coarse)
     report_path = out + ".report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _dump_json(report, report_path)
     _write_manifest(
         out,
         "regions",
@@ -235,22 +233,31 @@ def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: st
         click.echo("note: fitted curve is not concave at the knots", err=True)
 
 
-def _strategy_from_options(table, boundaries, baseline):
+def _strategy_from_options(spec, table, boundaries, baseline):
+    """The strategy the options name, refused unless it was built for ``spec``."""
     chosen = [x for x in (table, boundaries, baseline) if x is not None]
     if len(chosen) != 1:
         _fail("give exactly one of --table, --boundaries, --baseline")
     if table is not None:
-        tbl, spec = load_table(table)
-        if spec is None:
+        tbl, table_spec = load_table(table)
+        if table_spec is None:
             _fail(f"{table}: sidecar with the model is missing")
-        return TableStrategy(tbl), spec
+        if table_spec != spec:
+            _fail(f"{table}: the table was solved for a different model")
+        return TableStrategy(tbl)
     if boundaries is not None:
-        return SplineStrategy(load_boundaries(boundaries)), None
+        fits = load_boundaries(boundaries)
+        if spec.num_types != 2:
+            _fail(f"boundary curves need a 2-type model, not M={spec.num_types}")
+        missing = sorted({1, 2} - fits.keys())
+        if missing:
+            _fail(f"{boundaries}: no curve for type {missing[0]}")
+        return SplineStrategy(fits)
     name = baseline
     if name.startswith("stop-at-"):
-        return StopAfter(int(name[len("stop-at-") :])), None
+        return StopAfter(int(name[len("stop-at-") :]))
     if name.startswith("threshold-"):
-        return PosteriorThreshold(float(name[len("threshold-") :])), None
+        return PosteriorThreshold(float(name[len("threshold-") :]))
     _fail(f"unknown baseline {name!r} (use stop-at-<k> or threshold-<t>)")
 
 
@@ -281,16 +288,14 @@ def simulate(
     started = time.monotonic()
     try:
         spec = load_spec(model)
-        strategy, _ = _strategy_from_options(table, boundaries, baseline)
+        strategy = _strategy_from_options(spec, table, boundaries, baseline)
     except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(str(exc))
     est = estimate_risk(
         spec, strategy, runs=runs, seed=seed, n_max=n_max, threads=threads
     )
     try:
-        with open(out, "w") as fh:
-            json.dump(est.to_json(), fh, indent=2)
-            fh.write("\n")
+        _dump_json(est.to_json(), out)
         if trace is not None:
             with open(trace, "w") as fh:
                 fh.write("theta,mu,tau,d,cost\n")
@@ -340,7 +345,7 @@ def diagnose(
         _fail("give --table or --boundaries")
     try:
         spec = load_spec(model)
-        strategy, _ = _strategy_from_options(table, boundaries, None)
+        strategy = _strategy_from_options(spec, table, boundaries, None)
     except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(str(exc))
 
@@ -422,8 +427,7 @@ def derive_sa(
         if terminal_costs is not None:
             if false_alarm is not None or misdiagnosis is not None:
                 _fail("--terminal-costs excludes --false-alarm/--misdiagnosis")
-            with open(terminal_costs) as fh:
-                a = np.asarray(json.load(fh), dtype=np.float64)
+            a = np.asarray(_load_json(terminal_costs), dtype=np.float64)
         else:
             if false_alarm is None or misdiagnosis is None:
                 _fail("give --false-alarm and --misdiagnosis, or --terminal-costs")

@@ -94,19 +94,25 @@ class ProblemSpec:
         object.__setattr__(self, "f", _freeze(np.atleast_2d(self.f)))
         object.__setattr__(self, "a", _freeze(np.atleast_2d(self.a)))
 
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.alphabet_size,
-                self.num_types,
-                self.p0,
-                self.p,
-                self.nu.tobytes(),
-                self.f.tobytes(),
-                self.c,
-                self.a.tobytes(),
-            )
+    def _key(self) -> tuple:
+        return (
+            self.alphabet_size,
+            self.num_types,
+            self.p0,
+            self.p,
+            self.nu.tobytes(),
+            self.f.tobytes(),
+            self.c,
+            self.a.tobytes(),
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProblemSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def validate(spec: ProblemSpec) -> None:
@@ -444,6 +450,24 @@ def derive_suspended_animation(
 # ---------------------------------------------------------------------------
 
 
+def _dump_json(doc, fp: IO[str] | str) -> None:
+    """Write ``doc`` as indented JSON and a newline to a path or an open handle."""
+    if isinstance(fp, str):
+        with open(fp, "w") as handle:
+            _dump_json(doc, handle)
+        return
+    json.dump(doc, fp, indent=2)
+    fp.write("\n")
+
+
+def _load_json(fp: IO[str] | str):
+    """Parse one JSON document from a path or an open handle."""
+    if isinstance(fp, str):
+        with open(fp) as handle:
+            return json.load(handle)
+    return json.load(fp)
+
+
 def spec_to_dict(spec: ProblemSpec) -> dict:
     return {
         "alphabet_size": spec.alphabet_size,
@@ -478,22 +502,12 @@ def spec_from_dict(doc: Mapping) -> ProblemSpec:
 
 
 def save_spec(spec: ProblemSpec, fp: IO[str] | str) -> None:
-    doc = spec_to_dict(spec)
-    if isinstance(fp, str):
-        with open(fp, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-    else:
-        json.dump(doc, fp, indent=2)
+    _dump_json(spec_to_dict(spec), fp)
 
 
 def load_spec(fp: IO[str] | str) -> ProblemSpec:
     """Read and validate a problem instance from a JSON document."""
-    if isinstance(fp, str):
-        with open(fp) as handle:
-            doc = json.load(handle)
-    else:
-        doc = json.load(fp)
+    doc = _load_json(fp)
     if not isinstance(doc, Mapping):
         raise SpecValidationError("model document must be a JSON object")
     return spec_from_dict(doc)
@@ -513,22 +527,12 @@ def sa_to_dict(sa: SuspendedAnimationSpec) -> dict:
 
 
 def save_sa_spec(sa: SuspendedAnimationSpec, fp: IO[str] | str) -> None:
-    doc = sa_to_dict(sa)
-    if isinstance(fp, str):
-        with open(fp, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-    else:
-        json.dump(doc, fp)
+    _dump_json(sa_to_dict(sa), fp)
 
 
 def load_sa_spec(fp: IO[str] | str) -> SuspendedAnimationSpec:
     """Read a suspended-animation system description from JSON."""
-    if isinstance(fp, str):
-        with open(fp) as handle:
-            doc = json.load(handle)
-    else:
-        doc = json.load(fp)
+    doc = _load_json(fp)
     try:
         sa = SuspendedAnimationSpec(
             component_failure_probs=tuple(doc["component_failure_probs"]),

@@ -47,6 +47,20 @@ def initial_posterior(spec: ProblemSpec) -> np.ndarray:
     return pi
 
 
+def _step_weights(spec: ProblemSpec, pis: np.ndarray) -> np.ndarray:
+    """One step of the change chain, pi·P, for posteriors of any leading shape.
+
+    The no-change weight is (1-p)*pi_0: the change must not trigger this
+    period.  The type-i weight is pi_i + pi_0*p*nu_i: either the change of
+    type i was already in effect, or it triggers right now.  Multiplying by
+    the symbol's density column gives the posterior numerators.
+    """
+    w = pis.astype(np.float64)
+    w[..., 0] *= 1.0 - spec.p
+    w[..., 1:] += pis[..., :1] * spec.p * spec.nu
+    return w
+
+
 def d_vector(spec: ProblemSpec, pi: np.ndarray, x: int) -> np.ndarray:
     """Unnormalized posterior numerators for observing symbol ``x``.
 
@@ -54,16 +68,9 @@ def d_vector(spec: ProblemSpec, pi: np.ndarray, x: int) -> np.ndarray:
     weights of (next-state hypothesis i, symbol x) given the current
     posterior, and the last entry is their sum, which equals the predictive
     probability of ``x``.
-
-    The no-change weight is (1-p)*pi_0*f_0(x): the change must not trigger
-    this period.  The type-i weight is (pi_i + pi_0*p*nu_i)*f_i(x): either
-    the change of type i was already in effect, or it triggers right now.
     """
-    d = np.empty(spec.num_types + 2)
-    d[0] = (1.0 - spec.p) * pi[0] * spec.f[0, x]
-    d[1:-1] = (pi[1:] + pi[0] * spec.p * spec.nu) * spec.f[1:, x]
-    d[-1] = d[:-1].sum()
-    return d
+    num = _step_weights(spec, pi) * spec.f[:, x]
+    return np.append(num, num.sum())
 
 
 def update(spec: ProblemSpec, pi: np.ndarray, x: int) -> np.ndarray:
@@ -73,13 +80,13 @@ def update(spec: ProblemSpec, pi: np.ndarray, x: int) -> np.ndarray:
         ImpossibleObservation: if the symbol has zero predictive
             probability at ``pi``.
     """
-    d = d_vector(spec, pi, x)
-    total = d[-1]
+    num = _step_weights(spec, pi) * spec.f[:, x]
+    total = num.sum()
     if total <= 0.0:
         raise ImpossibleObservation(
             f"symbol {x} has zero likelihood at posterior {pi.tolist()}"
         )
-    out = d[:-1] / total
+    out = num / total
     # Renormalize so that drift cannot accumulate over long streams.
     out /= out.sum()
     return out
@@ -95,10 +102,7 @@ def update_many(spec: ProblemSpec, pis: np.ndarray, xs: np.ndarray) -> np.ndarra
     Raises ImpossibleObservation if any row degenerates; the message names
     the first offending row.
     """
-    growth = pis[:, :1] * spec.p * spec.nu[None, :]
-    num = np.empty_like(pis)
-    num[:, 0] = (1.0 - spec.p) * pis[:, 0] * spec.f[0, xs]
-    num[:, 1:] = (pis[:, 1:] + growth) * spec.f[1:, xs].T
+    num = _step_weights(spec, pis) * spec.f[:, xs].T
     totals = num.sum(axis=1)
     dead = totals <= 0.0
     if np.any(dead):
@@ -114,10 +118,7 @@ def update_many(spec: ProblemSpec, pis: np.ndarray, xs: np.ndarray) -> np.ndarra
 
 def predictive(spec: ProblemSpec, pi: np.ndarray) -> np.ndarray:
     """One-step-ahead distribution of the next symbol given posterior ``pi``."""
-    weights = np.empty(spec.num_types + 1)
-    weights[0] = (1.0 - spec.p) * pi[0]
-    weights[1:] = pi[1:] + pi[0] * spec.p * spec.nu
-    return weights @ spec.f
+    return _step_weights(spec, pi) @ spec.f
 
 
 def h_costs(spec: ProblemSpec, pi: np.ndarray) -> tuple[np.ndarray, float, int]:

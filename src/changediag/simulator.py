@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import C_M, SplineBoundary, _designated, fast_member
+from .boundary import SplineBoundary, fast_member, fast_member_many
 from .model import ProblemSpec
 from .posterior import h_costs, h_values_many, initial_posterior, update, update_many
 from .solver import ValueTable, interpolate, interpolate_many
@@ -135,16 +135,12 @@ class Strategy(ABC):
     """Maps (posterior, step count) to continue (None) or a 1-based type."""
 
     @abstractmethod
-    def decide(self, spec: ProblemSpec, pi: np.ndarray, n: int) -> int | None:
-        ...
-
     def decide_many(self, spec: ProblemSpec, pis: np.ndarray, n: int) -> np.ndarray:
-        out = np.zeros(pis.shape[0], dtype=np.int8)
-        for k in range(pis.shape[0]):
-            d = self.decide(spec, pis[k], n)
-            if d is not None:
-                out[k] = d
-        return out
+        """Decisions for a batch of posteriors: int8, 0 to continue."""
+
+    def decide(self, spec: ProblemSpec, pi: np.ndarray, n: int) -> int | None:
+        """One-row call of ``decide_many``: None to continue."""
+        return int(self.decide_many(spec, pi[None, :], n)[0]) or None
 
 
 class TableStrategy(Strategy):
@@ -183,31 +179,7 @@ class SplineStrategy(Strategy):
         return fast_member(spec, self.boundaries, pi)
 
     def decide_many(self, spec, pis, n):
-        h_all = h_values_many(spec, pis)
-        cols = h_all.argmin(axis=1)
-        out = np.zeros(pis.shape[0], dtype=np.int8)
-        for corner in range(1, spec.num_types + 1):
-            rows = np.flatnonzero(cols == corner - 1)
-            if rows.size == 0:
-                continue
-            P = pis[rows]
-            keep, _ = _designated(2, corner)
-            r = np.sqrt(
-                C_M[2]
-                * np.maximum(
-                    (1.0 + np.sum(P * P, axis=1)) / 2.0 - P[:, corner], 0.0
-                )
-            )
-            ghat = np.empty(rows.size)
-            at_corner = r <= 0.0
-            ghat[at_corner] = np.inf
-            if np.any(~at_corner):
-                beta = np.arcsin(
-                    np.clip(P[~at_corner, keep[0]] / r[~at_corner], 0.0, 1.0)
-                )
-                ghat[~at_corner] = self.boundaries[corner](beta)
-            out[rows] = np.where(r <= ghat, corner, 0)
-        return out
+        return fast_member_many(spec, self.boundaries, pis)
 
 
 class StopAfter(Strategy):
@@ -215,12 +187,6 @@ class StopAfter(Strategy):
 
     def __init__(self, k: int):
         self.k = int(k)
-
-    def decide(self, spec, pi, n):
-        if n >= self.k:
-            _, _, col = h_costs(spec, pi)
-            return col + 1
-        return None
 
     def decide_many(self, spec, pis, n):
         if n < self.k:
@@ -233,12 +199,6 @@ class PosteriorThreshold(Strategy):
 
     def __init__(self, threshold: float):
         self.threshold = float(threshold)
-
-    def decide(self, spec, pi, n):
-        if 1.0 - pi[0] >= self.threshold:
-            _, _, col = h_costs(spec, pi)
-            return col + 1
-        return None
 
     def decide_many(self, spec, pis, n):
         stop = 1.0 - pis[:, 0] >= self.threshold

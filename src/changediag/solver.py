@@ -26,7 +26,6 @@ corners are the only ones that may fall outside, and those are discarded).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import struct
@@ -35,8 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ProblemSpec, spec_from_dict, spec_to_dict
-from .posterior import d_vector, h_costs
+from .model import ProblemSpec, _dump_json, _load_json, spec_from_dict, spec_to_dict
+from .posterior import _step_weights, d_vector, h_costs
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -223,14 +222,11 @@ def transition_matrix(
     """
     import scipy.sparse
 
-    nodes = grid.nodes
     n = grid.n_nodes
     rows, cols, vals = [], [], []
-    growth = nodes[:, :1] * spec.p * spec.nu[None, :]
+    step = _step_weights(spec, grid.nodes)
     for x in range(spec.alphabet_size):
-        num = np.empty_like(nodes)
-        num[:, 0] = (1.0 - spec.p) * nodes[:, 0] * spec.f[0, x]
-        num[:, 1:] = (nodes[:, 1:] + growth) * spec.f[1:, x][None, :]
+        num = step * spec.f[:, x]
         total = num.sum(axis=1)
         live = total > 0.0
         if not np.any(live):
@@ -443,9 +439,7 @@ def save_table(table: ValueTable, spec: ProblemSpec, path: str) -> None:
         "n_nodes": table.grid.n_nodes,
         "model": spec_to_dict(spec),
     }
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    _dump_json(sidecar, _sidecar_path(path))
 
 
 def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
@@ -505,8 +499,7 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
     spec = None
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            doc = json.load(fh)
+        doc = _load_json(sidecar)
         # both the sidecar's own fields and its embedded model must describe
         # the grid and alphabet the binary header was written for
         claims = [(key, doc.get(key)) for key in ("M", "Q", "alphabet_size")]

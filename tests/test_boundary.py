@@ -145,6 +145,34 @@ def test_boundary_samples_are_sorted_frontier(solve200):
     assert (r > 0).all() and (r < 2 / math.sqrt(3)).all()
 
 
+def test_boundary_samples_reject_a_corner_outside_the_model(solve200):
+    spec, table = solve200("split")
+    region = cd.extract_region(spec, table)
+    for j in (0, 3, -1):
+        with pytest.raises(ValueError, match="not a type"):
+            cd.boundary.boundary_samples(region, j)
+
+
+def test_scalar_and_batched_polar_paths_agree_bitwise(split_boundaries):
+    """On every node of a Q=40 grid, scalar fast_member equals the batched
+    fast_member_many, and to_polar equals the samples boundary_samples
+    takes at the same nodes."""
+    spec, _, fitted = split_boundaries
+    region = cd.extract_region(spec, cd.value_iterate(spec, cd.build_grid(2, 40)))
+    nodes = region.grid.nodes
+    batch = cd.fast_member_many(spec, fitted, nodes)
+    assert batch.dtype == np.int8 and set(np.unique(batch)) == {0, 1, 2}
+    for node, want in zip(nodes, batch):
+        assert (cd.fast_member(spec, fitted, node) or 0) == want
+    all_ids = np.arange(region.grid.n_nodes)
+    for j in (1, 2):
+        beta, r = B.boundary_samples(region, j, all_ids)
+        points = [cd.to_polar(node, j) for node in nodes if node[j] < 1.0]
+        order = np.argsort([p.beta[0] for p in points], kind="stable")
+        assert np.array_equal(beta, np.array([points[k].beta[0] for k in order]))
+        assert np.array_equal(r, np.array([points[k].r for k in order]))
+
+
 def test_fit_boundary_describes_the_region(split_boundaries):
     spec, region, fitted = split_boundaries
     for j in (1, 2):

@@ -356,3 +356,85 @@ def test_derive_sa_cost_flag_conflicts(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert "excludes" in result.output
+
+
+def assert_one_error_line(result):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+    assert len(result.output.strip().splitlines()) == 1
+
+
+def test_table_of_another_model_is_refused(runner, model_path, tmp_path):
+    """A table only drives the model it was solved for: a 2-type model of
+    other costs and a 3-type model both fail cleanly on a merged table."""
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "40").exit_code == 0
+    stream = tmp_path / "stream.txt"
+    stream.write_text("0\n" * 20)
+    for name, spec in [("split", instances.FIGURES["split"]),
+                       ("three", instances.three_type())]:
+        other = str(tmp_path / f"{name}.json")
+        cd.save_spec(spec, other)
+        result = runner.invoke(
+            main, ["simulate", other, "--table", table_path, "--runs", "10",
+                   "-o", str(tmp_path / "sim.json")],
+        )
+        assert_one_error_line(result)
+        assert "different model" in result.output
+        result = runner.invoke(
+            main, ["diagnose", other, "--table", table_path, "--stream", str(stream)],
+        )
+        assert_one_error_line(result)
+    assert not (tmp_path / "sim.json").exists()
+
+
+def test_fit_boundary_rejects_a_corner_outside_the_model(runner, model_path, tmp_path):
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "40").exit_code == 0
+    region_csv = str(tmp_path / "region.csv")
+    assert runner.invoke(main, ["regions", table_path, "-o", region_csv]).exit_code == 0
+    for j in ("0", "3"):
+        result = runner.invoke(
+            main, ["fit-boundary", region_csv, "-j", j, "-o", str(tmp_path / "g.json")],
+        )
+        assert_one_error_line(result)
+        assert "not a type" in result.output
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_boundaries_need_a_two_type_model_and_every_curve(runner, model_path, tmp_path):
+    curves = [
+        cd.SplineBoundary(corner=j, knots=np.linspace(0.0, np.pi / 3, 5),
+                          coefficients=np.full(7, 0.3), lam=1.0, rms=0.0)
+        for j in (1, 2)
+    ]
+    both, only_one = str(tmp_path / "both.json"), str(tmp_path / "one.json")
+    cd.save_boundaries(curves, both)
+    cd.save_boundaries(curves[:1], only_one)
+    three = str(tmp_path / "three.json")
+    cd.save_spec(instances.three_type(), three)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("0\n" * 20)
+    sim_out = str(tmp_path / "sim.json")
+    for model, curves_path, message in [
+        (three, both, "2-type model"),
+        (model_path, only_one, "no curve for type 2"),
+    ]:
+        result = runner.invoke(
+            main, ["simulate", model, "--boundaries", curves_path, "--runs", "10",
+                   "-o", sim_out],
+        )
+        assert_one_error_line(result)
+        assert message in result.output
+        result = runner.invoke(
+            main, ["diagnose", model, "--boundaries", curves_path,
+                   "--stream", str(stream)],
+        )
+        assert_one_error_line(result)
+        assert message in result.output
+    result = runner.invoke(
+        main, ["simulate", model_path, "--boundaries", both, "--runs", "10",
+               "--threads", "1", "-o", sim_out],
+    )
+    assert result.exit_code == 0, result.output

@@ -217,3 +217,46 @@ def test_sa_json_round_trip(tmp_path):
     assert back.component_failure_probs == sa.component_failure_probs
     assert dict(back.phi) == dict(sa.phi)
     assert np.array_equal(back.label_densities, sa.label_densities)
+
+
+def test_spec_equality_compares_every_field(tmp_path):
+    """Two loads of one file are equal (and hash alike); changing any one
+    field makes the specs differ."""
+    path = str(tmp_path / "spec.json")
+    cd.save_spec(instances.FIGURES["merged"], path)
+    first, second = cd.load_spec(path), cd.load_spec(path)
+    assert first == second and hash(first) == hash(second)
+    assert first != "not a spec"
+    doc = spec_to_dict(first)
+    changed = {
+        "p0": 0.03,
+        "p": 0.06,
+        "delay_cost": 2.0,
+        "nu": [0.4, 0.6],
+        "densities": [[0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]],
+        "terminal_costs": [[10.0, 10.0], [0.0, 4.0], [3.0, 0.0]],
+    }
+    for key, value in changed.items():
+        assert spec_from_dict({**doc, key: value}) != first, key
+
+
+def test_json_writers_give_handles_the_bytes_of_a_path(tmp_path):
+    """Every save function writes the same indented, newline-terminated
+    document to an open handle as to a path."""
+    sa = instances.sa_two_component(cd.phi_min_index(2))
+    sb = cd.SplineBoundary(corner=1, knots=np.linspace(0.2, 1.0, 5),
+                           coefficients=np.full(7, 0.3), lam=0.5, rms=0.01)
+    cases = [
+        (cd.save_spec, instances.FIGURES["merged"]),
+        (cd.save_sa_spec, sa),
+        (cd.save_boundary, sb),
+        (cd.save_boundaries, [sb]),
+    ]
+    for save, obj in cases:
+        path = tmp_path / "doc.json"
+        save(obj, str(path))
+        buf = io.StringIO()
+        save(obj, buf)
+        text = path.read_text()
+        assert buf.getvalue() == text, save.__name__
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", save.__name__

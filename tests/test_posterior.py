@@ -217,13 +217,28 @@ def test_h_values_many_matches_scalar():
 
 
 def test_update_many_matches_scalar():
-    spec = figure_spec()
-    rng = np.random.default_rng(5)
-    pis = rng.dirichlet(np.ones(3), size=60)
-    xs = rng.integers(0, 4, size=60)
-    batch = cd.update_many(spec, pis, xs)
-    for out, pi, x in zip(batch, pis, xs):
-        assert np.array_equal(out, cd.update(spec, pi, int(x)))
+    """The batched and scalar updates, the numerators and the predictive
+    law agree bit for bit with the recursion written out term by term,
+    (1-p)*pi_0*f_0(x) and (pi_i + pi_0*p*nu_i)*f_i(x), for M = 1, 2, 3."""
+    for spec in (instances.shiryaev_binary(), figure_spec(), instances.three_type()):
+        M = spec.num_types
+        rng = np.random.default_rng(5)
+        pis = rng.dirichlet(np.ones(M + 1), size=60)
+        pis[: M + 1] = np.eye(M + 1)
+        xs = rng.integers(0, spec.alphabet_size, size=60)
+        batch = cd.update_many(spec, pis, xs)
+        for out, pi, x in zip(batch, pis, xs):
+            weights = np.concatenate(
+                [[(1.0 - spec.p) * pi[0]], pi[1:] + pi[0] * spec.p * spec.nu]
+            )
+            num = weights * spec.f[:, x]
+            d = cd.d_vector(spec, pi, int(x))
+            assert np.array_equal(d, np.append(num, num.sum()))
+            assert np.array_equal(cd.predictive(spec, pi), weights @ spec.f)
+            want = num / num.sum()
+            want /= want.sum()
+            assert np.array_equal(cd.update(spec, pi, int(x)), want)
+            assert np.array_equal(out, want)
 
 
 def test_recursion_matches_joint_law_oracle():
