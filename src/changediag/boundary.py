@@ -405,6 +405,11 @@ def _sb_to_dict(sb: SplineBoundary) -> dict:
 
 
 def _sb_from_dict(doc: Mapping) -> SplineBoundary:
+    if not isinstance(doc, Mapping):
+        raise ValueError("a boundary curve must be a JSON object")
+    for name in ("corner", "knots", "coefficients", "lambda", "rms"):
+        if name not in doc:
+            raise ValueError(f"boundary curve has no {name!r} field")
     return SplineBoundary(
         corner=int(doc["corner"]),
         knots=np.asarray(doc["knots"], dtype=np.float64),

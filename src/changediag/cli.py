@@ -8,8 +8,9 @@ reduce a suspended-animation system to a plain model file.
 
 Every command that writes files also writes ``<output>.manifest.json``
 recording the inputs, parameters and tool version, so a run can be
-repeated and compared byte for byte (the manifest's wall-clock field is
-the only thing that varies).
+repeated and compared byte for byte (the manifest's timings, its
+``wall_clock_s`` field and the ``runs_per_s`` of ``simulate``, are the only
+things that vary).
 
 Exit codes: 0 success, 1 validation or I/O failure, 2 solve hit its sweep
 cap (outputs still written), 3 the stream contradicted the model, 4 the
@@ -289,11 +290,13 @@ def simulate(
     try:
         spec = load_spec(model)
         strategy = _strategy_from_options(spec, table, boundaries, baseline)
+        mc_started = time.perf_counter()
+        est = estimate_risk(
+            spec, strategy, runs=runs, seed=seed, n_max=n_max, threads=threads
+        )
+        mc_s = time.perf_counter() - mc_started
     except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(str(exc))
-    est = estimate_risk(
-        spec, strategy, runs=runs, seed=seed, n_max=n_max, threads=threads
-    )
     try:
         _dump_json(est.to_json(), out)
         if trace is not None:
@@ -307,6 +310,7 @@ def simulate(
     except OSError as exc:
         _fail(str(exc))
     outputs = [out] + ([trace] if trace else [])
+    tau_quantiles = np.percentile(est.tau, [50, 90, 99, 100], method="inverted_cdf")
     _write_manifest(
         out,
         "simulate",
@@ -319,6 +323,11 @@ def simulate(
         },
         outputs,
         started,
+        report={
+            "runs_per_s": est.runs / mc_s,
+            "tau": dict(zip(("p50", "p90", "p99", "max"), tau_quantiles.tolist())),
+            "cap_rate": est.cap_rate,
+        },
     )
     click.echo(
         f"mean={_fmt(est.mean)} stderr={_fmt(est.std_error)} "
@@ -349,7 +358,10 @@ def diagnose(
     except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(str(exc))
 
-    source = sys.stdin if stream == "-" else open(stream)
+    try:
+        source = sys.stdin if stream == "-" else open(stream)
+    except OSError as exc:
+        _fail(str(exc))
     pi = initial_posterior(spec)
     n = 0
     try:

@@ -10,12 +10,17 @@ ways: the realized cost c*(tau-theta)^+ plus the terminal charge, and the
 posterior-form running cost that the optimality theory claims has the same
 expectation.
 
-Reproducibility: every run r of a call seeded with s draws exclusively
-from a counter-based Philox stream keyed (s, r), consuming one uniform for
-the change time, one for the type, and one per symbol, with symbol
-uniforms pre-drawn in blocks of 64.  Results are therefore identical
-whether runs execute one at a time, in one vectorized batch, or split
-across worker threads.
+Reproducibility: run r of a call seeded with s draws exclusively from the
+Philox4x64-10 stream keyed (s, r) that ``np.random.Philox(key=[s, r])``
+produces: uniform 0 picks the change time, uniform 1 the type, and
+uniform 1+k the k-th symbol.  Philox is counter-based (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11): each block of four
+64-bit words is a pure function of the key and the block counter.  The
+single-run ``Environment`` reads the stream through a numpy generator;
+``estimate_risk`` evaluates the same function for all runs of a batch at
+once, 64 symbol uniforms per run at a time.  Run k of seed s therefore
+sees the same stream, bit for bit, whether it executes alone, in any
+batch, or in any worker thread.
 """
 
 from __future__ import annotations
@@ -50,6 +55,14 @@ __all__ = [
 #: Symbol uniforms are drawn from each run's stream in blocks of this size.
 CHUNK = 64
 
+# Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+#: Rows per pass of the batched Philox kernel.
+_PHILOX_ROWS = 1024
+
 #: Default cap on observations per run; hitting it flags the run.
 DEFAULT_N_MAX = 100_000
 
@@ -65,6 +78,61 @@ def _theta_from_uniform(spec: ProblemSpec, u: float) -> int:
 def _pick(cum: np.ndarray, u: float) -> int:
     """Index of the first cumulative bin exceeding ``u``."""
     return min(int((cum <= u).sum()), cum.size - 1)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    mid = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    low_mid = x_lo * m_hi + (mid & _LOW32)
+    hi = x_hi * m_hi + (mid >> _SHIFT32) + (low_mid >> _SHIFT32)
+    return hi, x * np.uint64(m)
+
+
+def _philox4x64(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of key (seed, keys[i]) and counter (counters[j], 0, 0, 0).
+
+    ``keys`` is a (rows, 1) and ``counters`` a (1, blocks) uint64 array;
+    the result holds each block's four output words, shape (rows, blocks, 4).
+    Broadcasting keeps the first rounds, whose words depend on the key or
+    the counter alone, cheap.
+    """
+    c0 = counters
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    k0 = np.full((1, 1), seed, dtype=np.uint64)
+    k1 = keys
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    shape = (keys.shape[0], counters.shape[1])
+    return np.stack([np.broadcast_to(c, shape) for c in (c0, c1, c2, c3)], axis=-1)
+
+
+def _philox_uniforms(
+    seed: int, run_indices: np.ndarray, start: int, count: int
+) -> np.ndarray:
+    """Uniforms start..start+count-1 of every run's stream, one row per run.
+
+    Row i equals the last ``count`` of start+count calls of
+    ``Generator(Philox(key=[seed, run_indices[i]])).random()``: block b
+    of the stream is Philox4x64-10 of the counter b+1, and a double is
+    the top 53 bits of a word times 2**-53.  Every block of a row range is
+    one array computation; rows go _PHILOX_ROWS at a time so the working
+    arrays stay in cache.
+    """
+    keys = np.asarray(run_indices, dtype=np.uint64)[:, None]
+    first, last = start // 4, (start + count - 1) // 4
+    counters = np.arange(first + 1, last + 2, dtype=np.uint64)[None, :]
+    out = np.empty((keys.shape[0], count))
+    for lo in range(0, keys.shape[0], _PHILOX_ROWS):
+        rows = slice(lo, lo + _PHILOX_ROWS)
+        words = _philox4x64(seed, keys[rows], counters)
+        words = words.reshape(words.shape[0], -1)[:, start % 4 : start % 4 + count]
+        out[rows] = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return out
 
 
 class Environment:
@@ -324,18 +392,14 @@ def _simulate_block(
     run_offset: int,
 ) -> tuple[np.ndarray, ...]:
     """Vectorized lockstep simulation of runs [offset, offset+runs)."""
-    gens = [
-        np.random.Generator(
-            np.random.Philox(key=np.array([seed, run_offset + r], dtype=np.uint64))
-        )
-        for r in range(runs)
-    ]
-    theta = np.empty(runs, dtype=np.int64)
-    mu = np.empty(runs, dtype=np.int64)
+    window = _philox_uniforms(seed, run_offset + np.arange(runs), 0, 2 + CHUNK)
+    theta = np.array(
+        [_theta_from_uniform(spec, u) for u in window[:, 0].tolist()], dtype=np.int64
+    )
     cum_nu = np.cumsum(spec.nu)
-    for r, g in enumerate(gens):
-        theta[r] = _theta_from_uniform(spec, g.random())
-        mu[r] = _pick(cum_nu, g.random()) + 1
+    mu = np.searchsorted(cum_nu, window[:, 1], side="right")
+    mu = np.minimum(mu, cum_nu.size - 1) + 1
+    window = window[:, 2:]
     cum_f = np.cumsum(spec.f, axis=1)
 
     pis = np.tile(initial_posterior(spec), (runs, 1))
@@ -346,8 +410,7 @@ def _simulate_block(
     post_form = np.zeros(runs)
 
     active = np.arange(runs)
-    window = np.empty((0, CHUNK))
-    window_row = np.full(runs, -1, dtype=np.int64)
+    window_row = np.arange(runs)
     n = 0
     while active.size:
         dec = strategy.decide_many(spec, pis[active], n)
@@ -373,12 +436,9 @@ def _simulate_block(
 
         running[active] += spec.c * (1.0 - pis[active, 0])
 
-        if n % CHUNK == 0:
-            window = np.empty((active.size, CHUNK))
-            window_row[:] = -1
+        if n and n % CHUNK == 0:
+            window = _philox_uniforms(seed, run_offset + active, 2 + n, CHUNK)
             window_row[active] = np.arange(active.size)
-            for row, r in enumerate(active):
-                window[row] = gens[r].random(CHUNK)
         us = window[window_row[active], n % CHUNK]
         post = theta[active] <= n + 1
         rows = np.where(post, mu[active], 0)
@@ -399,7 +459,10 @@ def resolve_threads(threads: int | None) -> int:
         return max(1, int(threads))
     env = os.environ.get("CD_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"CD_THREADS={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 
@@ -419,6 +482,8 @@ def estimate_risk(
     """
     if runs < 1:
         raise ValueError(f"runs={runs} must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed={seed} must be in [0, 2**64)")
     workers = min(resolve_threads(threads), runs)
     bounds = np.linspace(0, runs, workers + 1).astype(int)
     jobs = [

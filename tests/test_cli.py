@@ -438,3 +438,71 @@ def test_boundaries_need_a_two_type_model_and_every_curve(runner, model_path, tm
                "--threads", "1", "-o", sim_out],
     )
     assert result.exit_code == 0, result.output
+
+
+def test_simulate_rejects_bad_monte_carlo_inputs(runner, model_path, tmp_path):
+    out = str(tmp_path / "sim.json")
+    base = ["simulate", model_path, "--baseline", "stop-at-5", "-o", out]
+    for extra, env, message in [
+        (["--seed", "-1"], {}, "seed=-1"),
+        (["--seed", str(2**64)], {}, f"seed={2**64}"),
+        (["--runs", "0"], {}, "runs=0"),
+        ([], {"CD_THREADS": "abc"}, "CD_THREADS='abc'"),
+    ]:
+        result = runner.invoke(main, [*base, *extra], env=env)
+        assert_one_error_line(result)
+        assert message in result.output
+    assert not (tmp_path / "sim.json").exists()
+    result = runner.invoke(main, [*base, "--seed", str(2**64 - 1), "--runs", "50"])
+    assert result.exit_code == 0, result.output
+
+
+def test_simulate_manifest_reports_rate_tau_quantiles_and_cap_rate(
+        runner, model_path, tmp_path):
+    out = str(tmp_path / "sim.json")
+    result = runner.invoke(
+        main, ["simulate", model_path, "--baseline", "threshold-0.8", "--runs", "300",
+               "--seed", "5", "--n-max", "12", "--threads", "1", "-o", out],
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "sim.json.manifest.json").read_text())["report"]
+    est = cd.estimate_risk(instances.FIGURES["merged"], cd.PosteriorThreshold(0.8),
+                           runs=300, seed=5, n_max=12)
+    assert report["runs_per_s"] > 0
+    taus = np.sort(est.tau)
+    assert report["tau"] == {"p50": int(taus[149]), "p90": int(taus[269]),
+                             "p99": int(taus[296]), "max": 12}
+    assert report["cap_rate"] == est.cap_rate > 0
+
+
+def test_diagnose_missing_stream_file(runner, model_path, tmp_path):
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "40").exit_code == 0
+    result = runner.invoke(
+        main, ["diagnose", model_path, "--table", table_path,
+               "--stream", str(tmp_path / "nonexistent.txt")],
+    )
+    assert_one_error_line(result)
+    assert "nonexistent.txt" in result.output
+
+
+def test_boundaries_file_missing_a_field(runner, model_path, tmp_path):
+    curves = [
+        cd.SplineBoundary(corner=j, knots=np.linspace(0.0, np.pi / 3, 5),
+                          coefficients=np.full(7, 0.3), lam=1.0, rms=0.0)
+        for j in (1, 2)
+    ]
+    good = str(tmp_path / "both.json")
+    cd.save_boundaries(curves, good)
+    for field in ("knots", "coefficients", "lambda", "rms"):
+        doc = json.loads(open(good).read())
+        del doc[1][field]
+        broken = tmp_path / f"no-{field}.json"
+        broken.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["simulate", model_path, "--boundaries", str(broken), "--runs", "10",
+                   "-o", str(tmp_path / "sim.json")],
+        )
+        assert_one_error_line(result)
+        assert repr(field) in result.output
+    assert not (tmp_path / "sim.json").exists()

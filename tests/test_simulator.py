@@ -10,6 +10,9 @@ from changediag.simulator import (
     SplineStrategy,
     StopAfter,
     TableStrategy,
+    _PHILOX_ROWS,
+    _philox_uniforms,
+    resolve_threads,
 )
 
 import instances
@@ -103,18 +106,66 @@ def test_solved_strategy_stops_in_reasonable_time(solve200):
     assert np.mean(taus) < 100
 
 
-def test_single_runs_reproduce_batch_rows(solve200):
-    spec, table = solve200("merged")
-    strategy = TableStrategy(table)
-    est = cd.estimate_risk(spec, strategy, runs=200, seed=42)
-    for k in (0, 7, 123):
-        rec = cd.run_strategy(spec, strategy, Environment(spec, 42, k))
+def numpy_stream(seed, run_index, start, count):
+    gen = np.random.Generator(
+        np.random.Philox(key=np.array([seed, run_index], dtype=np.uint64)))
+    return gen.random(start + count)[start:]
+
+
+def test_philox_kernel_matches_numpy_streams():
+    rng = np.random.default_rng(2024)
+    seeds = [0, 2**64 - 1, *rng.integers(0, 2**64, 3, dtype=np.uint64).tolist()]
+    runs = [0, 1, 2**64 - 1, *rng.integers(0, 2**64, 5, dtype=np.uint64).tolist()]
+    # ranges starting on and inside a 4-word block, up to four 64-windows long
+    ranges = [(0, 1), (0, 66), (1, 3), (2, 64), (3, 130), (66, 64), (129, 256)]
+    for seed in seeds:
+        for start, count in ranges:
+            got = _philox_uniforms(seed, np.array(runs, dtype=np.uint64), start, count)
+            assert got.shape == (len(runs), count) and got.dtype == np.float64
+            for row, r in enumerate(runs):
+                assert np.array_equal(got[row], numpy_stream(seed, r, start, count))
+
+
+def test_philox_kernel_rows_span_several_passes():
+    runs = np.arange(2 * _PHILOX_ROWS + 5)
+    got = _philox_uniforms(77, runs, 5, 70)
+    for r in (0, _PHILOX_ROWS - 1, _PHILOX_ROWS, 2 * _PHILOX_ROWS, runs[-1]):
+        assert np.array_equal(got[r], numpy_stream(77, r, 5, 70))
+
+
+def assert_rows_match_single_runs(spec, strategy, est, rows):
+    for k in rows:
+        rec = cd.run_strategy(spec, strategy, Environment(spec, est.seed, int(k)))
         assert rec.theta == est.theta[k]
         assert rec.mu == est.mu[k]
         assert rec.tau == est.tau[k]
         assert rec.d == est.d[k]
         assert rec.realized_cost == est.realized[k]
         assert rec.posterior_cost == est.posterior_form[k]
+
+
+def test_single_runs_reproduce_batch_rows(solve200):
+    spec, table = solve200("merged")
+    strategy = TableStrategy(table)
+    est = cd.estimate_risk(spec, strategy, runs=200, seed=42)
+    assert_rows_match_single_runs(spec, strategy, est, (0, 7, 123))
+
+
+def test_long_runs_reproduce_batch_rows_across_windows():
+    """Runs past 64 and 128 symbols read their second and third uniform
+    windows from the batch kernel; single runs read them from numpy."""
+    spec = instances.two_type(10, 10, 3, 3, 0.05)
+    strategy = TableStrategy(cd.value_iterate(spec, cd.build_grid(2, 100)))
+    one = cd.estimate_risk(spec, strategy, runs=1000, seed=42, threads=1)
+    two = cd.estimate_risk(spec, strategy, runs=1000, seed=42, threads=2)
+    for name in ("theta", "mu", "tau", "d", "realized", "posterior_form", "capped"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
+    second = np.flatnonzero((one.tau > 64) & (one.tau <= 128))
+    third = np.flatnonzero(one.tau > 128)
+    # rows in both halves, so the threads=2 block with run_offset > 0 is covered
+    rows = {0, 999, second[0], second[-1], third[0], third[-1]}
+    assert min(rows) < 500 and max(third) >= 500
+    assert_rows_match_single_runs(spec, strategy, one, sorted(rows))
 
 
 def test_worker_count_does_not_change_results(solve200):
@@ -216,3 +267,15 @@ def test_spline_strategy_matches_table_strategy_often(solve200):
         r2 = cd.run_strategy(spec, spl, Environment(spec, 55, i))
         same += (r1.tau, r1.d) == (r2.tau, r2.d)
     assert same / 300 >= 0.95
+
+
+def test_monte_carlo_inputs_are_validated(monkeypatch):
+    spec = instances.FIGURES["merged"]
+    for runs, seed in [(10, -1), (10, 2**64), (0, 1), (-3, 1)]:
+        with pytest.raises(ValueError):
+            cd.estimate_risk(spec, StopAfter(1), runs=runs, seed=seed)
+    monkeypatch.setenv("CD_THREADS", "abc")
+    with pytest.raises(ValueError, match="CD_THREADS"):
+        resolve_threads(None)
+    monkeypatch.setenv("CD_THREADS", "3")
+    assert resolve_threads(None) == 3
