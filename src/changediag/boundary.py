@@ -266,7 +266,12 @@ def fit_spline(
     :param K: number of uniform spline segments over the sample range.
     :return: (breakpoints, coefficients, lam, rms of fitted residuals,
         cross-validation SSE of the chosen lam, or None when lam was given).
+    :raises ValueError: for K < 1 or a negative or non-finite ``lam``.
     """
+    if K < 1:
+        raise ValueError(f"K={K} spline segments must be at least 1")
+    if lam is not None and not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam={lam} must be finite and nonnegative")
     beta = np.asarray(beta, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if beta.size < K + 4:

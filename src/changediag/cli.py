@@ -12,6 +12,11 @@ repeated and compared byte for byte (the manifest's timings, its
 ``wall_clock_s`` field and the ``runs_per_s`` of ``simulate``, are the only
 things that vary).
 
+Errors have one boundary: a ``ValueError`` (bad input, including a
+malformed model, table, region or boundary file) or an ``OSError`` raised
+anywhere in a command ends the run with exit 1 and one ``error:`` line on
+stderr, never a traceback.
+
 Exit codes: 0 success, 1 validation or I/O failure, 2 solve hit its sweep
 cap (outputs still written), 3 the stream contradicted the model, 4 the
 stream ended before an alarm.
@@ -28,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .boundary import (
-    InsufficientBoundary,
     SplineBoundary,
     boundary_samples,
     fit_spline,
@@ -37,7 +41,6 @@ from .boundary import (
     save_boundary,
 )
 from .model import (
-    SpecValidationError,
     _dump_json,
     _load_json,
     load_sa_spec,
@@ -54,9 +57,8 @@ from .simulator import (
     StopAfter,
     TableStrategy,
     estimate_risk,
-    resolve_threads,
 )
-from .solver import GridSizeError, build_grid, load_table, save_table, value_iterate
+from .solver import build_grid, load_table, save_table, value_iterate
 
 
 def _fail(message: str) -> None:
@@ -90,7 +92,17 @@ def _write_manifest(
     _dump_json(doc, anchor + ".manifest.json")
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: bad input or I/O becomes exit 1, one line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Sequential change diagnosis: solve, inspect, and run strategies."""
@@ -105,16 +117,10 @@ def main() -> None:
 def solve(model: str, Q: int, tol: float, max_iter: int, out: str) -> None:
     """Value-iterate MODEL on a resolution-Q grid and write the table."""
     started = time.monotonic()
-    try:
-        spec = load_spec(model)
-        grid = build_grid(spec.num_types, Q)
-    except (SpecValidationError, GridSizeError, OSError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
+    spec = load_spec(model)
+    grid = build_grid(spec.num_types, Q)
     table = value_iterate(spec, grid, tol=tol, max_iter=max_iter)
-    try:
-        save_table(table, spec, out)
-    except OSError as exc:
-        _fail(str(exc))
+    save_table(table, spec, out)
     _write_manifest(
         out,
         "solve",
@@ -154,26 +160,23 @@ def regions(
 ) -> None:
     """Extract stopping sets from a table, check them, export CSV."""
     started = time.monotonic()
-    try:
-        table, spec = load_table(table_path)
-        if spec is None:
-            _fail(f"{table_path}: sidecar with the model is missing")
-        region = extract_region(spec, table, stop_tol)
-        coarser = None
-        if compare_table is not None:
-            other_table, other_spec = load_table(compare_table)
-            if other_spec is None:
-                _fail(f"{compare_table}: sidecar with the model is missing")
-            coarser = extract_region(other_spec, other_table)
-        if fmt is None:
-            fmt = "embedded" if table.grid.M in (2, 3) else "raw"
-        export_region(region, out, fmt)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    table, spec = load_table(table_path)
+    if spec is None:
+        _fail(f"{table_path}: sidecar with the model is missing")
+    region = extract_region(spec, table, stop_tol)
+    coarser = None
+    if compare_table is not None:
+        other_table, other_spec = load_table(compare_table)
+        if other_spec is None:
+            _fail(f"{compare_table}: sidecar with the model is missing")
+        coarser = extract_region(other_spec, other_table)
+    if fmt is None:
+        fmt = "embedded" if table.grid.M in (2, 3) else "raw"
     fine, coarse = region, coarser
     if coarser is not None and coarser.N_used > region.N_used:
         fine, coarse = coarser, region
     report = check_region_properties(fine, coarse)
+    export_region(region, out, fmt)
     report_path = out + ".report.json"
     _dump_json(report, report_path)
     _write_manifest(
@@ -207,17 +210,11 @@ def regions(
 def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: str) -> None:
     """Fit the polar spline of one stopping boundary from a region CSV."""
     started = time.monotonic()
-    try:
-        region = import_region(region_csv)
-        beta, r = boundary_samples(region, j)
-        breaks, coef, lam_used, rms, cv = fit_spline(beta, r, K, lam)
-    except (InsufficientBoundary, ValueError, OSError) as exc:
-        _fail(str(exc))
+    region = import_region(region_csv)
+    beta, r = boundary_samples(region, j)
+    breaks, coef, lam_used, rms, cv = fit_spline(beta, r, K, lam)
     sb = SplineBoundary(corner=j, knots=breaks, coefficients=coef, lam=lam_used, rms=rms)
-    try:
-        save_boundary(sb, out)
-    except OSError as exc:
-        _fail(str(exc))
+    save_boundary(sb, out)
     _write_manifest(
         out,
         "fit-boundary",
@@ -270,7 +267,7 @@ def _strategy_from_options(spec, table, boundaries, baseline):
 @click.option("--runs", type=int, default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n-max", type=int, default=DEFAULT_N_MAX, show_default=True)
-@click.option("--threads", type=int, default=None, help="Worker count; defaults to CD_THREADS, then the CPU count.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads; the output does not depend on it.")
 @click.option("--trace", type=click.Path(dir_okay=False), default=None, help="Optional per-run CSV (theta, mu, tau, d, cost).")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 def simulate(
@@ -281,34 +278,28 @@ def simulate(
     runs: int,
     seed: int,
     n_max: int,
-    threads: int | None,
+    threads: int,
     trace: str | None,
     out: str,
 ) -> None:
     """Estimate the Bayes risk of a strategy on MODEL by Monte Carlo."""
     started = time.monotonic()
-    try:
-        spec = load_spec(model)
-        strategy = _strategy_from_options(spec, table, boundaries, baseline)
-        mc_started = time.perf_counter()
-        est = estimate_risk(
-            spec, strategy, runs=runs, seed=seed, n_max=n_max, threads=threads
-        )
-        mc_s = time.perf_counter() - mc_started
-    except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
-    try:
-        _dump_json(est.to_json(), out)
-        if trace is not None:
-            with open(trace, "w") as fh:
-                fh.write("theta,mu,tau,d,cost\n")
-                for k in range(est.runs):
-                    fh.write(
-                        f"{est.theta[k]},{est.mu[k]},{est.tau[k]},{est.d[k]},"
-                        f"{_fmt(est.realized[k])}\n"
-                    )
-    except OSError as exc:
-        _fail(str(exc))
+    spec = load_spec(model)
+    strategy = _strategy_from_options(spec, table, boundaries, baseline)
+    mc_started = time.perf_counter()
+    est = estimate_risk(
+        spec, strategy, runs=runs, seed=seed, n_max=n_max, threads=threads
+    )
+    mc_s = time.perf_counter() - mc_started
+    _dump_json(est.to_json(), out)
+    if trace is not None:
+        with open(trace, "w") as fh:
+            fh.write("theta,mu,tau,d,cost\n")
+            for k in range(est.runs):
+                fh.write(
+                    f"{est.theta[k]},{est.mu[k]},{est.tau[k]},{est.d[k]},"
+                    f"{_fmt(est.realized[k])}\n"
+                )
     outputs = [out] + ([trace] if trace else [])
     tau_quantiles = np.percentile(est.tau, [50, 90, 99, 100], method="inverted_cdf")
     _write_manifest(
@@ -319,7 +310,7 @@ def simulate(
             "runs": runs,
             "seed": seed,
             "n_max": n_max,
-            "threads": resolve_threads(threads),
+            "threads": threads,
         },
         outputs,
         started,
@@ -352,16 +343,9 @@ def diagnose(
     started = time.monotonic()
     if table is None and boundaries is None:
         _fail("give --table or --boundaries")
-    try:
-        spec = load_spec(model)
-        strategy = _strategy_from_options(spec, table, boundaries, None)
-    except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
-
-    try:
-        source = sys.stdin if stream == "-" else open(stream)
-    except OSError as exc:
-        _fail(str(exc))
+    spec = load_spec(model)
+    strategy = _strategy_from_options(spec, table, boundaries, None)
+    source = sys.stdin if stream == "-" else open(stream)
     pi = initial_posterior(spec)
     n = 0
     try:
@@ -433,23 +417,20 @@ def derive_sa(
 ) -> None:
     """Reduce a suspended-animation system file to a model file."""
     started = time.monotonic()
-    try:
-        sa = load_sa_spec(system)
-        M = sa.num_labels
-        if terminal_costs is not None:
-            if false_alarm is not None or misdiagnosis is not None:
-                _fail("--terminal-costs excludes --false-alarm/--misdiagnosis")
-            a = np.asarray(_load_json(terminal_costs), dtype=np.float64)
-        else:
-            if false_alarm is None or misdiagnosis is None:
-                _fail("give --false-alarm and --misdiagnosis, or --terminal-costs")
-            a = np.full((M + 1, M), misdiagnosis)
-            a[0, :] = false_alarm
-            np.fill_diagonal(a[1:], 0.0)
-        spec = derive_suspended_animation(sa, c=delay_cost, a=a)
-        save_spec(spec, out)
-    except (SpecValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
+    sa = load_sa_spec(system)
+    M = sa.num_labels
+    if terminal_costs is not None:
+        if false_alarm is not None or misdiagnosis is not None:
+            _fail("--terminal-costs excludes --false-alarm/--misdiagnosis")
+        a = np.asarray(_load_json(terminal_costs), dtype=np.float64)
+    else:
+        if false_alarm is None or misdiagnosis is None:
+            _fail("give --false-alarm and --misdiagnosis, or --terminal-costs")
+        a = np.full((M + 1, M), misdiagnosis)
+        a[0, :] = false_alarm
+        np.fill_diagonal(a[1:], 0.0)
+    spec = derive_suspended_animation(sa, c=delay_cost, a=a)
+    save_spec(spec, out)
     _write_manifest(
         out,
         "derive-sa",

@@ -78,6 +78,8 @@ class ProblemSpec:
         a: terminal costs, shape (M+1, M); ``a[i][j]`` is the cost of
             terminal decision j when the truth is i, with row 0 holding the
             false-alarm costs (no change has happened yet).
+
+    Construction runs ``validate``, so a spec that exists is valid.
     """
 
     alphabet_size: int
@@ -93,6 +95,7 @@ class ProblemSpec:
         object.__setattr__(self, "nu", _freeze(np.atleast_1d(self.nu)))
         object.__setattr__(self, "f", _freeze(np.atleast_2d(self.f)))
         object.__setattr__(self, "a", _freeze(np.atleast_2d(self.a)))
+        validate(self)
 
     def _key(self) -> tuple:
         return (
@@ -116,7 +119,7 @@ class ProblemSpec:
 
 
 def validate(spec: ProblemSpec) -> None:
-    """Check every structural invariant of ``spec``.
+    """Check every structural invariant of ``spec``; ``ProblemSpec`` runs it.
 
     Raises:
         SpecValidationError: with a message naming the offending field,
@@ -213,7 +216,7 @@ def make_shiryaev(
     M = f.shape[0] - 1
     a = np.zeros((M + 1, M))
     a[0, :] = 1.0
-    spec = ProblemSpec(
+    return ProblemSpec(
         alphabet_size=f.shape[1],
         num_types=M,
         p0=p0,
@@ -223,8 +226,6 @@ def make_shiryaev(
         c=c,
         a=a,
     )
-    validate(spec)
-    return spec
 
 
 def make_hypothesis_testing(
@@ -250,7 +251,7 @@ def make_hypothesis_testing(
         p: inert geometric parameter, any value in (0, 1).
     """
     f = np.atleast_2d(np.asarray(f, dtype=np.float64))
-    spec = ProblemSpec(
+    return ProblemSpec(
         alphabet_size=f.shape[1],
         num_types=f.shape[0] - 1,
         p0=1.0,
@@ -260,8 +261,6 @@ def make_hypothesis_testing(
         c=c,
         a=np.atleast_2d(np.asarray(a, dtype=np.float64)),
     )
-    validate(spec)
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +285,8 @@ class SuspendedAnimationSpec:
             labels 1..M.
         label_densities: shape (M+1, alphabet); row 0 is the pre-failure
             density, row k >= 1 the density observed under label k.
+
+    Construction raises ``SpecValidationError`` for an inconsistent system.
     """
 
     component_failure_probs: tuple[float, ...]
@@ -304,6 +305,7 @@ class SuspendedAnimationSpec:
         object.__setattr__(
             self, "label_densities", _freeze(np.atleast_2d(self.label_densities))
         )
+        _validate_sa(self)
 
     @property
     def num_components(self) -> int:
@@ -399,17 +401,16 @@ def derive_suspended_animation(
     weights proportional to the one-period failure-pattern probabilities.
 
     Args:
-        sa: validated system description.
+        sa: system description.
         c: delay cost per period.
         a: terminal cost matrix of shape (M+1, M).
         f0: optional pre-failure density overriding row 0 of
             ``sa.label_densities``.
 
     Raises:
-        SpecValidationError: if the system description is inconsistent or a
-            derived type weight vanishes.
+        SpecValidationError: if a derived type weight vanishes or the
+            derived instance is invalid (for instance a bad cost matrix).
     """
-    _validate_sa(sa)
     probs = np.asarray(sa.component_failure_probs)
     K = sa.num_components
     M = sa.num_labels
@@ -431,7 +432,7 @@ def derive_suspended_animation(
     f = np.array(sa.label_densities, dtype=np.float64)
     if f0 is not None:
         f[0] = np.asarray(list(f0), dtype=np.float64)
-    spec = ProblemSpec(
+    return ProblemSpec(
         alphabet_size=f.shape[1],
         num_types=M,
         p0=0.0,
@@ -441,8 +442,6 @@ def derive_suspended_animation(
         c=c,
         a=np.atleast_2d(np.asarray(a, dtype=np.float64)),
     )
-    validate(spec)
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +482,7 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
 
 def spec_from_dict(doc: Mapping) -> ProblemSpec:
     try:
-        spec = ProblemSpec(
+        return ProblemSpec(
             alphabet_size=int(doc["alphabet_size"]),
             num_types=int(doc["num_types"]),
             p0=float(doc["p0"]),
@@ -493,12 +492,12 @@ def spec_from_dict(doc: Mapping) -> ProblemSpec:
             c=float(doc["delay_cost"]),
             a=np.asarray(doc["terminal_costs"], dtype=np.float64),
         )
+    except SpecValidationError:
+        raise
     except KeyError as exc:
         raise SpecValidationError(f"model document missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SpecValidationError(f"malformed model document: {exc}") from exc
-    validate(spec)
-    return spec
 
 
 def save_spec(spec: ProblemSpec, fp: IO[str] | str) -> None:
@@ -534,7 +533,7 @@ def load_sa_spec(fp: IO[str] | str) -> SuspendedAnimationSpec:
     """Read a suspended-animation system description from JSON."""
     doc = _load_json(fp)
     try:
-        sa = SuspendedAnimationSpec(
+        return SuspendedAnimationSpec(
             component_failure_probs=tuple(doc["component_failure_probs"]),
             phi={
                 frozenset(int(k) for k in entry["subset"]): int(entry["label"])
@@ -544,5 +543,3 @@ def load_sa_spec(fp: IO[str] | str) -> SuspendedAnimationSpec:
         )
     except KeyError as exc:
         raise SpecValidationError(f"system document missing key {exc}") from exc
-    _validate_sa(sa)
-    return sa

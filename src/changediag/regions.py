@@ -75,6 +75,8 @@ def extract_region(
     """
     if stop_tol is None:
         stop_tol = table.stop_tol
+    if not math.isfinite(stop_tol):
+        raise ValueError(f"stop_tol={stop_tol} must be finite")
     grid = table.grid
     h_all = grid.nodes @ spec.a
     if stop_tol == table.stop_tol:

@@ -26,7 +26,6 @@ batch, or in any worker thread.
 from __future__ import annotations
 
 import math
-import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ import numpy as np
 from .boundary import SplineBoundary, fast_member, fast_member_many
 from .model import ProblemSpec
 from .posterior import h_costs, h_values_many, initial_posterior, update, update_many
-from .solver import ValueTable, interpolate, interpolate_many
+from .solver import ValueTable, interpolate_many
 
 __all__ = [
     "Environment",
@@ -49,7 +48,6 @@ __all__ = [
     "PosteriorThreshold",
     "run_strategy",
     "estimate_risk",
-    "resolve_threads",
 ]
 
 #: Symbol uniforms are drawn from each run's stream in blocks of this size.
@@ -223,11 +221,9 @@ class TableStrategy(Strategy):
         self.table = table
         self.stop_tol = table.stop_tol if stop_tol is None else float(stop_tol)
 
+    # kept so the benchmark's traced run can wrap TableStrategy.decide itself
     def decide(self, spec, pi, n):
-        _, h, col = h_costs(spec, pi)
-        if h - interpolate(self.table, pi) <= self.stop_tol:
-            return col + 1
-        return None
+        return super().decide(spec, pi, n)
 
     def decide_many(self, spec, pis, n):
         values = interpolate_many(self.table.grid, self.table.values, pis)
@@ -453,26 +449,13 @@ def _simulate_block(
     return theta, mu, tau, d, realized, post_form, capped
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Explicit value, else the CD_THREADS variable, else the CPU count."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("CD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"CD_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
-
-
 def estimate_risk(
     spec: ProblemSpec,
     strategy: Strategy,
     runs: int,
     seed: int,
     n_max: int = DEFAULT_N_MAX,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> RiskEstimate:
     """Monte Carlo Bayes-risk estimate over ``runs`` independent runs.
 
@@ -484,7 +467,11 @@ def estimate_risk(
         raise ValueError(f"runs={runs} must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed={seed} must be in [0, 2**64)")
-    workers = min(resolve_threads(threads), runs)
+    if n_max < 0:
+        raise ValueError(f"n_max={n_max} must be nonnegative")
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be at least 1")
+    workers = min(threads, runs)
     bounds = np.linspace(0, runs, workers + 1).astype(int)
     jobs = [
         (int(lo), int(hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo

@@ -115,6 +115,17 @@ def test_insufficient_samples_rejected():
         B.fit_spline(np.full(30, 0.25), np.full(30, 0.7), K=4)
 
 
+def test_fit_spline_rejects_bad_segment_counts_and_smoothing():
+    beta = np.linspace(0.0, 0.5, 30)
+    r = np.full(30, 0.7)
+    for K in (0, -2):
+        with pytest.raises(ValueError, match=f"K={K} spline segments"):
+            B.fit_spline(beta, r, K=K)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"lam={lam} must be finite"):
+            B.fit_spline(beta, r, K=4, lam=lam)
+
+
 def test_extrapolation_is_linear():
     beta = np.linspace(0.1, 0.5, 30)
     r = 0.7 - 0.2 * beta + 0.3 * beta**2

@@ -234,9 +234,7 @@ def test_simulate_thread_count_does_not_change_output(runner, model_path, tmp_pa
             "--runs", "400", "--seed", "6"]
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert runner.invoke(main, [*args, "-o", out1, "--threads", "1"]).exit_code == 0
-    assert runner.invoke(
-        main, [*args, "-o", out2], env={"CD_THREADS": "4"}
-    ).exit_code == 0
+    assert runner.invoke(main, [*args, "-o", out2, "--threads", "4"]).exit_code == 0
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
 
@@ -443,13 +441,12 @@ def test_boundaries_need_a_two_type_model_and_every_curve(runner, model_path, tm
 def test_simulate_rejects_bad_monte_carlo_inputs(runner, model_path, tmp_path):
     out = str(tmp_path / "sim.json")
     base = ["simulate", model_path, "--baseline", "stop-at-5", "-o", out]
-    for extra, env, message in [
-        (["--seed", "-1"], {}, "seed=-1"),
-        (["--seed", str(2**64)], {}, f"seed={2**64}"),
-        (["--runs", "0"], {}, "runs=0"),
-        ([], {"CD_THREADS": "abc"}, "CD_THREADS='abc'"),
+    for extra, message in [
+        (["--seed", "-1"], "seed=-1"),
+        (["--seed", str(2**64)], f"seed={2**64}"),
+        (["--runs", "0"], "runs=0"),
     ]:
-        result = runner.invoke(main, [*base, *extra], env=env)
+        result = runner.invoke(main, [*base, *extra])
         assert_one_error_line(result)
         assert message in result.output
     assert not (tmp_path / "sim.json").exists()
@@ -506,3 +503,63 @@ def test_boundaries_file_missing_a_field(runner, model_path, tmp_path):
         assert_one_error_line(result)
         assert repr(field) in result.output
     assert not (tmp_path / "sim.json").exists()
+
+
+@pytest.fixture(scope="module")
+def artefacts(tmp_path_factory):
+    """A model, its tables at Q=20 and Q=10, and the Q=20 region CSV."""
+    root = tmp_path_factory.mktemp("artefacts")
+    spec = instances.FIGURES["merged"]
+    cd.save_spec(spec, str(root / "model.json"))
+    for Q in (20, 10):
+        table = cd.value_iterate(spec, cd.build_grid(2, Q))
+        cd.save_table(table, spec, str(root / f"t{Q}.cdvt"))
+        if Q == 20:
+            cd.export_region(cd.extract_region(spec, table), str(root / "r.csv"), "raw")
+    return root
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["solve", "model.json", "--tol", "0"], "tol=0.0 must be positive"),
+        (["solve", "model.json", "--max-iter", "0"], "max_iter=0 must be at least 1"),
+        (["solve", "model.json", "-Q", "0"], "Q=0"),
+        (["regions", "t20.cdvt", "--compare-table", "t10.cdvt"], "regions on one grid"),
+        (["regions", "t20.cdvt", "--stop-tol", "nan"], "stop_tol=nan must be finite"),
+        (["fit-boundary", "r.csv", "-j", "1", "-K", "0"], "K=0 spline segments"),
+        (["fit-boundary", "r.csv", "-j", "1", "-K", "-2"], "K=-2 spline segments"),
+        (["fit-boundary", "r.csv", "-j", "1", "--lam", "-1"], "lam=-1.0 must be finite"),
+        (["fit-boundary", "r.csv", "-j", "1", "--lam", "nan"], "lam=nan must be finite"),
+        (["simulate", "model.json", "--baseline", "stop-at-5", "--n-max", "-5"],
+         "n_max=-5 must be nonnegative"),
+        (["simulate", "model.json", "--baseline", "stop-at-5", "--threads", "0"],
+         "threads=0 must be at least 1"),
+    ],
+    ids=[
+        "solve-tol-0",
+        "solve-max-iter-0",
+        "solve-Q-0",
+        "regions-compare-other-Q",
+        "regions-stop-tol-nan",
+        "fit-K-0",
+        "fit-K-minus-2",
+        "fit-lam-minus-1",
+        "fit-lam-nan",
+        "simulate-n-max-minus-5",
+        "simulate-threads-0",
+    ],
+)
+def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):
+    """Every command turns a rejected input into exit 1 and one stderr line,
+    with no traceback and no output file."""
+    monkeypatch.chdir(artefacts)
+    result = CliRunner().invoke(main, [*args, "-o", "out"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert message in lines[0]
+    assert not (artefacts / "out").exists()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import changediag as cd
-from changediag.model import SpecValidationError, spec_from_dict, spec_to_dict
+from changediag.model import SpecValidationError, sa_to_dict, spec_from_dict, spec_to_dict
 
 import instances
 import oracles
@@ -22,20 +22,18 @@ def test_diagonal_cost_rejected():
     spec = instances.FIGURES["merged"]
     a = spec.a.copy()
     a[1, 0] = 5.0
-    bad = cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
-                         spec.nu, spec.f, spec.c, a)
     with pytest.raises(SpecValidationError, match="diagonal isolation cost"):
-        cd.validate(bad)
+        cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
+                       spec.nu, spec.f, spec.c, a)
 
 
 def test_unnormalized_density_rejected():
     spec = instances.FIGURES["merged"]
     f = spec.f.copy()
     f[1] *= 0.9
-    bad = cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
-                         spec.nu, f, spec.c, spec.a)
     with pytest.raises(SpecValidationError, match="row 1 not normalized"):
-        cd.validate(bad)
+        cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
+                       spec.nu, f, spec.c, spec.a)
 
 
 @pytest.mark.parametrize(
@@ -53,15 +51,40 @@ def test_scalar_bounds_rejected(field, value, match):
                   p0=spec.p0, p=spec.p, nu=spec.nu, f=spec.f, c=spec.c, a=spec.a)
     kwargs[field] = value
     with pytest.raises(SpecValidationError, match=match):
-        cd.validate(cd.ProblemSpec(**kwargs))
+        cd.ProblemSpec(**kwargs)
 
 
 def test_zero_nu_entry_rejected():
     spec = instances.FIGURES["merged"]
-    bad = cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
-                         np.array([1.0, 0.0]), spec.f, spec.c, spec.a)
     with pytest.raises(SpecValidationError):
-        cd.validate(bad)
+        cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
+                       np.array([1.0, 0.0]), spec.f, spec.c, spec.a)
+
+
+def test_spec_with_a_density_row_summing_past_one_cannot_be_built():
+    """An invalid spec never exists, so no kernel can be handed one: built
+    directly or read from a document, it fails at construction with the
+    validator's own message."""
+    spec = instances.FIGURES["merged"]
+    f = spec.f.copy()
+    f[2] *= 1.5
+    with pytest.raises(SpecValidationError, match="row 2 not normalized: sums to 1.5"):
+        cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
+                       spec.nu, f, spec.c, spec.a)
+    doc = {**spec_to_dict(spec), "densities": f.tolist()}
+    with pytest.raises(SpecValidationError) as info:
+        spec_from_dict(doc)
+    assert str(info.value) == "density row 2 not normalized: sums to 1.5"
+
+
+def test_invalid_suspended_animation_system_cannot_be_built():
+    sa = instances.sa_two_component(cd.phi_min_index(2))
+    with pytest.raises(SpecValidationError, match="component 2 failure probability 1.5"):
+        cd.SuspendedAnimationSpec((0.1, 1.5), sa.phi, sa.label_densities)
+    doc = {**sa_to_dict(sa), "component_failure_probs": [0.1, 1.5]}
+    with pytest.raises(SpecValidationError) as info:
+        cd.load_sa_spec(io.StringIO(json.dumps(doc)))
+    assert str(info.value) == "component 2 failure probability 1.5 outside (0, 1)"
 
 
 def test_theta_prior_values():
@@ -160,9 +183,9 @@ def test_derive_matches_enumeration():
 def test_derive_rejects_unused_label():
     f = np.array([[0.25, 0.25, 0.25, 0.25], [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
     phi = {frozenset({1}): 1, frozenset({2}): 2}
-    sa = cd.SuspendedAnimationSpec((0.1, 0.1), phi, f)
+    # the system is refused when it is built, before it can reach derive
     with pytest.raises(SpecValidationError, match="no label"):
-        cd.derive_suspended_animation(sa, 1.0, [[10, 10], [0, 3], [3, 0]])
+        cd.SuspendedAnimationSpec((0.1, 0.1), phi, f)
 
 
 def test_phi_constructors():

@@ -343,3 +343,10 @@ def test_extract_region_from_loaded_table_matches_recomputation(tmp_path, stop_t
     expected = np.where(h_all.min(axis=1) <= cont + tol, h_all.argmin(axis=1) + 1, 0)
     assert np.array_equal(region.labels, expected)
     assert region.stop_tol == tol
+
+
+def test_extract_region_rejects_a_non_finite_stop_tol(solve200):
+    spec, table = solve200("merged")
+    for stop_tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"stop_tol={stop_tol} must be finite"):
+            cd.extract_region(spec, table, stop_tol)

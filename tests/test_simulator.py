@@ -12,7 +12,6 @@ from changediag.simulator import (
     TableStrategy,
     _PHILOX_ROWS,
     _philox_uniforms,
-    resolve_threads,
 )
 
 import instances
@@ -168,6 +167,20 @@ def test_long_runs_reproduce_batch_rows_across_windows():
     assert_rows_match_single_runs(spec, strategy, one, sorted(rows))
 
 
+@pytest.mark.parametrize("name", ["merged", "asym_split"])
+def test_table_decide_is_the_stopping_rule_on_single_posteriors(solve200, name):
+    """The one-row ``decide`` agrees with h(pi) - V(pi) <= stop_tol written
+    out with the scalar cost and interpolation, on nodes and random points."""
+    spec, table = solve200(name)
+    strategy = TableStrategy(table)
+    pts = np.vstack([np.random.default_rng(3).dirichlet(np.ones(3), 2000),
+                     table.grid.nodes[::7]])
+    for pi in pts:
+        _, h, col = cd.h_costs(spec, pi)
+        want = col + 1 if h - cd.interpolate(table, pi) <= strategy.stop_tol else None
+        assert strategy.decide(spec, pi, 0) == want
+
+
 def test_worker_count_does_not_change_results(solve200):
     spec, table = solve200("merged")
     strategy = TableStrategy(table)
@@ -269,13 +282,17 @@ def test_spline_strategy_matches_table_strategy_often(solve200):
     assert same / 300 >= 0.95
 
 
-def test_monte_carlo_inputs_are_validated(monkeypatch):
+def test_monte_carlo_inputs_are_validated():
     spec = instances.FIGURES["merged"]
     for runs, seed in [(10, -1), (10, 2**64), (0, 1), (-3, 1)]:
         with pytest.raises(ValueError):
             cd.estimate_risk(spec, StopAfter(1), runs=runs, seed=seed)
-    monkeypatch.setenv("CD_THREADS", "abc")
-    with pytest.raises(ValueError, match="CD_THREADS"):
-        resolve_threads(None)
-    monkeypatch.setenv("CD_THREADS", "3")
-    assert resolve_threads(None) == 3
+    for kwargs, message in [
+        ({"n_max": -5}, "n_max=-5"),
+        ({"threads": 0}, "threads=0"),
+        ({"threads": -2}, "threads=-2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            cd.estimate_risk(spec, StopAfter(1), runs=10, seed=1, **kwargs)
+    est = cd.estimate_risk(spec, StopAfter(3), runs=10, seed=1, n_max=0)
+    assert est.tau.tolist() == [0] * 10 and est.cap_rate == 1.0
