@@ -532,6 +532,8 @@ def save_sa_spec(sa: SuspendedAnimationSpec, fp: IO[str] | str) -> None:
 def load_sa_spec(fp: IO[str] | str) -> SuspendedAnimationSpec:
     """Read a suspended-animation system description from JSON."""
     doc = _load_json(fp)
+    if not isinstance(doc, Mapping):
+        raise SpecValidationError("system document must be a JSON object")
     try:
         return SuspendedAnimationSpec(
             component_failure_probs=tuple(doc["component_failure_probs"]),
@@ -541,5 +543,9 @@ def load_sa_spec(fp: IO[str] | str) -> SuspendedAnimationSpec:
             },
             label_densities=np.asarray(doc["label_densities"], dtype=np.float64),
         )
+    except SpecValidationError:
+        raise
     except KeyError as exc:
         raise SpecValidationError(f"system document missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SpecValidationError(f"malformed system document: {exc}") from exc

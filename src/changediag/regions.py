@@ -14,6 +14,7 @@ spatial embedding of the 3-type simplex.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec
-from .solver import SimplexGrid, ValueTable, _stencil, build_grid, transition_matrix
+from .solver import (
+    SimplexGrid,
+    ValueTable,
+    _stencil,
+    _strides,
+    build_grid,
+    transition_matrix,
+)
 
 __all__ = [
     "StoppingRegion",
@@ -99,12 +107,15 @@ def extract_region(
     )
 
 
+def _unit_offsets(grid: SimplexGrid) -> np.ndarray:
+    """Flat lookup offset of each unit vector e_0..e_M; e_0 moves no tail
+    coordinate, so a node's flat index is ``lattice @ _unit_offsets``."""
+    return np.concatenate(([0], _strides(grid.M, grid.Q)))
+
+
 def corner_node(grid: SimplexGrid, coord: int) -> int:
     """Node id of the simplex corner with all mass on ``coord``."""
-    tail = [0] * grid.M
-    if coord > 0:
-        tail[coord - 1] = grid.Q
-    return int(grid.lookup[tuple(tail)])
+    return int(grid.lookup.ravel()[grid.Q * _unit_offsets(grid)[coord]])
 
 
 def nearest_node(grid: SimplexGrid, pi: np.ndarray) -> int:
@@ -117,23 +128,17 @@ def _neighbor_ids(grid: SimplexGrid) -> np.ndarray:
     """Lattice neighbors of every node along directions e_a - e_b.
 
     Returns an int32 array of shape (n_nodes, (M+1)*M) with -1 where the
-    step leaves the simplex.
+    step leaves the simplex; columns run over (a, b) in lexicographic order.
     """
     lattice = grid.lattice
-    M, Q = grid.M, grid.Q
-    cols = []
-    for a in range(M + 1):
-        for b in range(M + 1):
-            if a == b:
-                continue
-            valid = (lattice[:, a] <= Q - 1) & (lattice[:, b] >= 1)
-            shifted = lattice[valid].astype(np.int64)
-            shifted[:, a] += 1
-            shifted[:, b] -= 1
-            ids = np.full(grid.n_nodes, -1, dtype=np.int32)
-            ids[valid] = grid.lookup[tuple(shifted[:, j] for j in range(1, M + 1))]
-            cols.append(ids)
-    return np.stack(cols, axis=1)
+    unit = _unit_offsets(grid)
+    a, b = np.array(list(itertools.permutations(range(grid.M + 1), 2))).T
+    leaves = (lattice == grid.Q)[:, a] | (lattice == 0)[:, b]
+    flat = (lattice @ unit)[:, None] + (unit[a] - unit[b])
+    flat[leaves] = 0
+    ids = grid.lookup.ravel()[flat]
+    ids[leaves] = -1
+    return ids
 
 
 def _component_count(grid: SimplexGrid, mask: np.ndarray, neighbors: np.ndarray) -> int:
@@ -184,6 +189,8 @@ def check_region_properties(
     """
     grid = region.grid
     M = grid.M
+    lookup = grid.lookup.ravel()
+    unit = _unit_offsets(grid)
     neighbors = _neighbor_ids(grid)
     rng = np.random.default_rng(seed)
     report: dict = {
@@ -211,33 +218,26 @@ def check_region_properties(
             "strict_violations": 0,
         }
         if ids.size >= 2:
-            total = ids.size * (ids.size - 1) // 2
-            if total <= max_pairs:
-                pairs = [
-                    (u, w) for i, u in enumerate(ids) for w in ids[i + 1 :]
-                ]
+            if ids.size * (ids.size - 1) // 2 <= max_pairs:
+                u, w = ids[np.array(np.triu_indices(ids.size, k=1))]
             else:
                 pick = rng.integers(0, ids.size, size=(max_pairs, 2))
-                pairs = [(ids[u], ids[w]) for u, w in pick if u != w]
-            violations = 0
-            strict = 0
-            for u, w in pairs:
-                diff = grid.lattice[w].astype(np.int64) - grid.lattice[u]
-                g = int(np.gcd.reduce(np.abs(diff)))
-                bad = False
-                for m in range(1, g):
-                    point = grid.lattice[u] + (diff // g) * m
-                    pid = int(grid.lookup[tuple(point[1:])])
-                    if region.labels[pid] != j:
-                        bad = True
-                        break
-                if bad:
-                    violations += 1
-                    if interior[u] and interior[w]:
-                        strict += 1
-            entry["convexity_pairs"] = len(pairs)
-            entry["convexity_violations"] = violations
-            entry["strict_violations"] = strict
+                u, w = ids[pick[pick[:, 0] != pick[:, 1]].T]
+            # the lattice points strictly inside segment u-w are
+            # u + m * diff / g for m = 1..g-1, g the gcd of the entries of diff
+            diff = grid.lattice[w].astype(np.int64) - grid.lattice[u]
+            g = np.gcd.reduce(np.abs(diff), axis=1)
+            gaps = g - 1
+            pair = np.repeat(np.arange(u.size), gaps)
+            m = np.arange(1, pair.size + 1) - np.repeat(np.cumsum(gaps) - gaps, gaps)
+            start = grid.lattice[u] @ unit
+            step = (diff // g[:, None]) @ unit
+            inside = lookup[start[pair] + m * step[pair]]
+            off = region.labels[inside] != j
+            bad = np.bincount(pair, weights=off, minlength=u.size) > 0
+            entry["convexity_pairs"] = int(u.size)
+            entry["convexity_violations"] = int(bad.sum())
+            entry["strict_violations"] = int((bad & interior[u] & interior[w]).sum())
         report["labels"][j] = entry
 
     report["stopping_components"] = _component_count(

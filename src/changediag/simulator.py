@@ -263,6 +263,8 @@ class PosteriorThreshold(Strategy):
 
     def __init__(self, threshold: float):
         self.threshold = float(threshold)
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold={self.threshold} must lie in [0, 1]")
 
     def decide_many(self, spec, pis, n):
         stop = 1.0 - pis[:, 0] >= self.threshold

@@ -96,6 +96,12 @@ class SimplexGrid:
         return self.lattice.shape[0]
 
 
+def _strides(M: int, Q: int) -> np.ndarray:
+    """Element strides of the C-ordered lookup, so that
+    ``lookup.ravel()[tail @ _strides(M, Q)]`` is ``lookup[tuple(tail)]``."""
+    return (Q + 1) ** np.arange(M - 1, -1, -1, dtype=np.int64)
+
+
 def _compositions(total: int, parts: int) -> np.ndarray:
     """Nonnegative integer vectors of length ``parts`` summing to ``total``,
     in ascending lexicographic order.
@@ -133,11 +139,9 @@ def build_grid(M: int, Q: int, max_nodes: int = DEFAULT_MAX_NODES) -> SimplexGri
             f"grid M={M}, Q={Q} has {count} nodes, over the cap {max_nodes}"
         )
     lattice = _compositions(Q, M + 1)
-    nodes = lattice.astype(np.float64) / Q
     lookup = np.full((Q + 1,) * M, -1, dtype=np.int32)
-    lookup[tuple(lattice[:, j] for j in range(1, M + 1))] = np.arange(
-        count, dtype=np.int32
-    )
+    lookup.ravel()[lattice[:, 1:] @ _strides(M, Q)] = np.arange(count, dtype=np.int32)
+    nodes = lattice.astype(np.float64) / Q
     lattice.setflags(write=False)
     nodes.setflags(write=False)
     lookup.setflags(write=False)
@@ -174,24 +178,17 @@ def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndar
         weights[:, 1:M] = frac_sorted[:, : M - 1] - frac_sorted[:, 1:]
     weights[:, M] = frac_sorted[:, M - 1]
 
-    corners = np.empty((n, M + 1, M), dtype=np.int64)
-    corners[:, 0, :] = base
-    bump = np.zeros((n, M), dtype=np.int64)
-    rows = np.arange(n)
-    for t in range(M):
-        bump[rows, order[:, t]] += 1
-        corners[:, t + 1, :] = base + bump
-
-    # Zero-weight corners may step outside the staircase; remap them to the
-    # (always valid) base corner so the lookup below cannot go out of range.
-    corners = np.where(weights[:, :, None] > 0.0, corners, base[:, None, :])
-
-    tail = np.empty((n, M + 1, M), dtype=np.int64)
-    if M > 1:
-        tail[:, :, : M - 1] = corners[:, :, : M - 1] - corners[:, :, 1:]
-    tail[:, :, M - 1] = corners[:, :, M - 1]
-
-    ids = grid.lookup[tuple(tail[:, :, j] for j in range(M))]
+    # A unit step along cumulative coordinate i moves tail coordinate i up
+    # and tail coordinate i-1 down, a constant offset in the flat lookup.
+    # Corner t+1 of the Kuhn simplex is corner t stepped along order[t];
+    # zero-weight corners may leave the staircase, so they keep the (always
+    # valid) base corner.
+    strides = _strides(M, Q)
+    step = strides - np.concatenate(([0], strides[:-1]))
+    offsets = np.zeros((n, M + 1), dtype=np.int64)
+    np.cumsum(step[order], axis=1, out=offsets[:, 1:])
+    offsets[~(weights > 0.0)] = 0
+    ids = grid.lookup.ravel()[(base @ step)[:, None] + offsets]
     if ids.min() < 0:
         raise RuntimeError("interpolation stencil left the simplex lattice")
     return ids, weights
@@ -334,6 +331,8 @@ def value_iterate(
     the exact operator that could be broken at rounding scale by the sparse
     product, so each sweep is clamped by the previous one.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol={tol} must be finite")
     if tol <= 0.0:
         raise ValueError(f"tol={tol} must be positive")
     if max_iter < 1:

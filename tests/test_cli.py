@@ -505,6 +505,9 @@ def test_boundaries_file_missing_a_field(runner, model_path, tmp_path):
     assert not (tmp_path / "sim.json").exists()
 
 
+DERIVE_COSTS = ["--delay-cost", "1", "--false-alarm", "1", "--misdiagnosis", "1"]
+
+
 @pytest.fixture(scope="module")
 def artefacts(tmp_path_factory):
     """A model, its tables at Q=20 and Q=10, and the Q=20 region CSV."""
@@ -516,6 +519,12 @@ def artefacts(tmp_path_factory):
         cd.save_table(table, spec, str(root / f"t{Q}.cdvt"))
         if Q == 20:
             cd.export_region(cd.extract_region(spec, table), str(root / "r.csv"), "raw")
+    (root / "sa-list.json").write_text("[1]")
+    (root / "sa-phi-int.json").write_text(json.dumps({
+        "component_failure_probs": [0.1],
+        "phi": [1],
+        "label_densities": [[0.5, 0.5], [0.2, 0.8]],
+    }))
     return root
 
 
@@ -535,6 +544,16 @@ def artefacts(tmp_path_factory):
          "n_max=-5 must be nonnegative"),
         (["simulate", "model.json", "--baseline", "stop-at-5", "--threads", "0"],
          "threads=0 must be at least 1"),
+        (["derive-sa", "sa-list.json", *DERIVE_COSTS],
+         "system document must be a JSON object"),
+        (["derive-sa", "sa-phi-int.json", *DERIVE_COSTS],
+         "malformed system document: "),
+        (["solve", "model.json", "-Q", "10", "--tol", "nan"], "tol=nan must be finite"),
+        (["solve", "model.json", "-Q", "10", "--tol", "inf"], "tol=inf must be finite"),
+        (["simulate", "model.json", "--baseline", "threshold-nan", "--runs", "5"],
+         "threshold=nan must lie in [0, 1]"),
+        (["simulate", "model.json", "--baseline", "threshold-1.5", "--runs", "5"],
+         "threshold=1.5 must lie in [0, 1]"),
     ],
     ids=[
         "solve-tol-0",
@@ -548,6 +567,12 @@ def artefacts(tmp_path_factory):
         "fit-lam-nan",
         "simulate-n-max-minus-5",
         "simulate-threads-0",
+        "derive-sa-list-document",
+        "derive-sa-phi-entry-int",
+        "solve-tol-nan",
+        "solve-tol-inf",
+        "simulate-threshold-nan",
+        "simulate-threshold-1.5",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

@@ -87,6 +87,25 @@ def test_invalid_suspended_animation_system_cannot_be_built():
     assert str(info.value) == "component 2 failure probability 1.5 outside (0, 1)"
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([1], "system document must be a JSON object"),
+        ("abc", "system document must be a JSON object"),
+        ({"component_failure_probs": [0.1], "phi": [1],
+          "label_densities": [[0.5, 0.5], [0.2, 0.8]]},
+         "malformed system document: "),
+        ({"component_failure_probs": [0.1], "phi": [{"subset": [1], "label": "x"}],
+          "label_densities": [[0.5, 0.5], [0.2, 0.8]]},
+         "malformed system document: "),
+    ],
+    ids=["list", "string", "phi-entry-int", "phi-label-text"],
+)
+def test_malformed_system_document_rejected(doc, message):
+    with pytest.raises(SpecValidationError, match=message):
+        cd.load_sa_spec(io.StringIO(json.dumps(doc)))
+
+
 def test_theta_prior_values():
     spec = instances.shiryaev_binary()
     assert spec.p0 == 0.02

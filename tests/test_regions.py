@@ -8,7 +8,13 @@ from scipy.spatial.distance import pdist
 
 import changediag as cd
 from changediag.posterior import h_values_many
-from changediag.regions import boundary_nodes, corner_node, nearest_node
+from changediag.regions import (
+    StoppingRegion,
+    _neighbor_ids,
+    boundary_nodes,
+    corner_node,
+    nearest_node,
+)
 from changediag.solver import transition_matrix
 
 import instances
@@ -350,3 +356,102 @@ def test_extract_region_rejects_a_non_finite_stop_tol(solve200):
     for stop_tol in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"stop_tol={stop_tol} must be finite"):
             cd.extract_region(spec, table, stop_tol)
+
+
+def reference_neighbors(grid):
+    """Neighbor table by explicit shifts: node + e_a - e_b, looked up by its
+    coordinates, for every ordered pair a != b."""
+    M = grid.M
+    node_id = {tuple(row): k for k, row in enumerate(grid.lattice.tolist())}
+    table = []
+    for row in grid.lattice.tolist():
+        cols = []
+        for a in range(M + 1):
+            for b in range(M + 1):
+                if a != b:
+                    shifted = list(row)
+                    shifted[a] += 1
+                    shifted[b] -= 1
+                    cols.append(node_id.get(tuple(shifted), -1))
+        table.append(cols)
+    return np.array(table)
+
+
+@pytest.mark.parametrize("M,Q", [(1, 6), (2, 5), (2, 9), (3, 4)])
+def test_neighbor_ids_match_explicit_shifts(M, Q):
+    grid = cd.build_grid(M, Q)
+    got = _neighbor_ids(grid)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, reference_neighbors(grid))
+
+
+def test_corner_node_is_the_corner():
+    for M, Q in [(1, 6), (2, 5), (3, 4)]:
+        grid = cd.build_grid(M, Q)
+        for coord in range(M + 1):
+            assert grid.lattice[corner_node(grid, coord)].tolist() == (
+                Q * np.eye(M + 1, dtype=int)[coord]
+            ).tolist()
+
+
+def reference_convexity(region, max_pairs, seed):
+    """(pairs, violations, strict violations) per label, one pair at a time,
+    drawing pairs the way check_region_properties documents."""
+    grid, labels = region.grid, region.labels.tolist()
+    node_id = {tuple(row): k for k, row in enumerate(grid.lattice.tolist())}
+    lattice = grid.lattice.tolist()
+    neighbors = reference_neighbors(grid).tolist()
+    interior = [
+        all(n < 0 or labels[n] == labels[k] for n in neighbors[k])
+        for k in range(grid.n_nodes)
+    ]
+    rng = np.random.default_rng(seed)
+    counts = {}
+    for j in range(1, grid.M + 1):
+        ids = [k for k in range(grid.n_nodes) if labels[k] == j]
+        if len(ids) < 2:
+            counts[j] = (0, 0, 0)
+            continue
+        if len(ids) * (len(ids) - 1) // 2 <= max_pairs:
+            pairs = [(u, w) for i, u in enumerate(ids) for w in ids[i + 1 :]]
+        else:
+            pick = rng.integers(0, len(ids), size=(max_pairs, 2))
+            pairs = [(ids[x], ids[y]) for x, y in pick.tolist() if x != y]
+        violations = strict = 0
+        for u, w in pairs:
+            diff = [b - a for a, b in zip(lattice[u], lattice[w])]
+            g = math.gcd(*diff)
+            between = (
+                tuple(a + m * d // g for a, d in zip(lattice[u], diff))
+                for m in range(1, g)
+            )
+            if any(labels[node_id[point]] != j for point in between):
+                violations += 1
+                strict += interior[u] and interior[w]
+        counts[j] = (len(pairs), violations, strict)
+    return counts
+
+
+@pytest.mark.parametrize("M,Q", [(2, 14), (3, 10)])
+@pytest.mark.parametrize("max_pairs", [10**6, 300], ids=["all-pairs", "sampled"])
+def test_convexity_counts_match_per_pair_loop(M, Q, max_pairs):
+    grid = cd.build_grid(M, Q)
+    rng = np.random.default_rng(Q)
+    # the largest coordinate picks the label, and random holes of
+    # continuation nodes break the convexity of every stopping set
+    labels = grid.nodes.argmax(axis=1)
+    labels[rng.random(grid.n_nodes) < 0.08] = 0
+    labels = labels.astype(np.int8)
+    region = StoppingRegion(grid, labels, np.zeros(grid.n_nodes), grid.nodes[:, 1:], 1, 0.0)
+    report = cd.check_region_properties(region, max_pairs=max_pairs, seed=7)
+    want = reference_convexity(region, max_pairs, seed=7)
+    got = {
+        j: (e["convexity_pairs"], e["convexity_violations"], e["strict_violations"])
+        for j, e in report["labels"].items()
+    }
+    assert got == want
+    # both kinds of violation occur, and every label has more than 300
+    # pairs, so max_pairs=300 samples and max_pairs=10**6 takes all pairs
+    _, violations, strict = np.sum(list(want.values()), axis=0)
+    assert violations > strict > 0
+    assert all(n * (n - 1) // 2 > 300 for n in np.bincount(labels)[1:])

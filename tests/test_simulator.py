@@ -205,7 +205,7 @@ def test_uniform_false_alarm_cost_is_exact():
 
 def test_cap_accounting():
     spec = instances.FIGURES["merged"]
-    never = PosteriorThreshold(2.0)  # 1 - pi_0 cannot reach 2
+    never = StopAfter(41)  # would stop only after the cap
     est = cd.estimate_risk(spec, never, runs=50, seed=13, n_max=40)
     assert est.cap_rate == 1.0
     assert (est.tau == 40).all()
@@ -296,3 +296,11 @@ def test_monte_carlo_inputs_are_validated():
             cd.estimate_risk(spec, StopAfter(1), runs=10, seed=1, **kwargs)
     est = cd.estimate_risk(spec, StopAfter(3), runs=10, seed=1, n_max=0)
     assert est.tau.tolist() == [0] * 10 and est.cap_rate == 1.0
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 1.5, -0.1, math.inf])
+def test_posterior_threshold_outside_unit_interval_rejected(threshold):
+    with pytest.raises(ValueError, match=f"threshold={threshold} must lie in"):
+        PosteriorThreshold(threshold)
+    assert PosteriorThreshold(0.0).threshold == 0.0
+    assert PosteriorThreshold(1.0).threshold == 1.0

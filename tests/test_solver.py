@@ -48,6 +48,59 @@ def test_grid_lattice_matches_product_enumeration(M, Q):
     assert np.count_nonzero(grid.lookup >= 0) == grid.n_nodes
 
 
+def reference_stencil(grid, points):
+    """Kuhn stencils built corner by corner: each corner is a full lattice
+    vector, found by its coordinates among the grid's nodes."""
+    M, Q = grid.M, grid.Q
+    node_id = {tuple(row): k for k, row in enumerate(grid.lattice.tolist())}
+    # the same snapping into the staircase as the library
+    v = np.cumsum(points[:, ::-1], axis=1)[:, ::-1][:, 1:] * Q
+    nearest = np.rint(v)
+    v = np.where(np.abs(v - nearest) <= solver.SNAP_TOL, nearest, v)
+    v = np.minimum.accumulate(np.clip(v, 0.0, Q), axis=1)
+    base = np.floor(v).astype(np.int64)
+    ids, weights, ties = [], [], 0
+    for b, fr in zip(base.tolist(), (v - base).tolist()):
+        order = sorted(range(M), key=lambda i: -fr[i])
+        f = [fr[i] for i in order]
+        w = [1.0 - f[0]] + [f[t - 1] - f[t] for t in range(1, M)] + [f[M - 1]]
+        inner = [x for x in f if x > 0.0]
+        ties += len(set(inner)) < len(inner)
+        corner, row = list(b), []
+        for t in range(M + 1):
+            if t:
+                corner[order[t - 1]] += 1
+            c = corner if w[t] > 0.0 else b
+            tail = [c[i] - c[i + 1] for i in range(M - 1)] + [c[M - 1]]
+            row.append(node_id[(Q - sum(tail), *tail)])
+        ids.append(row)
+        weights.append(w)
+    return np.array(ids), np.array(weights), ties
+
+
+@pytest.mark.parametrize("M,Q", [(1, 9), (2, 7), (3, 6), (4, 5)])
+def test_stencil_matches_corner_by_corner_reference(M, Q):
+    grid = cd.build_grid(M, Q)
+    rng = np.random.default_rng(M)
+    faces = rng.dirichlet(np.ones(M + 1), size=500)
+    faces[rng.random(faces.shape) < 0.4] = 0.0
+    faces = faces[faces.sum(axis=1) > 0]
+    points = np.concatenate([
+        rng.dirichlet(np.full(M + 1, 0.3), size=1000),
+        grid.nodes,
+        np.eye(M + 1),
+        faces / faces.sum(axis=1, keepdims=True),
+        # finer lattices put several cumulative coordinates at one fraction
+        cd.build_grid(M, 2 * Q).nodes,
+        cd.build_grid(M, 3 * Q).nodes,
+    ])
+    ids, weights = solver._stencil(grid, points)
+    want_ids, want_weights, ties = reference_stencil(grid, points)
+    assert ties > 0 or M == 1
+    assert np.array_equal(ids, want_ids)
+    assert weights.tobytes() == want_weights.tobytes()
+
+
 def test_grid_size_cap():
     with pytest.raises(cd.GridSizeError):
         cd.build_grid(2, 4, max_nodes=10)
@@ -191,6 +244,13 @@ def test_value_iterate_error_bound_formula():
     # guarantee a truncation error of 0.01
     norm_h = solver.stopping_cost_sup(spec)
     assert (norm_h**2 / spec.c + norm_h / spec.p) / 2100 == pytest.approx(0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_value_iterate_rejects_non_finite_tol(tol):
+    spec = instances.shiryaev_binary()
+    with pytest.raises(ValueError, match=f"tol={tol} must be finite"):
+        cd.value_iterate(spec, cd.build_grid(1, 10), tol=tol, max_iter=5)
 
 
 def test_value_iterate_bound_criterion_is_reachable():
