@@ -26,7 +26,7 @@ piecewise-quadratic integrand exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -188,7 +188,11 @@ class SplineBoundary:
 
     ``knots`` are the K+1 uniform breakpoints of a K-segment clamped cubic
     spline, so ``coefficients`` has K+3 entries.  Outside the knot span the
-    curve continues linearly from the end value and slope.
+    curve continues linearly from the end value and slope.  The spline and
+    its end values and slopes are built once, when the curve is made.
+
+    Raises:
+        ValueError: a knot or a coefficient is not finite.
     """
 
     corner: int
@@ -196,6 +200,22 @@ class SplineBoundary:
     coefficients: np.ndarray
     lam: float
     rms: float
+    _spline: object = field(init=False, repr=False, compare=False)
+    _ends: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        from scipy.interpolate import BSpline
+
+        if not (np.isfinite(self.knots).all() and np.isfinite(self.coefficients).all()):
+            raise ValueError(
+                f"boundary curve for corner {self.corner} has a non-finite "
+                "knot or coefficient"
+            )
+        spl = BSpline(_full_knots(self.knots), self.coefficients, 3)
+        ends = self.knots[[0, -1]]
+        object.__setattr__(self, "_spline", spl)
+        # value and slope at each end knot, for the linear extension
+        object.__setattr__(self, "_ends", (spl(ends), spl.derivative(1)(ends)))
 
     def __call__(self, beta):
         return evaluate_boundary(self, beta)
@@ -211,17 +231,10 @@ def _design(t: np.ndarray, x: np.ndarray, deriv: int = 0) -> np.ndarray:
     """Evaluate every cubic B-spline basis function (column) at ``x``."""
     from scipy.interpolate import BSpline
 
-    nb = t.size - 4
-    x = np.clip(x, t[0], t[-1])
-    cols = np.empty((x.size, nb))
-    for i in range(nb):
-        coef = np.zeros(nb)
-        coef[i] = 1.0
-        spl = BSpline(t, coef, 3)
-        if deriv:
-            spl = spl.derivative(deriv)
-        cols[:, i] = spl(x)
-    return cols
+    basis = BSpline(t, np.eye(t.size - 4), 3)
+    if deriv:
+        basis = basis.derivative(deriv)
+    return basis(np.clip(x, t[0], t[-1]))
 
 
 def _curvature_rows(t: np.ndarray, breaks: np.ndarray) -> np.ndarray:
@@ -331,21 +344,15 @@ def fit_boundary(
 
 def evaluate_boundary(sb: SplineBoundary, beta) -> np.ndarray | float:
     """Fitted radius at the given angle(s), linear beyond the end knots."""
-    from scipy.interpolate import BSpline
-
     x = np.asarray(beta, dtype=np.float64)
     single = x.ndim == 0
     x = np.atleast_1d(x)
-    t = _full_knots(sb.knots)
-    spl = BSpline(t, sb.coefficients, 3)
     lo, hi = sb.knots[0], sb.knots[-1]
-    out = spl(np.clip(x, lo, hi))
-    left = x < lo
-    if np.any(left):
-        out[left] = spl(lo) + spl.derivative(1)(lo) * (x[left] - lo)
-    right = x > hi
-    if np.any(right):
-        out[right] = spl(hi) + spl.derivative(1)(hi) * (x[right] - hi)
+    (g_lo, g_hi), (s_lo, s_hi) = sb._ends
+    out = sb._spline(np.clip(x, lo, hi))
+    left, right = x < lo, x > hi
+    out[left] = g_lo + s_lo * (x[left] - lo)
+    out[right] = g_hi + s_hi * (x[right] - hi)
     return float(out[0]) if single else out
 
 

@@ -92,6 +92,17 @@ def _write_manifest(
     _dump_json(doc, anchor + ".manifest.json")
 
 
+def _load_solved_table(path: str, spec=None):
+    """The table at ``path`` and the model it was solved for, refused when
+    its sidecar is missing or, given ``spec``, when that model is another."""
+    table, table_spec = load_table(path)
+    if table_spec is None:
+        _fail(f"{path}: sidecar with the model is missing")
+    if spec is not None and table_spec != spec:
+        _fail(f"{path}: the table was solved for a different model")
+    return table, table_spec
+
+
 class _Main(click.Group):
     """The one error boundary: bad input or I/O becomes exit 1, one line."""
 
@@ -160,22 +171,14 @@ def regions(
 ) -> None:
     """Extract stopping sets from a table, check them, export CSV."""
     started = time.monotonic()
-    table, spec = load_table(table_path)
-    if spec is None:
-        _fail(f"{table_path}: sidecar with the model is missing")
+    table, spec = _load_solved_table(table_path)
     region = extract_region(spec, table, stop_tol)
-    coarser = None
+    other = None
     if compare_table is not None:
-        other_table, other_spec = load_table(compare_table)
-        if other_spec is None:
-            _fail(f"{compare_table}: sidecar with the model is missing")
-        coarser = extract_region(other_spec, other_table)
+        other = extract_region(spec, _load_solved_table(compare_table, spec)[0])
     if fmt is None:
         fmt = "embedded" if table.grid.M in (2, 3) else "raw"
-    fine, coarse = region, coarser
-    if coarser is not None and coarser.N_used > region.N_used:
-        fine, coarse = coarser, region
-    report = check_region_properties(fine, coarse)
+    report = check_region_properties(region, other)
     export_region(region, out, fmt)
     report_path = out + ".report.json"
     _dump_json(report, report_path)
@@ -237,12 +240,7 @@ def _strategy_from_options(spec, table, boundaries, baseline):
     if len(chosen) != 1:
         _fail("give exactly one of --table, --boundaries, --baseline")
     if table is not None:
-        tbl, table_spec = load_table(table)
-        if table_spec is None:
-            _fail(f"{table}: sidecar with the model is missing")
-        if table_spec != spec:
-            _fail(f"{table}: the table was solved for a different model")
-        return TableStrategy(tbl)
+        return TableStrategy(_load_solved_table(table, spec)[0])
     if boundaries is not None:
         fits = load_boundaries(boundaries)
         if spec.num_types != 2:

@@ -167,7 +167,7 @@ def _component_count(grid: SimplexGrid, mask: np.ndarray, neighbors: np.ndarray)
 
 def check_region_properties(
     region: StoppingRegion,
-    region_coarser_N: StoppingRegion | None = None,
+    other: StoppingRegion | None = None,
     max_pairs: int = 2000,
     seed: int = 0,
 ) -> dict:
@@ -181,9 +181,10 @@ def check_region_properties(
     which one lattice cell of labeling noise can explain.  Component counts
     are also reported for the union of all stopping sets and for the
     continuation set, since a figure may show the individual sets merging or
-    pinching off a pocket of continuation nodes.  When a second region from
-    a shorter horizon is given, also checks that every stopping node of the
-    longer horizon stops in the shorter one.
+    pinching off a pocket of continuation nodes.  All of these describe
+    ``region``.  When ``other`` is given, also checks nestedness: every
+    stopping node of the region with the longer horizon (more sweeps;
+    ``region`` on a tie) stops in the other one.
 
     Returns a plain dict (JSON-ready); it reports rather than raises.
     """
@@ -247,17 +248,20 @@ def check_region_properties(
         grid, region.labels == 0, neighbors
     )
 
-    if region_coarser_N is not None:
-        if region_coarser_N.grid.Q != grid.Q or region_coarser_N.grid.M != M:
+    if other is not None:
+        if other.grid.Q != grid.Q or other.grid.M != M:
             raise ValueError("nestedness check requires regions on one grid")
+        fine, coarse = region, other
+        if coarse.N_used > fine.N_used:
+            fine, coarse = coarse, fine
         bad = 0
         for j in range(1, M + 1):
-            bad += int(np.sum(region.mask(j) & ~region_coarser_N.mask(j)))
+            bad += int(np.sum(fine.mask(j) & ~coarse.mask(j)))
         report["nested"] = {
             "ok": bad == 0,
             "violations": bad,
-            "N_fine": region.N_used,
-            "N_coarse": region_coarser_N.N_used,
+            "N_fine": fine.N_used,
+            "N_coarse": coarse.N_used,
         }
     return report
 

@@ -213,13 +213,12 @@ class TableStrategy(Strategy):
     """Stop where the interpolated value meets the stopping cost.
 
     In the stopping region the solved value equals h, strictly below it in
-    the continuation region, so h - V <= stop_tol recovers the region up to
-    the table's own convergence slack (the default tolerance).
+    the continuation region, so h - V <= ``table.stop_tol`` recovers the
+    region up to the table's own convergence slack.
     """
 
-    def __init__(self, table: ValueTable, stop_tol: float | None = None):
+    def __init__(self, table: ValueTable):
         self.table = table
-        self.stop_tol = table.stop_tol if stop_tol is None else float(stop_tol)
 
     # kept so the benchmark's traced run can wrap TableStrategy.decide itself
     def decide(self, spec, pi, n):
@@ -229,7 +228,7 @@ class TableStrategy(Strategy):
         values = interpolate_many(self.table.grid, self.table.values, pis)
         h_all = h_values_many(spec, pis)
         cols = h_all.argmin(axis=1)
-        stop = h_all.min(axis=1) - values <= self.stop_tol
+        stop = h_all.min(axis=1) - values <= self.table.stop_tol
         return np.where(stop, cols + 1, 0).astype(np.int8)
 
 

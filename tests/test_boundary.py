@@ -258,3 +258,87 @@ def test_boundary_json_shapes(split_boundaries):
     single = cd.load_boundaries(io.StringIO(buf.getvalue()))
     assert sorted(single) == [1]
     assert np.array_equal(single[1].coefficients, fitted[1].coefficients)
+
+
+@pytest.mark.parametrize(
+    "knots,coefficients",
+    [
+        (np.full(5, math.nan), np.full(7, 0.3)),
+        (np.linspace(0.0, 1.0, 5), np.array([0.3, 0.3, 0.3, math.nan, 0.3, 0.3, 0.3])),
+        (np.linspace(0.0, 1.0, 5), np.array([0.3, 0.3, 0.3, 0.3, 0.3, 0.3, -math.inf])),
+        (np.array([0.0, 0.25, math.inf, 0.75, 1.0]), np.full(7, 0.3)),
+    ],
+    ids=["knots-all-nan", "coefficient-nan", "coefficient-minus-inf", "knot-inf"],
+)
+def test_non_finite_curve_refused(knots, coefficients):
+    """A curve with a non-finite knot or coefficient is refused when it is
+    made: r <= NaN is false, so such a curve would silently never stop."""
+    with pytest.raises(ValueError, match="^boundary curve for corner 2 has a non-finite"):
+        cd.SplineBoundary(2, knots, coefficients, 1.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def reference_curves(solve200, grid200):
+    """Curves fitted at Q=200 for "merged" (K=12) and for the c=0.05
+    instance (K=8), with their boundary sample angles."""
+    cheap = instances.two_type(10, 10, 3, 3, 0.05)
+    solved = [(solve200("merged"), 12), ((cheap, cd.value_iterate(cheap, grid200)), 8)]
+    curves = []
+    for (spec, table), K in solved:
+        region = cd.extract_region(spec, table)
+        for j in (1, 2):
+            curves.append((cd.fit_boundary(region, j, K), B.boundary_samples(region, j)[0]))
+    return curves
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _overshooting_angles(sb):
+    lo, hi = sb.knots[0], sb.knots[-1]
+    return np.linspace(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo), 2001)
+
+
+def test_design_matches_one_spline_per_basis_function(reference_curves):
+    """The basis matrix equals, bit for bit, the columns of K+3 splines that
+    each carry one unit coefficient, for the values and second derivatives."""
+    from scipy.interpolate import BSpline
+
+    for sb, beta in reference_curves:
+        t = B._full_knots(sb.knots)
+        nb = t.size - 4
+        for x in (beta, _overshooting_angles(sb)):
+            for deriv in (0, 2):
+                want = np.empty((x.size, nb))
+                for i in range(nb):
+                    coef = np.zeros(nb)
+                    coef[i] = 1.0
+                    spl = BSpline(t, coef, 3)
+                    if deriv:
+                        spl = spl.derivative(deriv)
+                    want[:, i] = spl(np.clip(x, t[0], t[-1]))
+                assert _same_bits(B._design(t, x, deriv), want)
+
+
+def test_evaluate_boundary_matches_a_fresh_spline(reference_curves):
+    """Array and scalar evaluation equal, bit for bit, a spline built from
+    the curve's knots and coefficients, continued beyond each end knot by
+    the line through the end value with the end slope."""
+    from scipy.interpolate import BSpline
+
+    for sb, _ in reference_curves:
+        spl = BSpline(B._full_knots(sb.knots), sb.coefficients, 3)
+        slope = spl.derivative(1)
+        lo, hi = sb.knots[0], sb.knots[-1]
+        x = _overshooting_angles(sb)
+        want = spl(np.clip(x, lo, hi))
+        left, right = x < lo, x > hi
+        assert left.any() and right.any()
+        want[left] = spl(lo) + slope(lo) * (x[left] - lo)
+        want[right] = spl(hi) + slope(hi) * (x[right] - hi)
+        assert _same_bits(B.evaluate_boundary(sb, x), want)
+        for k in range(0, x.size, 50):
+            got = B.evaluate_boundary(sb, float(x[k]))
+            assert type(got) is float and _same_bits(got, want[k])

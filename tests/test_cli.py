@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,26 @@ def test_regions_csv_labels_and_report(runner, model_path, tmp_path):
     report = json.loads((tmp_path / "region.csv.report.json").read_text())
     assert report["labels"]["1"]["nonempty"] is True
     assert "continuation components:" in result.output
+
+
+def test_regions_compare_table_reports_the_primary_region(runner, model_path, tmp_path):
+    """With --compare-table of more sweeps, the report still describes the
+    primary table's region: it equals the single-table report except for
+    the nestedness entry, which checks the longer horizon against the
+    shorter one."""
+    shallow, deep = str(tmp_path / "s1.cdvt"), str(tmp_path / "s.cdvt")
+    assert solve_to(runner, model_path, shallow, "-Q", "40", "--max-iter", "1").exit_code == 2
+    assert solve_to(runner, model_path, deep, "-Q", "40").exit_code == 0
+    reports = {}
+    for name, extra in (("alone", []), ("compared", ["--compare-table", deep])):
+        out = str(tmp_path / f"{name}.csv")
+        result = runner.invoke(main, ["regions", shallow, *extra, "-o", out])
+        assert result.exit_code == 0, result.output
+        reports[name] = json.loads(Path(out + ".report.json").read_text())
+    nested = reports["compared"].pop("nested")
+    assert nested["ok"] and nested["N_coarse"] == 1 < nested["N_fine"]
+    assert reports["alone"].pop("nested") is None
+    assert reports["compared"] == reports["alone"]
 
 
 def test_regions_nestedness_report(runner, model_path, tmp_path):
@@ -492,7 +513,7 @@ def test_boundaries_file_missing_a_field(runner, model_path, tmp_path):
     good = str(tmp_path / "both.json")
     cd.save_boundaries(curves, good)
     for field in ("knots", "coefficients", "lambda", "rms"):
-        doc = json.loads(open(good).read())
+        doc = json.loads(Path(good).read_text())
         del doc[1][field]
         broken = tmp_path / f"no-{field}.json"
         broken.write_text(json.dumps(doc))
@@ -510,7 +531,8 @@ DERIVE_COSTS = ["--delay-cost", "1", "--false-alarm", "1", "--misdiagnosis", "1"
 
 @pytest.fixture(scope="module")
 def artefacts(tmp_path_factory):
-    """A model, its tables at Q=20 and Q=10, and the Q=20 region CSV."""
+    """A model, its tables at Q=20 and Q=10, the Q=20 region CSV, a Q=20
+    table of another model, and a boundaries file with a NaN coefficient."""
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
@@ -519,6 +541,17 @@ def artefacts(tmp_path_factory):
         cd.save_table(table, spec, str(root / f"t{Q}.cdvt"))
         if Q == 20:
             cd.export_region(cd.extract_region(spec, table), str(root / "r.csv"), "raw")
+    skew = instances.FIGURES["split_skew"]
+    cd.save_table(cd.value_iterate(skew, cd.build_grid(2, 20)), skew, str(root / "t20-skew.cdvt"))
+    curves = [
+        cd.SplineBoundary(corner=j, knots=np.linspace(0.0, np.pi / 3, 5),
+                          coefficients=np.full(7, 0.3), lam=1.0, rms=0.0)
+        for j in (1, 2)
+    ]
+    cd.save_boundaries(curves, str(root / "nan-curve.json"))
+    doc = json.loads((root / "nan-curve.json").read_text())
+    doc[0]["coefficients"][3] = math.nan
+    (root / "nan-curve.json").write_text(json.dumps(doc))
     (root / "sa-list.json").write_text("[1]")
     (root / "sa-phi-int.json").write_text(json.dumps({
         "component_failure_probs": [0.1],
@@ -554,6 +587,10 @@ def artefacts(tmp_path_factory):
          "threshold=nan must lie in [0, 1]"),
         (["simulate", "model.json", "--baseline", "threshold-1.5", "--runs", "5"],
          "threshold=1.5 must lie in [0, 1]"),
+        (["simulate", "model.json", "--boundaries", "nan-curve.json", "--runs", "5"],
+         "boundary curve for corner 1 has a non-finite knot or coefficient"),
+        (["regions", "t20.cdvt", "--compare-table", "t20-skew.cdvt"],
+         "t20-skew.cdvt: the table was solved for a different model"),
     ],
     ids=[
         "solve-tol-0",
@@ -573,6 +610,8 @@ def artefacts(tmp_path_factory):
         "solve-tol-inf",
         "simulate-threshold-nan",
         "simulate-threshold-1.5",
+        "simulate-boundary-nan-coefficient",
+        "regions-compare-other-model",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -115,13 +116,18 @@ def test_nestedness_of_truncated_regions():
     report = cd.check_region_properties(regions[50], regions[5])
     assert report["nested"]["ok"]
     assert report["nested"]["violations"] == 0
-    # the 5-sweep stopping set is strictly larger, so the reversed
-    # comparison must flag the extra nodes
+    # the check always puts the longer horizon first, whatever the order
+    # of the arguments
+    reversed_report = cd.check_region_properties(regions[5], regions[50])
+    assert reversed_report["nested"] == report["nested"]
+    # the 5-sweep stopping set is strictly larger, so passing it off as the
+    # longer horizon must flag the extra nodes
     sizes = {n: int((regions[n].labels > 0).sum()) for n in (5, 50)}
     assert sizes[5] > sizes[50]
-    reversed_report = cd.check_region_properties(regions[5], regions[50])
-    assert not reversed_report["nested"]["ok"]
-    assert reversed_report["nested"]["violations"] == sizes[5] - sizes[50]
+    swapped = dataclasses.replace(regions[5], N_used=500)
+    swapped_report = cd.check_region_properties(regions[50], swapped)
+    assert not swapped_report["nested"]["ok"]
+    assert swapped_report["nested"]["violations"] == sizes[5] - sizes[50]
 
 
 def test_region_vs_itself_is_trivially_nested(merged_region):

@@ -177,7 +177,7 @@ def test_table_decide_is_the_stopping_rule_on_single_posteriors(solve200, name):
                      table.grid.nodes[::7]])
     for pi in pts:
         _, h, col = cd.h_costs(spec, pi)
-        want = col + 1 if h - cd.interpolate(table, pi) <= strategy.stop_tol else None
+        want = col + 1 if h - cd.interpolate(table, pi) <= table.stop_tol else None
         assert strategy.decide(spec, pi, 0) == want
 
 
