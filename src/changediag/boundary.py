@@ -192,7 +192,9 @@ class SplineBoundary:
     its end values and slopes are built once, when the curve is made.
 
     Raises:
-        ValueError: a knot or a coefficient is not finite.
+        ValueError: a knot or a coefficient is not finite, the knots are
+            not a 1-D strictly increasing array of two or more, or the
+            coefficients do not have shape (knots.size + 2,).
     """
 
     corner: int
@@ -206,13 +208,24 @@ class SplineBoundary:
     def __post_init__(self):
         from scipy.interpolate import BSpline
 
-        if not (np.isfinite(self.knots).all() and np.isfinite(self.coefficients).all()):
+        knots, coef = self.knots, self.coefficients
+        if not (np.isfinite(knots).all() and np.isfinite(coef).all()):
             raise ValueError(
                 f"boundary curve for corner {self.corner} has a non-finite "
                 "knot or coefficient"
             )
-        spl = BSpline(_full_knots(self.knots), self.coefficients, 3)
-        ends = self.knots[[0, -1]]
+        if knots.ndim != 1 or knots.size < 2 or np.any(np.diff(knots) <= 0):
+            raise ValueError(
+                f"boundary curve for corner {self.corner} needs two or more "
+                "strictly increasing knots in a 1-D array"
+            )
+        if coef.shape != (knots.size + 2,):
+            raise ValueError(
+                f"boundary curve for corner {self.corner} has coefficients of "
+                f"shape {coef.shape}, expected ({knots.size + 2},)"
+            )
+        spl = BSpline(_full_knots(knots), coef, 3)
+        ends = knots[[0, -1]]
         object.__setattr__(self, "_spline", spl)
         # value and slope at each end knot, for the linear extension
         object.__setattr__(self, "_ends", (spl(ends), spl.derivative(1)(ends)))

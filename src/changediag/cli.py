@@ -420,7 +420,13 @@ def derive_sa(
     if terminal_costs is not None:
         if false_alarm is not None or misdiagnosis is not None:
             _fail("--terminal-costs excludes --false-alarm/--misdiagnosis")
-        a = np.asarray(_load_json(terminal_costs), dtype=np.float64)
+        doc = _load_json(terminal_costs)
+        try:
+            a = np.asarray(doc, dtype=np.float64)
+        except (TypeError, ValueError):
+            a = None
+        if a is None or a.ndim != 2:
+            _fail(f"{terminal_costs}: terminal costs must be a numeric matrix")
     else:
         if false_alarm is None or misdiagnosis is None:
             _fail("give --false-alarm and --misdiagnosis, or --terminal-costs")

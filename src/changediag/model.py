@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -316,6 +316,12 @@ class SuspendedAnimationSpec:
         return max(self.phi.values())
 
 
+def _nonempty_subsets(K: int) -> Iterator[tuple[int, ...]]:
+    """Every nonempty subset of the components 1..K, by size, then lexicographically."""
+    for n in range(1, K + 1):
+        yield from itertools.combinations(range(1, K + 1), n)
+
+
 def _validate_sa(sa: SuspendedAnimationSpec) -> None:
     K = sa.num_components
     if K < 1:
@@ -325,11 +331,7 @@ def _validate_sa(sa: SuspendedAnimationSpec) -> None:
             raise SpecValidationError(
                 f"component {k} failure probability {q} outside (0, 1)"
             )
-    all_subsets = {
-        frozenset(s)
-        for n in range(1, K + 1)
-        for s in itertools.combinations(range(1, K + 1), n)
-    }
+    all_subsets = {frozenset(s) for s in _nonempty_subsets(K)}
     missing = all_subsets - set(sa.phi)
     if missing:
         shown = sorted(min(missing, key=sorted))
@@ -359,20 +361,12 @@ def _validate_sa(sa: SuspendedAnimationSpec) -> None:
 
 def phi_min_index(K: int) -> dict[frozenset[int], int]:
     """Label a failure set by its smallest component index."""
-    return {
-        frozenset(s): min(s)
-        for n in range(1, K + 1)
-        for s in itertools.combinations(range(1, K + 1), n)
-    }
+    return {frozenset(s): min(s) for s in _nonempty_subsets(K)}
 
 
 def phi_cardinality(K: int) -> dict[frozenset[int], int]:
     """Label a failure set by how many components failed together."""
-    return {
-        frozenset(s): len(s)
-        for n in range(1, K + 1)
-        for s in itertools.combinations(range(1, K + 1), n)
-    }
+    return {frozenset(s): len(s) for s in _nonempty_subsets(K)}
 
 
 def phi_binary(K: int) -> dict[frozenset[int], int]:
@@ -380,11 +374,7 @@ def phi_binary(K: int) -> dict[frozenset[int], int]:
 
     Distinguishes every failure pattern: labels run over 1..2^K - 1.
     """
-    return {
-        frozenset(s): sum(2 ** (k - 1) for k in s)
-        for n in range(1, K + 1)
-        for s in itertools.combinations(range(1, K + 1), n)
-    }
+    return {frozenset(s): sum(2 ** (k - 1) for k in s) for s in _nonempty_subsets(K)}
 
 
 def derive_suspended_animation(

@@ -16,11 +16,15 @@ produces: uniform 0 picks the change time, uniform 1 the type, and
 uniform 1+k the k-th symbol.  Philox is counter-based (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11): each block of four
 64-bit words is a pure function of the key and the block counter.  The
-single-run ``Environment`` reads the stream through a numpy generator;
-``estimate_risk`` evaluates the same function for all runs of a batch at
-once, 64 symbol uniforms per run at a time.  Run k of seed s therefore
-sees the same stream, bit for bit, whether it executes alone, in any
-batch, or in any worker thread.
+single-run ``Environment`` reads the stream through a numpy generator, the
+independent reference; ``estimate_risk`` evaluates the same function for
+all runs of a batch at once, 64 symbol uniforms per run at a time.  Run k
+of seed s therefore sees the same stream, bit for bit, whether it executes
+alone, in any batch, or in any worker thread.
+
+Uniforms become ground truth, and runs become costs, in one batched place
+each (``_draw_truth``, ``_draw_symbols``, ``_price``); the single-run
+``Environment`` and ``run_strategy`` call them on one row.
 """
 
 from __future__ import annotations
@@ -63,19 +67,6 @@ _PHILOX_ROWS = 1024
 
 #: Default cap on observations per run; hitting it flags the run.
 DEFAULT_N_MAX = 100_000
-
-
-def _theta_from_uniform(spec: ProblemSpec, u: float) -> int:
-    """Invert the change-time prior CDF at ``u`` in [0, 1)."""
-    if u < spec.p0:
-        return 0
-    v = (u - spec.p0) / (1.0 - spec.p0)
-    return max(1, math.ceil(math.log1p(-v) / math.log1p(-spec.p)))
-
-
-def _pick(cum: np.ndarray, u: float) -> int:
-    """Index of the first cumulative bin exceeding ``u``."""
-    return min(int((cum <= u).sum()), cum.size - 1)
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,6 +124,29 @@ def _philox_uniforms(
     return out
 
 
+def _draw_truth(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Change times and types of runs from their two leading uniforms.
+
+    ``u`` has one row per run.  theta inverts the change-time prior CDF at
+    ``u[:, 0]``: 0 below p0, else the geometric quantile, saturated at 2**62
+    so a tiny p cannot overflow int64.  mu is the first type whose
+    cumulative prior exceeds ``u[:, 1]``.
+    """
+    # the geometric branch divides by zero when p0 = 1; np.where drops it
+    with np.errstate(divide="ignore"):
+        v = (u[:, 0] - spec.p0) / (1.0 - spec.p0)
+        geo = np.clip(np.ceil(np.log1p(-v) / math.log1p(-spec.p)), 1, 2.0**62)
+    theta = np.where(u[:, 0] < spec.p0, 0, geo).astype(np.int64)
+    cum_nu = np.cumsum(spec.nu)
+    mu = np.searchsorted(cum_nu, u[:, 1], side="right")
+    return theta, np.minimum(mu, cum_nu.size - 1) + 1
+
+
+def _draw_symbols(cum_f: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symbol i inverts the cumulative density ``cum_f[rows[i]]`` at ``u[i]``."""
+    return np.minimum((cum_f[rows] <= u[:, None]).sum(axis=1), cum_f.shape[1] - 1)
+
+
 class Environment:
     """Lazily sampled ground truth for a single run.
 
@@ -149,10 +163,9 @@ class Environment:
         self._rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, run_index], dtype=np.uint64))
         )
-        self.theta = _theta_from_uniform(spec, self._rng.random())
-        self.mu = _pick(np.cumsum(spec.nu), self._rng.random()) + 1
+        theta, mu = _draw_truth(spec, self._rng.random((1, 2)))
+        self.theta, self.mu = int(theta[0]), int(mu[0])
         self._cum_f = np.cumsum(spec.f, axis=1)
-        self._uniforms: list[np.ndarray] = []
         self._symbols: list[int] = []
 
     def symbol(self, n: int) -> int:
@@ -160,13 +173,10 @@ class Environment:
         if n < 1:
             raise ValueError(f"observation index {n} must be >= 1")
         while len(self._symbols) < n:
-            step = len(self._symbols) + 1
-            chunk, offset = divmod(step - 1, CHUNK)
-            while len(self._uniforms) <= chunk:
-                self._uniforms.append(self._rng.random(CHUNK))
-            u = float(self._uniforms[chunk][offset])
-            row = self.mu if self.theta <= step else 0
-            self._symbols.append(_pick(self._cum_f[row], u))
+            steps = len(self._symbols) + 1 + np.arange(CHUNK)
+            rows = np.where(self.theta <= steps, self.mu, 0)
+            u = self._rng.random(CHUNK)
+            self._symbols += _draw_symbols(self._cum_f, rows, u).tolist()
         return self._symbols[n - 1]
 
 
@@ -185,11 +195,14 @@ class SimulationRecord:
     posterior_path: list[np.ndarray] | None = None
 
 
-def _realized_cost(spec: ProblemSpec, theta: int, mu: int, tau: int, d: int) -> float:
-    delay = spec.c * max(tau - theta, 0)
-    if tau < theta:
-        return delay + float(spec.a[0, d - 1])
-    return delay + float(spec.a[mu, d - 1])
+def _price(spec: ProblemSpec, theta, mu, tau, d) -> tuple[np.ndarray, np.ndarray]:
+    """Delay cost c*(tau-theta)^+ and terminal cost of each run.
+
+    The terminal cost is the false-alarm charge a[0, d-1] when the alarm
+    precedes the change (tau < theta), else the diagnosis charge a[mu, d-1].
+    """
+    delay = spec.c * np.maximum(tau - theta, 0).astype(np.float64)
+    return delay, np.where(tau < theta, spec.a[0, d - 1], spec.a[mu, d - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +263,8 @@ class StopAfter(Strategy):
 
     def __init__(self, k: int):
         self.k = int(k)
+        if self.k < 0:
+            raise ValueError(f"k={self.k} must be nonnegative")
 
     def decide_many(self, spec, pis, n):
         if n < self.k:
@@ -312,13 +327,14 @@ def run_strategy(
             path.append(pi.copy())
         n += 1
     h_vals, _, _ = h_costs(spec, pi)
+    delay, terminal = _price(spec, env.theta, env.mu, n, int(d))
     return SimulationRecord(
         theta=env.theta,
         mu=env.mu,
         observations=observations,
         tau=n,
         d=int(d),
-        realized_cost=_realized_cost(spec, env.theta, env.mu, n, int(d)),
+        realized_cost=float(delay + terminal),
         posterior_cost=running + float(h_vals[int(d) - 1]),
         capped=capped,
         posterior_path=path,
@@ -356,17 +372,12 @@ class RiskEstimate:
 
     def breakdown(self) -> dict[str, float]:
         """Mean cost split into delay, false-alarm, and isolation terms."""
-        delay = self.spec.c * np.maximum(self.tau - self.theta, 0)
-        false_alarm = np.where(
-            self.tau < self.theta, self.spec.a[0, self.d - 1], 0.0
-        )
-        isolation = np.where(
-            self.tau >= self.theta, self.spec.a[self.mu, self.d - 1], 0.0
-        )
+        delay, terminal = _price(self.spec, self.theta, self.mu, self.tau, self.d)
+        early = self.tau < self.theta
         return {
             "delay": float(delay.mean()),
-            "false_alarm": float(false_alarm.mean()),
-            "false_isolation": float(isolation.mean()),
+            "false_alarm": float(np.where(early, terminal, 0.0).mean()),
+            "false_isolation": float(np.where(early, 0.0, terminal).mean()),
         }
 
     def to_json(self) -> dict:
@@ -390,12 +401,7 @@ def _simulate_block(
 ) -> tuple[np.ndarray, ...]:
     """Vectorized lockstep simulation of runs [offset, offset+runs)."""
     window = _philox_uniforms(seed, run_offset + np.arange(runs), 0, 2 + CHUNK)
-    theta = np.array(
-        [_theta_from_uniform(spec, u) for u in window[:, 0].tolist()], dtype=np.int64
-    )
-    cum_nu = np.cumsum(spec.nu)
-    mu = np.searchsorted(cum_nu, window[:, 1], side="right")
-    mu = np.minimum(mu, cum_nu.size - 1) + 1
+    theta, mu = _draw_truth(spec, window)
     window = window[:, 2:]
     cum_f = np.cumsum(spec.f, axis=1)
 
@@ -437,17 +443,12 @@ def _simulate_block(
             window = _philox_uniforms(seed, run_offset + active, 2 + n, CHUNK)
             window_row[active] = np.arange(active.size)
         us = window[window_row[active], n % CHUNK]
-        post = theta[active] <= n + 1
-        rows = np.where(post, mu[active], 0)
-        symbols = np.minimum(
-            (cum_f[rows] <= us[:, None]).sum(axis=1), spec.alphabet_size - 1
-        )
-        pis[active] = update_many(spec, pis[active], symbols)
+        rows = np.where(theta[active] <= n + 1, mu[active], 0)
+        pis[active] = update_many(spec, pis[active], _draw_symbols(cum_f, rows, us))
         n += 1
 
-    realized = spec.c * np.maximum(tau - theta, 0).astype(np.float64)
-    realized += np.where(tau < theta, spec.a[0, d - 1], spec.a[mu, d - 1])
-    return theta, mu, tau, d, realized, post_form, capped
+    delay, terminal = _price(spec, theta, mu, tau, d)
+    return theta, mu, tau, d, delay + terminal, post_form, capped
 
 
 def estimate_risk(

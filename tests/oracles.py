@@ -1,14 +1,16 @@
 """Reference computations used to pin expected values in the tests.
 
 Everything here works directly from the generative model: explicit sums
-over the change time, the change type, and complete observation paths.
-Nothing calls the package's posterior recursion or solver, so agreement
-between these oracles and the library is a real cross-check.
+over the change time, the change type, and complete observation paths,
+and scalar draws from numpy's own Philox generator.  Nothing calls the
+package's posterior recursion, solver or simulator, so agreement between
+these oracles and the library is a real cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -20,6 +22,43 @@ def theta_pmf(spec: ProblemSpec, t: int) -> float:
     if t == 0:
         return spec.p0
     return (1.0 - spec.p0) * (1.0 - spec.p) ** (t - 1) * spec.p
+
+
+def _first_above(probs, u: float) -> int:
+    """Index of the first running sum of ``probs`` above ``u`` (else the last)."""
+    total = 0.0
+    for i, q in enumerate(probs):
+        total += float(q)
+        if u < total:
+            return i
+    return len(probs) - 1
+
+
+def ground_truth(
+    spec: ProblemSpec, seed: int, run_index: int, n: int
+) -> tuple[int, int, list[int]]:
+    """Change time, type and first ``n`` symbols of run (seed, run_index).
+
+    Reads the run's stream one uniform at a time from numpy's
+    ``Generator(Philox(key=[seed, run_index]))``: uniform 0 inverts the
+    change-time prior, uniform 1 the type prior, and uniform 1+k the
+    density of the k-th symbol's regime (the type once k >= theta).
+    """
+    gen = np.random.Generator(
+        np.random.Philox(key=np.array([seed, run_index], dtype=np.uint64))
+    )
+    u = [gen.random() for _ in range(2 + n)]
+    if u[0] < spec.p0:
+        theta = 0
+    else:
+        v = (u[0] - spec.p0) / (1.0 - spec.p0)
+        theta = max(1, math.ceil(math.log1p(-v) / math.log1p(-spec.p)))
+    mu = _first_above(spec.nu, u[1]) + 1
+    symbols = [
+        _first_above(spec.f[mu if theta <= k else 0], u[1 + k])
+        for k in range(1, n + 1)
+    ]
+    return theta, mu, symbols
 
 
 def path_posterior(spec: ProblemSpec, path: list[int]) -> np.ndarray:

@@ -277,6 +277,32 @@ def test_non_finite_curve_refused(knots, coefficients):
         cd.SplineBoundary(2, knots, coefficients, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "knots,coefficients,message",
+    [
+        (np.linspace(0.0, 1.0, 5), np.r_[np.full(7, 0.3), 5.0, 9.0],
+         "has coefficients of shape (9,), expected (7,)"),
+        (np.linspace(0.0, 1.0, 5), np.full(6, 0.3),
+         "has coefficients of shape (6,), expected (7,)"),
+        (np.linspace(0.0, 1.0, 5), np.full((7, 1), 0.3),
+         "has coefficients of shape (7, 1), expected (7,)"),
+        (np.array([0.0, 0.5, 0.5, 1.0]), np.full(6, 0.3), "needs two or more"),
+        (np.array([1.0, 0.5, 0.0]), np.full(5, 0.3), "needs two or more"),
+        (np.array([0.5]), np.full(3, 0.3), "needs two or more"),
+        (np.linspace(0.0, 1.0, 5)[None, :], np.full(7, 0.3), "needs two or more"),
+    ],
+    ids=["extra-coefficients", "missing-coefficient", "2-D-coefficients",
+         "repeated-knot", "decreasing-knots", "one-knot", "2-D-knots"],
+)
+def test_malformed_curve_refused(knots, coefficients, message):
+    """Knots must be 1-D and strictly increasing and there must be one
+    coefficient per B-spline, or scipy silently ignores the extras."""
+    with pytest.raises(ValueError) as info:
+        cd.SplineBoundary(1, knots, coefficients, 1.0, 0.0)
+    assert str(info.value).startswith(f"boundary curve for corner 1 {message}")
+    assert "\n" not in str(info.value)
+
+
 @pytest.fixture(scope="module")
 def reference_curves(solve200, grid200):
     """Curves fitted at Q=200 for "merged" (K=12) and for the c=0.05

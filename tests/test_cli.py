@@ -532,7 +532,8 @@ DERIVE_COSTS = ["--delay-cost", "1", "--false-alarm", "1", "--misdiagnosis", "1"
 @pytest.fixture(scope="module")
 def artefacts(tmp_path_factory):
     """A model, its tables at Q=20 and Q=10, the Q=20 region CSV, a Q=20
-    table of another model, and a boundaries file with a NaN coefficient."""
+    table of another model, boundaries files with a NaN coefficient and with
+    two extra coefficients, and system files for derive-sa."""
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
@@ -552,6 +553,11 @@ def artefacts(tmp_path_factory):
     doc = json.loads((root / "nan-curve.json").read_text())
     doc[0]["coefficients"][3] = math.nan
     (root / "nan-curve.json").write_text(json.dumps(doc))
+    doc[0]["coefficients"][3] = 0.3
+    doc[0]["coefficients"] += [5.0, 9.0]
+    (root / "extra-coefficients.json").write_text(json.dumps(doc))
+    cd.save_sa_spec(instances.sa_two_component(cd.phi_min_index(2)), str(root / "sa.json"))
+    (root / "tc-object.json").write_text('{"a": 1}')
     (root / "sa-list.json").write_text("[1]")
     (root / "sa-phi-int.json").write_text(json.dumps({
         "component_failure_probs": [0.1],
@@ -591,6 +597,14 @@ def artefacts(tmp_path_factory):
          "boundary curve for corner 1 has a non-finite knot or coefficient"),
         (["regions", "t20.cdvt", "--compare-table", "t20-skew.cdvt"],
          "t20-skew.cdvt: the table was solved for a different model"),
+        (["simulate", "model.json", "--boundaries", "extra-coefficients.json",
+          "--runs", "5"],
+         "boundary curve for corner 1 has coefficients of shape (9,), expected (7,)"),
+        (["derive-sa", "sa.json", "--delay-cost", "0.1",
+          "--terminal-costs", "tc-object.json"],
+         "tc-object.json: terminal costs must be a numeric matrix"),
+        (["simulate", "model.json", "--baseline", "stop-at--3", "--runs", "5"],
+         "k=-3 must be nonnegative"),
     ],
     ids=[
         "solve-tol-0",
@@ -612,6 +626,9 @@ def artefacts(tmp_path_factory):
         "simulate-threshold-1.5",
         "simulate-boundary-nan-coefficient",
         "regions-compare-other-model",
+        "simulate-boundary-extra-coefficients",
+        "derive-sa-terminal-costs-object",
+        "simulate-stop-at-minus-3",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

@@ -15,6 +15,7 @@ from changediag.simulator import (
 )
 
 import instances
+import oracles
 
 
 def test_environment_reproducible():
@@ -67,6 +68,33 @@ def test_pre_change_symbols_match_baseline_density():
         want = spec.f[0, x]
         sigma = math.sqrt(n * want * (1 - want))
         assert abs(counts[x] - n * want) <= 3 * sigma
+
+
+GROUND_TRUTH_SPECS = {
+    "merged": instances.FIGURES["merged"],
+    "p0-one": instances.hypothesis_testing_two_type(),
+    "p0-zero": cd.ProblemSpec(
+        alphabet_size=4, num_types=2, p0=0.0, p=0.05,
+        nu=np.array([0.3, 0.7]), f=instances.TWO_TYPE_F,
+        c=1.0, a=instances.FIGURES["merged"].a,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUND_TRUTH_SPECS))
+def test_ground_truth_matches_scalar_oracle(name):
+    """theta, mu and the first 130 symbols (across two CHUNK boundaries) of
+    single runs, and theta and mu of every batch row, equal the oracle's
+    scalar draws from numpy's generator."""
+    spec = GROUND_TRUTH_SPECS[name]
+    runs = [(0, 0), (2**64 - 1, 2**64 - 1)] + [(11, k) for k in range(40)]
+    for seed, k in runs:
+        env = Environment(spec, seed, k)
+        got = (env.theta, env.mu, [env.symbol(n) for n in range(1, 131)])
+        assert got == oracles.ground_truth(spec, seed, k, 130)
+    est = cd.estimate_risk(spec, StopAfter(0), runs=300, seed=11)
+    want = [oracles.ground_truth(spec, 11, k, 0)[:2] for k in range(300)]
+    assert list(zip(est.theta.tolist(), est.mu.tolist())) == want
 
 
 def test_stop_immediately_record():
@@ -304,3 +332,9 @@ def test_posterior_threshold_outside_unit_interval_rejected(threshold):
         PosteriorThreshold(threshold)
     assert PosteriorThreshold(0.0).threshold == 0.0
     assert PosteriorThreshold(1.0).threshold == 1.0
+
+
+def test_stop_after_negative_count_rejected():
+    with pytest.raises(ValueError, match="^k=-3 must be nonnegative$"):
+        StopAfter(-3)
+    assert StopAfter(0).k == 0
