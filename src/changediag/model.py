@@ -130,6 +130,12 @@ def validate(spec: ProblemSpec) -> None:
         raise SpecValidationError("alphabet_size must be a positive integer")
     if M < 1:
         raise SpecValidationError("num_types must be a positive integer")
+    for name in ("p0", "p", "c", "nu", "f", "a"):
+        value = np.asarray(getattr(spec, name))
+        if not np.isfinite(value).all():
+            bad = tuple(np.argwhere(~np.isfinite(value))[0])
+            index = "".join(f"[{i}]" for i in bad)
+            raise SpecValidationError(f"{name}{index}={value[bad]} is not finite")
     if not 0.0 <= spec.p0 <= 1.0:
         raise SpecValidationError(f"p0={spec.p0} outside [0, 1]")
     if not 0.0 < spec.p < 1.0:
@@ -381,7 +387,6 @@ def derive_suspended_animation(
     sa: SuspendedAnimationSpec,
     c: float,
     a: Iterable[Iterable[float]],
-    f0: Iterable[float] | None = None,
 ) -> ProblemSpec:
     """Reduce a suspended-animation system to a change-diagnosis instance.
 
@@ -394,8 +399,6 @@ def derive_suspended_animation(
         sa: system description.
         c: delay cost per period.
         a: terminal cost matrix of shape (M+1, M).
-        f0: optional pre-failure density overriding row 0 of
-            ``sa.label_densities``.
 
     Raises:
         SpecValidationError: if a derived type weight vanishes or the
@@ -419,16 +422,13 @@ def derive_suspended_animation(
             f"derived type weight for label {bad} is zero (label unreachable)"
         )
 
-    f = np.array(sa.label_densities, dtype=np.float64)
-    if f0 is not None:
-        f[0] = np.asarray(list(f0), dtype=np.float64)
     return ProblemSpec(
-        alphabet_size=f.shape[1],
+        alphabet_size=sa.label_densities.shape[1],
         num_types=M,
         p0=0.0,
         p=p,
         nu=nu,
-        f=f,
+        f=sa.label_densities,
         c=c,
         a=np.atleast_2d(np.asarray(a, dtype=np.float64)),
     )

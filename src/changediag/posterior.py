@@ -130,7 +130,7 @@ def h_costs(spec: ProblemSpec, pi: np.ndarray) -> tuple[np.ndarray, float, int]:
 
     :return: (h_values of length M, min value, 0-based argmin in 0..M-1).
     """
-    values = pi @ spec.a
+    values = h_values_many(spec, pi[None, :])[0]
     j = int(np.argmin(values))
     return values, float(values[j]), j
 

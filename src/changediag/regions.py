@@ -22,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec
+from .posterior import h_values_many
 from .solver import (
     SimplexGrid,
     ValueTable,
+    _labels,
     _stencil,
     _strides,
     build_grid,
@@ -78,25 +80,21 @@ def extract_region(
     announced type is the smallest index attaining the minimum of h.
 
     At the table's own ``stop_tol`` this is exactly the labeling the solver
-    stored with the table, which is reused; only another tolerance needs
-    the continuation costs, rebuilt from T when the table was loaded.
+    stored with the table, which is reused; another tolerance rebuilds the
+    continuation costs from T.
     """
     if stop_tol is None:
         stop_tol = table.stop_tol
     if not math.isfinite(stop_tol):
         raise ValueError(f"stop_tol={stop_tol} must be finite")
     grid = table.grid
-    h_all = grid.nodes @ spec.a
+    h_all = h_values_many(spec, grid.nodes)
     if stop_tol == table.stop_tol:
         labels = table.labels.astype(np.int8)
     else:
-        cont = table.continuation
-        if cont is None:
-            delay = spec.c * (1.0 - grid.nodes[:, 0])
-            cont = delay + transition_matrix(spec, grid) @ table.values
-        labels = np.where(
-            h_all.min(axis=1) <= cont + stop_tol, h_all.argmin(axis=1) + 1, 0
-        ).astype(np.int8)
+        delay = spec.c * (1.0 - grid.nodes[:, 0])
+        cont = delay + transition_matrix(spec, grid) @ table.values
+        labels = _labels(h_all, cont, stop_tol)
     return StoppingRegion(
         grid=grid,
         labels=labels,

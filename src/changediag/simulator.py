@@ -124,6 +124,12 @@ def _philox_uniforms(
     return out
 
 
+def _check_key(name: str, value: int) -> None:
+    """A Philox key word must fit in 64 unsigned bits."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name}={value} must be in [0, 2**64)")
+
+
 def _draw_truth(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Change times and types of runs from their two leading uniforms.
 
@@ -155,8 +161,8 @@ class Environment:
     """
 
     def __init__(self, spec: ProblemSpec, seed: int, run_index: int = 0):
-        if seed < 0 or run_index < 0:
-            raise ValueError("seed and run_index must be nonnegative")
+        _check_key("seed", seed)
+        _check_key("run_index", run_index)
         self.spec = spec
         self.seed = seed
         self.run_index = run_index
@@ -192,7 +198,6 @@ class SimulationRecord:
     realized_cost: float
     posterior_cost: float
     capped: bool
-    posterior_path: list[np.ndarray] | None = None
 
 
 def _price(spec: ProblemSpec, theta, mu, tau, d) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +301,6 @@ def run_strategy(
     strategy: Strategy,
     env: Environment,
     n_max: int = DEFAULT_N_MAX,
-    record_path: bool = False,
 ) -> SimulationRecord:
     """Play one run to its alarm (reference single-stream loop).
 
@@ -305,7 +309,6 @@ def run_strategy(
     cheapest terminal decision and flagged.
     """
     pi = initial_posterior(spec)
-    path = [pi.copy()] if record_path else None
     observations: list[int] = []
     running = 0.0
     n = 0
@@ -323,8 +326,6 @@ def run_strategy(
         x = env.symbol(n + 1)
         observations.append(x)
         pi = update(spec, pi, x)
-        if record_path:
-            path.append(pi.copy())
         n += 1
     h_vals, _, _ = h_costs(spec, pi)
     delay, terminal = _price(spec, env.theta, env.mu, n, int(d))
@@ -337,7 +338,6 @@ def run_strategy(
         realized_cost=float(delay + terminal),
         posterior_cost=running + float(h_vals[int(d) - 1]),
         capped=capped,
-        posterior_path=path,
     )
 
 
@@ -467,8 +467,7 @@ def estimate_risk(
     """
     if runs < 1:
         raise ValueError(f"runs={runs} must be at least 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed={seed} must be in [0, 2**64)")
+    _check_key("seed", seed)
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be nonnegative")
     if threads < 1:

@@ -29,13 +29,13 @@ import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import ProblemSpec, _dump_json, _load_json, spec_from_dict, spec_to_dict
-from .posterior import _step_weights, d_vector, h_costs
+from .posterior import _step_weights, h_values_many
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -207,21 +207,20 @@ def interpolate(table: "ValueTable", pi: np.ndarray) -> float:
     return float(interpolate_many(table.grid, table.values, pi[None, :])[0])
 
 
-def transition_matrix(
-    spec: ProblemSpec, grid: SimplexGrid
+def _transition(
+    spec: ProblemSpec, grid: SimplexGrid, points: np.ndarray
 ) -> scipy.sparse.csr_matrix:
-    """One-step expectation operator restricted to the grid.
+    """One-step expectation operator from ``points`` onto the grid.
 
     Row k holds, for every symbol with positive predictive probability at
-    node k, that probability spread over the interpolation stencil of the
-    updated posterior.  Rows sum to 1, so (T f) at the nodes is one sparse
+    point k, that probability spread over the interpolation stencil of the
+    updated posterior.  Rows sum to 1, so (T f) at the points is one sparse
     product, and constants are reproduced exactly.
     """
     import scipy.sparse
 
-    n = grid.n_nodes
     rows, cols, vals = [], [], []
-    step = _step_weights(spec, grid.nodes)
+    step = _step_weights(spec, points)
     for x in range(spec.alphabet_size):
         num = step * spec.f[:, x]
         total = num.sum(axis=1)
@@ -236,9 +235,16 @@ def transition_matrix(
         vals.append((total[live, None] * weights).ravel())
     T = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+        shape=(points.shape[0], grid.n_nodes),
     )
     return T.tocsr()
+
+
+def transition_matrix(
+    spec: ProblemSpec, grid: SimplexGrid
+) -> scipy.sparse.csr_matrix:
+    """One-step expectation operator at every grid node, row k at node k."""
+    return _transition(spec, grid, grid.nodes)
 
 
 def stopping_cost_sup(spec: ProblemSpec) -> float:
@@ -271,9 +277,7 @@ class ValueTable:
 
     ``values`` approximates the optimal cost-to-go at the nodes; ``labels``
     holds the induced action per node (0 = continue, j = stop and announce
-    type j, 1-based), computed at ``stop_tol``.  ``continuation`` caches the
-    final continuation costs c*(1-pi_0) + (T V) when available in memory;
-    it is not persisted and is None after loading a table from disk.
+    type j, 1-based), computed at ``stop_tol``.
     """
 
     grid: SimplexGrid
@@ -286,17 +290,19 @@ class ValueTable:
     criterion: str
     converged: bool
     stop_tol: float
-    continuation: np.ndarray | None = field(default=None, repr=False)
 
 
 def apply_T(spec: ProblemSpec, table: ValueTable, pi: np.ndarray) -> float:
     """One-step expected table value after observing one more symbol."""
-    total = 0.0
-    for x in range(spec.alphabet_size):
-        d = d_vector(spec, pi, x)
-        if d[-1] > 0.0:
-            total += d[-1] * interpolate(table, d[:-1] / d[-1])
-    return total
+    return float((_transition(spec, table.grid, pi[None, :]) @ table.values)[0])
+
+
+def _labels(h_all: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
+    """The stop rule: where h <= cont + ``stop_tol``, announce the cheapest
+    type (1-based, the smallest index on ties), else 0 to continue."""
+    return np.where(
+        h_all.min(axis=1) <= cont + stop_tol, h_all.argmin(axis=1) + 1, 0
+    ).astype(np.int8)
 
 
 def apply_M(
@@ -307,11 +313,10 @@ def apply_M(
     :return: (backed-up value, action) where action is None to continue or
         the 1-based type to announce.  Ties go to stopping.
     """
-    _, h, j = h_costs(spec, pi)
+    h_all = h_values_many(spec, pi[None, :])
     cont = spec.c * (1.0 - pi[0]) + apply_T(spec, table, pi)
-    if h <= cont:
-        return h, j + 1
-    return cont, None
+    j = int(_labels(h_all, np.array([cont]), 0.0)[0])
+    return (float(h_all[0, j - 1]), j) if j else (float(cont), None)
 
 
 def value_iterate(
@@ -339,7 +344,7 @@ def value_iterate(
         raise ValueError(f"max_iter={max_iter} must be at least 1")
 
     nodes = grid.nodes
-    h_all = nodes @ spec.a
+    h_all = h_values_many(spec, nodes)
     h = h_all.min(axis=1)
     delay = spec.c * (1.0 - nodes[:, 0])
     T = transition_matrix(spec, grid)
@@ -366,11 +371,8 @@ def value_iterate(
             converged = True
             break
 
-    continuation = delay + T @ V
     stop_tol = sup_change if math.isfinite(sup_change) else tol
-    labels = np.where(
-        h <= continuation + stop_tol, h_all.argmin(axis=1) + 1, 0
-    ).astype(np.int8)
+    labels = _labels(h_all, delay + T @ V, stop_tol)
 
     return ValueTable(
         grid=grid,
@@ -383,7 +385,6 @@ def value_iterate(
         criterion=criterion,
         converged=converged,
         stop_tol=stop_tol,
-        continuation=continuation,
     )
 
 

@@ -234,8 +234,12 @@ def test_single_type_and_known_change_cost_reductions():
     assert np.array_equal(est.realized, hyp.c * est.tau + hyp.a[est.mu, est.d - 1])
     for k in range(100):
         env = cd.Environment(hyp, seed=22, run_index=k)
-        record = cd.run_strategy(hyp, strategy, env, record_path=True)
-        assert max(abs(pi[0]) for pi in record.posterior_path) == 0.0
+        record = cd.run_strategy(hyp, strategy, env)
+        pi = cd.initial_posterior(hyp)
+        assert pi[0] == 0.0
+        for x in record.observations:
+            pi = cd.update(hyp, pi, x)
+            assert pi[0] == 0.0
 
 
 def test_suspended_animation_reduction_matches_enumerated_law():

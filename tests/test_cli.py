@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import changediag as cd
 from changediag.cli import main
+from changediag.model import spec_to_dict
 from changediag.simulator import Environment, TableStrategy
 
 import instances
@@ -537,6 +538,9 @@ def artefacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
+    doc = spec_to_dict(spec)
+    doc["densities"][1][2] = math.nan
+    (root / "model-nan-density.json").write_text(json.dumps(doc))
     for Q in (20, 10):
         table = cd.value_iterate(spec, cd.build_grid(2, Q))
         cd.save_table(table, spec, str(root / f"t{Q}.cdvt"))
@@ -605,6 +609,10 @@ def artefacts(tmp_path_factory):
          "tc-object.json: terminal costs must be a numeric matrix"),
         (["simulate", "model.json", "--baseline", "stop-at--3", "--runs", "5"],
          "k=-3 must be nonnegative"),
+        (["derive-sa", "sa.json", "--delay-cost", "nan", "--false-alarm", "1",
+          "--misdiagnosis", "1"],
+         "c=nan is not finite"),
+        (["solve", "model-nan-density.json", "-Q", "10"], "f[1][2]=nan is not finite"),
     ],
     ids=[
         "solve-tol-0",
@@ -629,6 +637,8 @@ def artefacts(tmp_path_factory):
         "simulate-boundary-extra-coefficients",
         "derive-sa-terminal-costs-object",
         "simulate-stop-at-minus-3",
+        "derive-sa-delay-cost-nan",
+        "solve-nan-density",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

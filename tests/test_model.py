@@ -54,6 +54,37 @@ def test_scalar_bounds_rejected(field, value, match):
         cd.ProblemSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,index,value,message",
+    [
+        ("c", None, math.nan, "c=nan is not finite"),
+        ("c", None, math.inf, "c=inf is not finite"),
+        ("p0", None, math.nan, "p0=nan is not finite"),
+        ("p", None, math.nan, "p=nan is not finite"),
+        ("a", (1, 1), math.nan, "a[1][1]=nan is not finite"),
+        ("a", (0, 1), math.inf, "a[0][1]=inf is not finite"),
+        ("f", (2, 0), math.nan, "f[2][0]=nan is not finite"),
+        ("nu", (1,), math.nan, "nu[1]=nan is not finite"),
+    ],
+    ids=["c-nan", "c-inf", "p0-nan", "p-nan", "a-nan", "a-inf", "f-nan", "nu-nan"],
+)
+def test_non_finite_field_rejected(field, index, value, message):
+    """NaN fails every comparison, so a range or sign check alone lets it
+    through; each field is refused with one line naming it."""
+    doc = spec_to_dict(instances.FIGURES["merged"])
+    key = {"c": "delay_cost", "a": "terminal_costs", "f": "densities"}.get(field, field)
+    if index is None:
+        doc[key] = value
+    else:
+        target = doc[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+    with pytest.raises(SpecValidationError) as info:
+        spec_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_zero_nu_entry_rejected():
     spec = instances.FIGURES["merged"]
     with pytest.raises(SpecValidationError):

@@ -346,7 +346,6 @@ def test_extract_region_from_loaded_table_matches_recomputation(tmp_path, stop_t
     path = str(tmp_path / "t.cdvt")
     cd.save_table(cd.value_iterate(spec, grid), spec, path)
     table, _ = cd.load_table(path)
-    assert table.continuation is None
     region = cd.extract_region(spec, table, stop_tol)
 
     tol = table.stop_tol if stop_tol is None else stop_tol

@@ -29,6 +29,15 @@ def test_environment_reproducible():
         a.theta, a.mu, [a.symbol(n) for n in range(1, 50)])
 
 
+@pytest.mark.parametrize("seed,run_index,name", [
+    (2**64, 0, "seed"), (-1, 0, "seed"), (0, 2**64, "run_index"), (0, -1, "run_index"),
+])
+def test_environment_key_out_of_range(seed, run_index, name):
+    spec = instances.FIGURES["merged"]
+    with pytest.raises(ValueError, match=rf"{name}=-?\d+ must be in \[0, 2\*\*64\)"):
+        Environment(spec, seed, run_index)
+
+
 def test_immediate_change_when_p0_is_one():
     spec = instances.hypothesis_testing_two_type()
     assert all(Environment(spec, 0, i).theta == 0 for i in range(300))
@@ -258,10 +267,14 @@ def test_hypothesis_testing_cost_reduces_to_delay_plus_error():
     table = cd.value_iterate(spec, cd.build_grid(2, 100))
     strategy = TableStrategy(table)
     for i in range(100):
-        rec = cd.run_strategy(spec, strategy, Environment(spec, 4, i), record_path=True)
+        rec = cd.run_strategy(spec, strategy, Environment(spec, 4, i))
         assert rec.theta == 0
         assert rec.realized_cost == spec.c * rec.tau + spec.a[rec.mu, rec.d - 1]
-        assert all(pi[0] == 0.0 for pi in rec.posterior_path)
+        pi = cd.initial_posterior(spec)
+        assert pi[0] == 0.0
+        for x in rec.observations:
+            pi = cd.update(spec, pi, x)
+            assert pi[0] == 0.0
 
 
 def test_posterior_cost_form_agrees_on_average(solve200):
@@ -274,16 +287,20 @@ def test_posterior_cost_form_agrees_on_average(solve200):
 
 def test_record_path_contents(solve200):
     spec, table = solve200("merged")
-    rec = cd.run_strategy(spec, TableStrategy(table), Environment(spec, 2, 5),
-                          record_path=True)
-    assert len(rec.posterior_path) == rec.tau + 1
-    assert np.array_equal(rec.posterior_path[0], cd.initial_posterior(spec))
+    strategy = TableStrategy(table)
+    rec = cd.run_strategy(spec, strategy, Environment(spec, 2, 5))
     assert len(rec.observations) == rec.tau
-    # replaying the recorded observations reproduces the recorded posteriors
+    # replaying the recorded observations walks the run's posterior path:
+    # it continues at every step before the alarm, stops with the recorded
+    # decision after the last one, and prices to the recorded running cost
     pi = cd.initial_posterior(spec)
-    for x, want in zip(rec.observations, rec.posterior_path[1:]):
+    running = 0.0
+    for n, x in enumerate(rec.observations):
+        assert strategy.decide(spec, pi, n) is None
+        running += spec.c * (1.0 - pi[0])
         pi = cd.update(spec, pi, x)
-        assert np.array_equal(pi, want)
+    assert strategy.decide(spec, pi, rec.tau) == rec.d
+    assert rec.posterior_cost == running + (pi @ spec.a)[rec.d - 1]
 
 
 def test_risk_json_shape(solve200):

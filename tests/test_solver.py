@@ -271,14 +271,52 @@ def test_value_iterate_sweep_cap_flagged():
 
 
 def test_single_sweep_matches_one_step_operator():
-    spec = instances.shiryaev_binary()
-    grid = cd.build_grid(1, 60)
-    table1 = cd.value_iterate(spec, grid, tol=1e-300, max_iter=1)
-    h_at_nodes = h_values_many(spec, grid.nodes).min(axis=1)
-    h_table = dataclasses.replace(table1, values=h_at_nodes)
-    for node_id in range(0, grid.n_nodes, 7):
-        want, _ = cd.apply_M(spec, h_table, grid.nodes[node_id])
-        assert table1.values[node_id] == pytest.approx(want, abs=1e-12)
+    """One sweep from V = h is the backup apply_M at every node, bit for bit."""
+    for spec, grid in [
+        (instances.shiryaev_binary(), cd.build_grid(1, 60)),
+        (instances.FIGURES["merged"], cd.build_grid(2, 40)),
+    ]:
+        table1 = cd.value_iterate(spec, grid, tol=1e-300, max_iter=1)
+        h_at_nodes = h_values_many(spec, grid.nodes).min(axis=1)
+        h_table = dataclasses.replace(table1, values=h_at_nodes)
+        for node_id in range(grid.n_nodes):
+            want, _ = cd.apply_M(spec, h_table, grid.nodes[node_id])
+            assert table1.values[node_id] == want
+
+
+ONE_TO_THREE_TYPES = [
+    (instances.shiryaev_binary, 1, 40),
+    (lambda: instances.FIGURES["merged"], 2, 20),
+    (instances.three_type, 3, 8),
+]
+
+
+@pytest.mark.parametrize("make_spec,M,Q", ONE_TO_THREE_TYPES, ids=["M1", "M2", "M3"])
+def test_apply_T_at_nodes_is_the_grid_operator(make_spec, M, Q):
+    spec = make_spec()
+    grid = cd.build_grid(M, Q)
+    table = cd.value_iterate(spec, grid, tol=1e-300, max_iter=5)
+    swept = solver.transition_matrix(spec, grid) @ table.values
+    for node_id in range(grid.n_nodes):
+        assert cd.apply_T(spec, table, grid.nodes[node_id]) == swept[node_id]
+
+
+@pytest.mark.parametrize("make_spec,M,Q", ONE_TO_THREE_TYPES, ids=["M1", "M2", "M3"])
+def test_apply_T_of_affine_values(make_spec, M, Q):
+    """Interpolation reproduces an affine V = w . pi, and the symbol
+    probabilities of each next-state hypothesis sum to one, so (T V)(pi) is
+    w applied to one step of the change chain, pi P."""
+    rng = np.random.default_rng(M)
+    spec = dataclasses.replace(make_spec(), nu=rng.dirichlet(np.ones(M)))
+    grid = cd.build_grid(M, Q)
+    w = rng.uniform(-2.0, 3.0, size=M + 1)
+    base = cd.value_iterate(spec, grid, tol=1e-300, max_iter=1)
+    table = dataclasses.replace(base, values=grid.nodes @ w)
+    for pi in rng.dirichlet(np.ones(M + 1), size=50):
+        stepped = np.empty(M + 1)
+        stepped[0] = pi[0] * (1.0 - spec.p)
+        stepped[1:] = pi[1:] + pi[0] * spec.p * spec.nu
+        assert cd.apply_T(spec, table, pi) == pytest.approx(w @ stepped, abs=1e-12)
 
 
 def test_values_monotone_in_sweep_count():
