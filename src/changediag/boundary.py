@@ -31,7 +31,7 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .model import ProblemSpec, _dump_json, _load_json
+from .model import ProblemSpec, _dump_json, _integer, _load_json, _read_doc
 from .posterior import h_values_many
 from .regions import StoppingRegion, boundary_nodes
 
@@ -430,18 +430,14 @@ def _sb_to_dict(sb: SplineBoundary) -> dict:
 
 
 def _sb_from_dict(doc: Mapping) -> SplineBoundary:
-    if not isinstance(doc, Mapping):
-        raise ValueError("a boundary curve must be a JSON object")
-    for name in ("corner", "knots", "coefficients", "lambda", "rms"):
-        if name not in doc:
-            raise ValueError(f"boundary curve has no {name!r} field")
-    return SplineBoundary(
-        corner=int(doc["corner"]),
-        knots=np.asarray(doc["knots"], dtype=np.float64),
-        coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
-        lam=float(doc["lambda"]),
-        rms=float(doc["rms"]),
-    )
+    args = _read_doc("boundary curve", doc, lambda d: dict(
+        corner=_integer(d["corner"]),
+        knots=np.asarray(d["knots"], dtype=np.float64),
+        coefficients=np.asarray(d["coefficients"], dtype=np.float64),
+        lam=float(d["lambda"]),
+        rms=float(d["rms"]),
+    ))
+    return SplineBoundary(**args)
 
 
 def save_boundary(sb: SplineBoundary, fp: IO[str] | str) -> None:
@@ -454,11 +450,12 @@ def save_boundaries(boundaries: Iterable[SplineBoundary], fp: IO[str] | str) -> 
 
 
 def load_boundaries(fp: IO[str] | str) -> dict[int, SplineBoundary]:
-    """Read one curve or an array of curves; returns them keyed by corner."""
+    """Read one curve or an array of curves with distinct corners, keyed by corner."""
     doc = _load_json(fp)
-    entries = doc if isinstance(doc, list) else [doc]
     out = {}
-    for entry in entries:
+    for entry in doc if isinstance(doc, list) else [doc]:
         sb = _sb_from_dict(entry)
+        if sb.corner in out:
+            raise ValueError(f"two boundary curves for corner {sb.corner}")
         out[sb.corner] = sb
     return out

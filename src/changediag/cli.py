@@ -49,7 +49,7 @@ from .model import (
     save_spec,
 )
 from .posterior import ImpossibleObservation, initial_posterior, update
-from .regions import export_region, extract_region, check_region_properties, import_region
+from .regions import _fmt, export_region, extract_region, check_region_properties, import_region
 from .simulator import (
     DEFAULT_N_MAX,
     PosteriorThreshold,
@@ -59,15 +59,6 @@ from .simulator import (
     estimate_risk,
 )
 from .solver import build_grid, load_table, save_table, value_iterate
-
-
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_manifest(
@@ -97,9 +88,9 @@ def _load_solved_table(path: str, spec=None):
     its sidecar is missing or, given ``spec``, when that model is another."""
     table, table_spec = load_table(path)
     if table_spec is None:
-        _fail(f"{path}: sidecar with the model is missing")
+        raise ValueError(f"{path}: sidecar with the model is missing")
     if spec is not None and table_spec != spec:
-        _fail(f"{path}: the table was solved for a different model")
+        raise ValueError(f"{path}: the table was solved for a different model")
     return table, table_spec
 
 
@@ -110,7 +101,8 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except (ValueError, OSError) as exc:
-            _fail(str(exc))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Main)
@@ -238,23 +230,23 @@ def _strategy_from_options(spec, table, boundaries, baseline):
     """The strategy the options name, refused unless it was built for ``spec``."""
     chosen = [x for x in (table, boundaries, baseline) if x is not None]
     if len(chosen) != 1:
-        _fail("give exactly one of --table, --boundaries, --baseline")
+        raise ValueError("give exactly one of --table, --boundaries, --baseline")
     if table is not None:
         return TableStrategy(_load_solved_table(table, spec)[0])
     if boundaries is not None:
         fits = load_boundaries(boundaries)
         if spec.num_types != 2:
-            _fail(f"boundary curves need a 2-type model, not M={spec.num_types}")
+            raise ValueError(f"boundary curves need a 2-type model, not M={spec.num_types}")
         missing = sorted({1, 2} - fits.keys())
         if missing:
-            _fail(f"{boundaries}: no curve for type {missing[0]}")
+            raise ValueError(f"{boundaries}: no curve for type {missing[0]}")
         return SplineStrategy(fits)
     name = baseline
     if name.startswith("stop-at-"):
         return StopAfter(int(name[len("stop-at-") :]))
     if name.startswith("threshold-"):
         return PosteriorThreshold(float(name[len("threshold-") :]))
-    _fail(f"unknown baseline {name!r} (use stop-at-<k> or threshold-<t>)")
+    raise ValueError(f"unknown baseline {name!r} (use stop-at-<k> or threshold-<t>)")
 
 
 @main.command()
@@ -340,7 +332,7 @@ def diagnose(
     """Run the online procedure over a symbol stream until the alarm."""
     started = time.monotonic()
     if table is None and boundaries is None:
-        _fail("give --table or --boundaries")
+        raise ValueError("give --table or --boundaries")
     spec = load_spec(model)
     strategy = _strategy_from_options(spec, table, boundaries, None)
     source = sys.stdin if stream == "-" else open(stream)
@@ -419,17 +411,17 @@ def derive_sa(
     M = sa.num_labels
     if terminal_costs is not None:
         if false_alarm is not None or misdiagnosis is not None:
-            _fail("--terminal-costs excludes --false-alarm/--misdiagnosis")
+            raise ValueError("--terminal-costs excludes --false-alarm/--misdiagnosis")
         doc = _load_json(terminal_costs)
         try:
             a = np.asarray(doc, dtype=np.float64)
         except (TypeError, ValueError):
             a = None
         if a is None or a.ndim != 2:
-            _fail(f"{terminal_costs}: terminal costs must be a numeric matrix")
+            raise ValueError(f"{terminal_costs}: terminal costs must be a numeric matrix")
     else:
         if false_alarm is None or misdiagnosis is None:
-            _fail("give --false-alarm and --misdiagnosis, or --terminal-costs")
+            raise ValueError("give --false-alarm and --misdiagnosis, or --terminal-costs")
         a = np.full((M + 1, M), misdiagnosis)
         a[0, :] = false_alarm
         np.fill_diagonal(a[1:], 0.0)

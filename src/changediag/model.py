@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -53,7 +54,7 @@ NORM_TOL = 1e-12
 
 
 class SpecValidationError(ValueError):
-    """A problem instance violates one of its structural constraints."""
+    """A problem instance, or a JSON document read by the package, is invalid."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -457,6 +458,31 @@ def _load_json(fp: IO[str] | str):
     return json.load(fp)
 
 
+def _integer(x) -> int:
+    """An integer field of a JSON document: 2 and 2.0 read as 2, while 2.9,
+    true and "2" are refused rather than rounded or converted."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _read_doc(what: str, doc, fields: Callable[[Mapping], dict]) -> dict:
+    """The constructor arguments ``fields`` reads from the JSON document ``doc``,
+    which must be an object: a missing key or a wrongly typed value ends in
+    one error naming ``what``.  Every JSON document the package loads is read
+    here; callers construct outside the wrap, so validation keeps its text."""
+    if not isinstance(doc, Mapping):
+        raise SpecValidationError(f"{what} must be a JSON object")
+    try:
+        return fields(doc)
+    except KeyError as exc:
+        raise SpecValidationError(f"{what} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SpecValidationError(f"malformed {what}: {exc}") from exc
+
+
 def spec_to_dict(spec: ProblemSpec) -> dict:
     return {
         "alphabet_size": spec.alphabet_size,
@@ -471,23 +497,17 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
 
 
 def spec_from_dict(doc: Mapping) -> ProblemSpec:
-    try:
-        return ProblemSpec(
-            alphabet_size=int(doc["alphabet_size"]),
-            num_types=int(doc["num_types"]),
-            p0=float(doc["p0"]),
-            p=float(doc["p"]),
-            nu=np.asarray(doc["nu"], dtype=np.float64),
-            f=np.asarray(doc["densities"], dtype=np.float64),
-            c=float(doc["delay_cost"]),
-            a=np.asarray(doc["terminal_costs"], dtype=np.float64),
-        )
-    except SpecValidationError:
-        raise
-    except KeyError as exc:
-        raise SpecValidationError(f"model document missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError(f"malformed model document: {exc}") from exc
+    args = _read_doc("model document", doc, lambda d: dict(
+        alphabet_size=_integer(d["alphabet_size"]),
+        num_types=_integer(d["num_types"]),
+        p0=float(d["p0"]),
+        p=float(d["p"]),
+        nu=np.asarray(d["nu"], dtype=np.float64),
+        f=np.asarray(d["densities"], dtype=np.float64),
+        c=float(d["delay_cost"]),
+        a=np.asarray(d["terminal_costs"], dtype=np.float64),
+    ))
+    return ProblemSpec(**args)
 
 
 def save_spec(spec: ProblemSpec, fp: IO[str] | str) -> None:
@@ -496,10 +516,7 @@ def save_spec(spec: ProblemSpec, fp: IO[str] | str) -> None:
 
 def load_spec(fp: IO[str] | str) -> ProblemSpec:
     """Read and validate a problem instance from a JSON document."""
-    doc = _load_json(fp)
-    if not isinstance(doc, Mapping):
-        raise SpecValidationError("model document must be a JSON object")
-    return spec_from_dict(doc)
+    return spec_from_dict(_load_json(fp))
 
 
 def sa_to_dict(sa: SuspendedAnimationSpec) -> dict:
@@ -521,21 +538,12 @@ def save_sa_spec(sa: SuspendedAnimationSpec, fp: IO[str] | str) -> None:
 
 def load_sa_spec(fp: IO[str] | str) -> SuspendedAnimationSpec:
     """Read a suspended-animation system description from JSON."""
-    doc = _load_json(fp)
-    if not isinstance(doc, Mapping):
-        raise SpecValidationError("system document must be a JSON object")
-    try:
-        return SuspendedAnimationSpec(
-            component_failure_probs=tuple(doc["component_failure_probs"]),
-            phi={
-                frozenset(int(k) for k in entry["subset"]): int(entry["label"])
-                for entry in doc["phi"]
-            },
-            label_densities=np.asarray(doc["label_densities"], dtype=np.float64),
-        )
-    except SpecValidationError:
-        raise
-    except KeyError as exc:
-        raise SpecValidationError(f"system document missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError(f"malformed system document: {exc}") from exc
+    args = _read_doc("system document", _load_json(fp), lambda d: dict(
+        component_failure_probs=tuple(map(float, d["component_failure_probs"])),
+        phi={
+            frozenset(_integer(k) for k in entry["subset"]): _integer(entry["label"])
+            for entry in d["phi"]
+        },
+        label_densities=np.asarray(d["label_densities"], dtype=np.float64),
+    ))
+    return SuspendedAnimationSpec(**args)

@@ -264,7 +264,7 @@ def check_region_properties(
     return report
 
 
-def embed(pi: np.ndarray, M: int | None = None) -> np.ndarray:
+def embed(pi: np.ndarray) -> np.ndarray:
     """Map simplex points into the plane (M=2) or space (M=3) for plotting.
 
     The 2-type simplex goes to the equilateral triangle with corners
@@ -277,8 +277,7 @@ def embed(pi: np.ndarray, M: int | None = None) -> np.ndarray:
     arr = np.asarray(pi, dtype=np.float64)
     single = arr.ndim == 1
     P = np.atleast_2d(arr)
-    if M is None:
-        M = P.shape[1] - 1
+    M = P.shape[1] - 1
     if M == 2:
         out = np.stack([(2.0 * P[:, 1] + P[:, 2]) / _SQRT3, P[:, 2]], axis=1)
     elif M == 3:
@@ -343,7 +342,7 @@ def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> N
         ([f"pi{i}" for i in range(M + 1)], "%.17g", grid.nodes),
     ]
     if fmt == "embedded":
-        parts.append((["x", "y", "z"][:M], "%.17g", embed(grid.nodes, M)))
+        parts.append((["x", "y", "z"][:M], "%.17g", embed(grid.nodes)))
     parts += [
         (["label"], "%d", region.labels[:, None]),
         (["value"], "%.17g", region.values[:, None]),

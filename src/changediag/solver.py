@@ -34,7 +34,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ProblemSpec, _dump_json, _load_json, spec_from_dict, spec_to_dict
+from .model import (
+    ProblemSpec, _dump_json, _load_json, _read_doc, spec_from_dict, spec_to_dict
+)
 from .posterior import _step_weights, h_values_many
 
 if TYPE_CHECKING:
@@ -499,7 +501,7 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
     spec = None
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
-        doc = _load_json(sidecar)
+        doc = _read_doc(f"{sidecar}: table sidecar", _load_json(sidecar), dict)
         # both the sidecar's own fields and its embedded model must describe
         # the grid and alphabet the binary header was written for
         claims = [(key, doc.get(key)) for key in ("M", "Q", "alphabet_size")]

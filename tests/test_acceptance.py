@@ -322,7 +322,7 @@ def test_polar_embedding_round_trip():
         for k in range(i + 1, 3):
             dist = np.linalg.norm(corners2[i] - corners2[k])
             assert abs(dist - 2 / np.sqrt(3)) <= 1e-12
-    corners3 = [cd.embed(np.eye(4)[i], 3) for i in range(4)]
+    corners3 = [cd.embed(np.eye(4)[i]) for i in range(4)]
     dists = [
         np.linalg.norm(corners3[i] - corners3[k])
         for i in range(4)

@@ -1,13 +1,18 @@
-"""The traced benchmark wraps library functions by name; a rename in the
-package would break only a traced run, so check the names here."""
+"""The benchmark calls the package by name, and its traced run wraps library
+functions by name; a rename in the package would break only a benchmark run,
+so check the names here."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+import changediag
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_targets():
@@ -28,3 +33,16 @@ def test_traced_target_resolves(target):
     else:
         assert callable(getattr(home, attr))
     assert hook is None or callable(hook)
+
+
+def bench_names():
+    """Every ``cd.<name>`` the benchmark sources use."""
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        found.update(re.findall(r"\bcd\.([A-Za-z_]\w*)", path.read_text()))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", bench_names())
+def test_bench_name_resolves(name):
+    assert hasattr(changediag, name)

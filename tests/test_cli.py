@@ -534,18 +534,25 @@ DERIVE_COSTS = ["--delay-cost", "1", "--false-alarm", "1", "--misdiagnosis", "1"
 def artefacts(tmp_path_factory):
     """A model, its tables at Q=20 and Q=10, the Q=20 region CSV, a Q=20
     table of another model, boundaries files with a NaN coefficient and with
-    two extra coefficients, and system files for derive-sa."""
+    two extra coefficients, system files for derive-sa, and the malformed
+    documents the one JSON reader refuses: a table sidecar that is an array,
+    curves with an ill-typed corner or knots, two curves for one corner, and
+    a model with a fractional type count."""
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
     doc = spec_to_dict(spec)
     doc["densities"][1][2] = math.nan
     (root / "model-nan-density.json").write_text(json.dumps(doc))
+    doc = {**spec_to_dict(spec), "num_types": 2.9}
+    (root / "model-fractional-types.json").write_text(json.dumps(doc))
     for Q in (20, 10):
         table = cd.value_iterate(spec, cd.build_grid(2, Q))
         cd.save_table(table, spec, str(root / f"t{Q}.cdvt"))
         if Q == 20:
             cd.export_region(cd.extract_region(spec, table), str(root / "r.csv"), "raw")
+            cd.save_table(table, spec, str(root / "t20-array-sidecar.cdvt"))
+            (root / "t20-array-sidecar.cdvt.json").write_text("[1]")
     skew = instances.FIGURES["split_skew"]
     cd.save_table(cd.value_iterate(skew, cd.build_grid(2, 20)), skew, str(root / "t20-skew.cdvt"))
     curves = [
@@ -560,6 +567,14 @@ def artefacts(tmp_path_factory):
     doc[0]["coefficients"][3] = 0.3
     doc[0]["coefficients"] += [5.0, 9.0]
     (root / "extra-coefficients.json").write_text(json.dumps(doc))
+    doc[0]["coefficients"] = doc[1]["coefficients"]
+    for name, key, value in [("corner-null", "corner", None),
+                             ("knots-object", "knots", {"a": 1}),
+                             ("corner-fractional", "corner", 1.7)]:
+        (root / f"{name}.json").write_text(
+            json.dumps([{**doc[0], key: value}, doc[1]]))
+    third = {**doc[0], "coefficients": [0.06] * 7}
+    (root / "two-curves-for-corner-1.json").write_text(json.dumps([*doc, third]))
     cd.save_sa_spec(instances.sa_two_component(cd.phi_min_index(2)), str(root / "sa.json"))
     (root / "tc-object.json").write_text('{"a": 1}')
     (root / "sa-list.json").write_text("[1]")
@@ -613,6 +628,22 @@ def artefacts(tmp_path_factory):
           "--misdiagnosis", "1"],
          "c=nan is not finite"),
         (["solve", "model-nan-density.json", "-Q", "10"], "f[1][2]=nan is not finite"),
+        (["regions", "t20-array-sidecar.cdvt"],
+         "t20-array-sidecar.cdvt.json: table sidecar must be a JSON object"),
+        (["simulate", "model.json", "--table", "t20-array-sidecar.cdvt", "--runs", "5"],
+         "t20-array-sidecar.cdvt.json: table sidecar must be a JSON object"),
+        (["simulate", "model.json", "--boundaries", "corner-null.json", "--runs", "5"],
+         "malformed boundary curve: None is not an integer"),
+        (["simulate", "model.json", "--boundaries", "knots-object.json", "--runs", "5"],
+         "malformed boundary curve: "),
+        (["simulate", "model.json", "--boundaries", "corner-fractional.json",
+          "--runs", "5"],
+         "malformed boundary curve: 1.7 is not an integer"),
+        (["solve", "model-fractional-types.json", "-Q", "10"],
+         "malformed model document: 2.9 is not an integer"),
+        (["simulate", "model.json", "--boundaries", "two-curves-for-corner-1.json",
+          "--runs", "5"],
+         "two boundary curves for corner 1"),
     ],
     ids=[
         "solve-tol-0",
@@ -639,6 +670,13 @@ def artefacts(tmp_path_factory):
         "simulate-stop-at-minus-3",
         "derive-sa-delay-cost-nan",
         "solve-nan-density",
+        "regions-array-sidecar",
+        "simulate-array-sidecar",
+        "simulate-boundary-corner-null",
+        "simulate-boundary-knots-object",
+        "simulate-boundary-corner-1.7",
+        "solve-num-types-2.9",
+        "simulate-two-curves-for-corner-1",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):
