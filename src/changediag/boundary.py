@@ -31,8 +31,10 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .model import ProblemSpec, _dump_json, _integer, _load_json, _read_doc
-from .posterior import h_values_many
+from .model import (
+    ProblemSpec, _dump_json, _integer, _load_json, _read_doc, _real, _reals
+)
+from .posterior import _announce, h_values_many
 from .regions import StoppingRegion, boundary_nodes
 
 __all__ = [
@@ -392,10 +394,10 @@ def fast_member_many(
     """
     if pis.shape[1] != 3:
         raise ValueError("fast membership is built for the 2-type problem")
-    cols = h_values_many(spec, pis).argmin(axis=1)
-    out = np.zeros(pis.shape[0], dtype=np.int8)
+    cheapest = _announce(h_values_many(spec, pis), True)
+    stop = np.zeros(pis.shape[0], dtype=bool)
     for corner in (1, 2):
-        rows = np.flatnonzero(cols == corner - 1)
+        rows = np.flatnonzero(cheapest == corner)
         if rows.size == 0:
             continue
         r, beta = _polar(pis[rows], corner)
@@ -403,8 +405,8 @@ def fast_member_many(
         live = r > 0.0
         if np.any(live):
             ghat[live] = boundaries[corner](beta[live, 0])
-        out[rows] = np.where(r <= ghat, corner, 0)
-    return out
+        stop[rows] = r <= ghat
+    return cheapest * stop
 
 
 def fast_member(
@@ -432,10 +434,10 @@ def _sb_to_dict(sb: SplineBoundary) -> dict:
 def _sb_from_dict(doc: Mapping) -> SplineBoundary:
     args = _read_doc("boundary curve", doc, lambda d: dict(
         corner=_integer(d["corner"]),
-        knots=np.asarray(d["knots"], dtype=np.float64),
-        coefficients=np.asarray(d["coefficients"], dtype=np.float64),
-        lam=float(d["lambda"]),
-        rms=float(d["rms"]),
+        knots=_reals(d["knots"], "knots"),
+        coefficients=_reals(d["coefficients"], "coefficients"),
+        lam=_real(d["lambda"], "lambda"),
+        rms=_real(d["rms"], "rms"),
     ))
     return SplineBoundary(**args)
 

@@ -43,6 +43,7 @@ from .boundary import (
 from .model import (
     _dump_json,
     _load_json,
+    _reals,
     load_sa_spec,
     load_spec,
     derive_suspended_animation,
@@ -414,11 +415,13 @@ def derive_sa(
             raise ValueError("--terminal-costs excludes --false-alarm/--misdiagnosis")
         doc = _load_json(terminal_costs)
         try:
-            a = np.asarray(doc, dtype=np.float64)
-        except (TypeError, ValueError):
-            a = None
-        if a is None or a.ndim != 2:
-            raise ValueError(f"{terminal_costs}: terminal costs must be a numeric matrix")
+            a = _reals(doc, "the matrix")
+            if a.ndim != 2:
+                raise ValueError(f"it has shape {a.shape}")
+        except ValueError as exc:
+            raise ValueError(
+                f"{terminal_costs}: terminal costs must be a numeric matrix ({exc})"
+            ) from exc
     else:
         if false_alarm is None or misdiagnosis is None:
             raise ValueError("give --false-alarm and --misdiagnosis, or --terminal-costs")

@@ -468,6 +468,27 @@ def _integer(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
+def _reals(x, field: str) -> np.ndarray:
+    """A real array field of a JSON document, nested lists of numbers, as a
+    float64 array of any shape: a boolean, or anything else that is not a
+    number, at any depth is refused naming ``field`` rather than read as
+    1.0/0.0 or converted.  The shape is left to the object's own checks."""
+    cells = np.asarray(x, dtype=object)
+    for v in cells.flat:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{field} holds {v!r}, not a number")
+    return cells.astype(np.float64)
+
+
+def _real(x, field: str) -> float:
+    """A real scalar field of a JSON document, read as by :func:`_reals`;
+    a list, even of one number, is refused naming ``field``."""
+    out = _reals(x, field)
+    if out.ndim != 0:
+        raise ValueError(f"{field} is {x!r}, not one number")
+    return float(out)
+
+
 def _read_doc(what: str, doc, fields: Callable[[Mapping], dict]) -> dict:
     """The constructor arguments ``fields`` reads from the JSON document ``doc``,
     which must be an object: a missing key or a wrongly typed value ends in
@@ -500,12 +521,12 @@ def spec_from_dict(doc: Mapping) -> ProblemSpec:
     args = _read_doc("model document", doc, lambda d: dict(
         alphabet_size=_integer(d["alphabet_size"]),
         num_types=_integer(d["num_types"]),
-        p0=float(d["p0"]),
-        p=float(d["p"]),
-        nu=np.asarray(d["nu"], dtype=np.float64),
-        f=np.asarray(d["densities"], dtype=np.float64),
-        c=float(d["delay_cost"]),
-        a=np.asarray(d["terminal_costs"], dtype=np.float64),
+        p0=_real(d["p0"], "p0"),
+        p=_real(d["p"], "p"),
+        nu=_reals(d["nu"], "nu"),
+        f=_reals(d["densities"], "densities"),
+        c=_real(d["delay_cost"], "delay_cost"),
+        a=_reals(d["terminal_costs"], "terminal_costs"),
     ))
     return ProblemSpec(**args)
 
@@ -539,11 +560,13 @@ def save_sa_spec(sa: SuspendedAnimationSpec, fp: IO[str] | str) -> None:
 def load_sa_spec(fp: IO[str] | str) -> SuspendedAnimationSpec:
     """Read a suspended-animation system description from JSON."""
     args = _read_doc("system document", _load_json(fp), lambda d: dict(
-        component_failure_probs=tuple(map(float, d["component_failure_probs"])),
+        component_failure_probs=tuple(
+            _real(q, "component_failure_probs") for q in d["component_failure_probs"]
+        ),
         phi={
             frozenset(_integer(k) for k in entry["subset"]): _integer(entry["label"])
             for entry in d["phi"]
         },
-        label_densities=np.asarray(d["label_densities"], dtype=np.float64),
+        label_densities=_reals(d["label_densities"], "label_densities"),
     ))
     return SuspendedAnimationSpec(**args)

@@ -138,3 +138,9 @@ def h_costs(spec: ProblemSpec, pi: np.ndarray) -> tuple[np.ndarray, float, int]:
 def h_values_many(spec: ProblemSpec, pis: np.ndarray) -> np.ndarray:
     """Terminal cost vectors for a batch of posteriors, shape (n, M)."""
     return pis @ spec.a
+
+
+def _announce(h_all: np.ndarray, stop) -> np.ndarray:
+    """The terminal decision: where ``stop`` holds, announce the cheapest type
+    (1-based, the smallest index on ties), else 0 to continue; int8 per row."""
+    return np.where(stop, h_all.argmin(axis=1) + 1, 0).astype(np.int8)

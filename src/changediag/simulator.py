@@ -38,7 +38,7 @@ import numpy as np
 
 from .boundary import SplineBoundary, fast_member, fast_member_many
 from .model import ProblemSpec
-from .posterior import h_costs, h_values_many, initial_posterior, update, update_many
+from .posterior import _announce, h_values_many, initial_posterior, update, update_many
 from .solver import ValueTable, interpolate_many
 
 __all__ = [
@@ -245,9 +245,7 @@ class TableStrategy(Strategy):
     def decide_many(self, spec, pis, n):
         values = interpolate_many(self.table.grid, self.table.values, pis)
         h_all = h_values_many(spec, pis)
-        cols = h_all.argmin(axis=1)
-        stop = h_all.min(axis=1) - values <= self.table.stop_tol
-        return np.where(stop, cols + 1, 0).astype(np.int8)
+        return _announce(h_all, h_all.min(axis=1) - values <= self.table.stop_tol)
 
 
 class SplineStrategy(Strategy):
@@ -272,9 +270,7 @@ class StopAfter(Strategy):
             raise ValueError(f"k={self.k} must be nonnegative")
 
     def decide_many(self, spec, pis, n):
-        if n < self.k:
-            return np.zeros(pis.shape[0], dtype=np.int8)
-        return (h_values_many(spec, pis).argmin(axis=1) + 1).astype(np.int8)
+        return _announce(h_values_many(spec, pis), n >= self.k)
 
 
 class PosteriorThreshold(Strategy):
@@ -287,8 +283,7 @@ class PosteriorThreshold(Strategy):
 
     def decide_many(self, spec, pis, n):
         stop = 1.0 - pis[:, 0] >= self.threshold
-        cols = h_values_many(spec, pis).argmin(axis=1)
-        return np.where(stop, cols + 1, 0).astype(np.int8)
+        return _announce(h_values_many(spec, pis), stop)
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +307,19 @@ def run_strategy(
     observations: list[int] = []
     running = 0.0
     n = 0
-    capped = False
     while True:
         d = strategy.decide(spec, pi, n)
-        if d is not None:
-            break
-        if n >= n_max:
-            capped = True
-            _, _, col = h_costs(spec, pi)
-            d = col + 1
+        if d is not None or n >= n_max:
             break
         running += spec.c * (1.0 - pi[0])
         x = env.symbol(n + 1)
         observations.append(x)
         pi = update(spec, pi, x)
         n += 1
-    h_vals, _, _ = h_costs(spec, pi)
+    h_all = h_values_many(spec, pi[None, :])
+    capped = d is None
+    if capped:
+        d = int(_announce(h_all, True)[0])
     delay, terminal = _price(spec, env.theta, env.mu, n, int(d))
     return SimulationRecord(
         theta=env.theta,
@@ -336,7 +328,7 @@ def run_strategy(
         tau=n,
         d=int(d),
         realized_cost=float(delay + terminal),
-        posterior_cost=running + float(h_vals[int(d) - 1]),
+        posterior_cost=running + float(h_all[0, int(d) - 1]),
         capped=capped,
     )
 
@@ -417,6 +409,11 @@ def _simulate_block(
     n = 0
     while active.size:
         dec = strategy.decide_many(spec, pis[active], n)
+        if n >= n_max:
+            # the cap announces the cheapest type wherever the strategy continues
+            capped[active] = dec == 0
+            cheapest = _announce(h_values_many(spec, pis[active]), True)
+            dec = np.where(capped[active], cheapest, dec)
         stopping = dec > 0
         if np.any(stopping):
             done = active[stopping]
@@ -428,13 +425,6 @@ def _simulate_block(
             ]
             active = active[~stopping]
         if active.size == 0:
-            break
-        if n >= n_max:
-            h_rest = h_values_many(spec, pis[active])
-            tau[active] = n
-            d[active] = h_rest.argmin(axis=1) + 1
-            capped[active] = True
-            post_form[active] = running[active] + h_rest.min(axis=1)
             break
 
         running[active] += spec.c * (1.0 - pis[active, 0])

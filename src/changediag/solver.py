@@ -37,7 +37,7 @@ import numpy as np
 from .model import (
     ProblemSpec, _dump_json, _load_json, _read_doc, spec_from_dict, spec_to_dict
 )
-from .posterior import _step_weights, h_values_many
+from .posterior import _announce, _step_weights, h_values_many
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -300,11 +300,8 @@ def apply_T(spec: ProblemSpec, table: ValueTable, pi: np.ndarray) -> float:
 
 
 def _labels(h_all: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
-    """The stop rule: where h <= cont + ``stop_tol``, announce the cheapest
-    type (1-based, the smallest index on ties), else 0 to continue."""
-    return np.where(
-        h_all.min(axis=1) <= cont + stop_tol, h_all.argmin(axis=1) + 1, 0
-    ).astype(np.int8)
+    """The Bellman stop rule: stop where h <= cont + ``stop_tol``."""
+    return _announce(h_all, h_all.min(axis=1) <= cont + stop_tol)
 
 
 def apply_M(
@@ -452,8 +449,9 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
     fail with a clear message instead of guessing).
 
     Raises:
-        ValueError: on a malformed, truncated or overlong file, or when the
-            sidecar disagrees with the header about M, Q or the alphabet.
+        ValueError: on a malformed, truncated or overlong file, a non-finite
+            value, a label outside 0..M, or when the sidecar disagrees with
+            the header about M, Q or the alphabet.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -480,16 +478,22 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
         grid = build_grid(M, Q)
         n = grid.n_nodes
         values = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-        labels = np.frombuffer(fh.read(n), dtype=np.uint8).astype(np.int8)
+        labels = np.frombuffer(fh.read(n), dtype=np.uint8)
         if values.shape[0] != n or labels.shape[0] != n:
             raise ValueError(f"{path}: truncated node data")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the node data")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        node = bad[0]
+        raise ValueError(f"{path}: value {values[node]} at node {node} is not finite")
+    if (labels > M).any():
+        raise ValueError(f"{path}: labels outside 0..{M}")
 
     table = ValueTable(
         grid=grid,
         values=values,
-        labels=labels,
+        labels=labels.astype(np.int8),
         iterations=iterations,
         sup_change=sup_change,
         error_bound=error_bound,

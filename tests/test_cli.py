@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -536,8 +537,9 @@ def artefacts(tmp_path_factory):
     table of another model, boundaries files with a NaN coefficient and with
     two extra coefficients, system files for derive-sa, and the malformed
     documents the one JSON reader refuses: a table sidecar that is an array,
-    curves with an ill-typed corner or knots, two curves for one corner, and
-    a model with a fractional type count."""
+    curves with an ill-typed corner or knots or a list for lambda, two curves
+    for one corner, a model with a fractional type count or a list for p0,
+    models and a cost matrix holding booleans, and Q=20 tables with NaN values and with a label byte of 200."""
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
@@ -546,6 +548,13 @@ def artefacts(tmp_path_factory):
     (root / "model-nan-density.json").write_text(json.dumps(doc))
     doc = {**spec_to_dict(spec), "num_types": 2.9}
     (root / "model-fractional-types.json").write_text(json.dumps(doc))
+    doc = {**spec_to_dict(spec), "p0": True}
+    (root / "model-p0-true.json").write_text(json.dumps(doc))
+    doc = {**spec_to_dict(spec), "p0": [0.5]}
+    (root / "model-p0-list.json").write_text(json.dumps(doc))
+    doc = spec_to_dict(spec)
+    doc["densities"][0] = [True, False, False, False]
+    (root / "model-boolean-density.json").write_text(json.dumps(doc))
     for Q in (20, 10):
         table = cd.value_iterate(spec, cd.build_grid(2, Q))
         cd.save_table(table, spec, str(root / f"t{Q}.cdvt"))
@@ -553,6 +562,11 @@ def artefacts(tmp_path_factory):
             cd.export_region(cd.extract_region(spec, table), str(root / "r.csv"), "raw")
             cd.save_table(table, spec, str(root / "t20-array-sidecar.cdvt"))
             (root / "t20-array-sidecar.cdvt.json").write_text("[1]")
+            bad = dataclasses.replace(table, values=np.full_like(table.values, np.nan))
+            cd.save_table(bad, spec, str(root / "t20-nan.cdvt"))
+            bad = dataclasses.replace(table, labels=table.labels.copy())
+            bad.labels[5] = -56  # written as the byte 200
+            cd.save_table(bad, spec, str(root / "t20-label-200.cdvt"))
     skew = instances.FIGURES["split_skew"]
     cd.save_table(cd.value_iterate(skew, cd.build_grid(2, 20)), skew, str(root / "t20-skew.cdvt"))
     curves = [
@@ -570,13 +584,15 @@ def artefacts(tmp_path_factory):
     doc[0]["coefficients"] = doc[1]["coefficients"]
     for name, key, value in [("corner-null", "corner", None),
                              ("knots-object", "knots", {"a": 1}),
-                             ("corner-fractional", "corner", 1.7)]:
+                             ("corner-fractional", "corner", 1.7),
+                             ("lambda-list", "lambda", [1, 2])]:
         (root / f"{name}.json").write_text(
             json.dumps([{**doc[0], key: value}, doc[1]]))
     third = {**doc[0], "coefficients": [0.06] * 7}
     (root / "two-curves-for-corner-1.json").write_text(json.dumps([*doc, third]))
     cd.save_sa_spec(instances.sa_two_component(cd.phi_min_index(2)), str(root / "sa.json"))
     (root / "tc-object.json").write_text('{"a": 1}')
+    (root / "tc-boolean.json").write_text("[[true, true], [false, true], [true, false]]")
     (root / "sa-list.json").write_text("[1]")
     (root / "sa-phi-int.json").write_text(json.dumps({
         "component_failure_probs": [0.1],
@@ -644,6 +660,23 @@ def artefacts(tmp_path_factory):
         (["simulate", "model.json", "--boundaries", "two-curves-for-corner-1.json",
           "--runs", "5"],
          "two boundary curves for corner 1"),
+        (["solve", "model-p0-true.json", "-Q", "10"],
+         "malformed model document: p0 holds True, not a number"),
+        (["solve", "model-boolean-density.json", "-Q", "10"],
+         "malformed model document: densities holds True, not a number"),
+        (["solve", "model-p0-list.json", "-Q", "10"],
+         "malformed model document: p0 is [0.5], not one number"),
+        (["simulate", "model.json", "--boundaries", "lambda-list.json", "--runs", "5"],
+         "malformed boundary curve: lambda is [1, 2], not one number"),
+        (["derive-sa", "sa.json", "--delay-cost", "1",
+          "--terminal-costs", "tc-boolean.json"],
+         "tc-boolean.json: terminal costs must be a numeric matrix "
+         "(the matrix holds True, not a number)"),
+        (["simulate", "model.json", "--table", "t20-nan.cdvt", "--runs", "200",
+          "--n-max", "300"],
+         "t20-nan.cdvt: value nan at node 0 is not finite"),
+        (["regions", "t20-nan.cdvt"], "t20-nan.cdvt: value nan at node 0 is not finite"),
+        (["regions", "t20-label-200.cdvt"], "t20-label-200.cdvt: labels outside 0..2"),
     ],
     ids=[
         "solve-tol-0",
@@ -677,6 +710,14 @@ def artefacts(tmp_path_factory):
         "simulate-boundary-corner-1.7",
         "solve-num-types-2.9",
         "simulate-two-curves-for-corner-1",
+        "solve-p0-true",
+        "solve-boolean-density",
+        "solve-p0-list",
+        "simulate-boundary-lambda-list",
+        "derive-sa-boolean-terminal-costs",
+        "simulate-nan-table",
+        "regions-nan-table",
+        "regions-label-200",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

@@ -77,20 +77,21 @@ def _curves_doc(tmp_path):
 
 
 # reader -> (good document, its file name, load from that path, what the
-# errors name, path to an integer field, path to a numeric field).  A curve
-# file is an array, so its second curve carries the cases; the sidecar's own
-# fields are optional, so its embedded model carries the field cases.
+# errors name, path to an integer field, path to a numeric array field, path
+# to a one-number field).  A curve file is an array, so its second curve
+# carries the cases; the sidecar's own fields are optional, so its embedded
+# model carries the field cases.
 READERS = {
     "model": (lambda tmp: spec_to_dict(instances.FIGURES["merged"]), "m.json",
-              cd.load_spec, "model document", ("num_types",), ("nu",)),
+              cd.load_spec, "model document", ("num_types",), ("nu",), ("p0",)),
     "system": (lambda tmp: sa_to_dict(three_component_system()), "s.json",
                cd.load_sa_spec, "system document", ("phi", 1, "label"),
-               ("label_densities",)),
+               ("label_densities",), ("component_failure_probs", 0)),
     "curves": (_curves_doc, "b.json", cd.load_boundaries, "boundary curve",
-               (1, "corner"), (1, "knots")),
+               (1, "corner"), (1, "knots"), (1, "lambda")),
     "sidecar": (_sidecar_doc, "t.cdvt.json", lambda p: cd.load_table(p[:-5])[1],
                 "model document", ("model", "alphabet_size"),
-                ("model", "terminal_costs")),
+                ("model", "terminal_costs"), ("model", "p0")),
 }
 
 DELETE = object()
@@ -103,6 +104,10 @@ CASES = {
     "wrong-type": ("numeric", {"a": 1}, "malformed {what}: "),
     "fractional-integer": ("integer", 2.5, "malformed {what}: 2.5 is not an integer"),
     "boolean-integer": ("integer", True, "malformed {what}: True is not an integer"),
+    "boolean-real": ("numeric", [[0.5, True]],
+                     "malformed {what}: {key} holds True, not a number"),
+    "list-for-one-number": ("scalar", [0.5],
+                            "malformed {what}: {key} is [0.5], not one number"),
 }
 
 
@@ -122,26 +127,28 @@ def _edited(doc, path, value):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_reader_refuses_a_malformed_document(tmp_path, reader, case):
-    make, name, load, what, integer_path, numeric_path = READERS[reader]
+    make, name, load, what, integer_path, numeric_path, scalar_path = READERS[reader]
     field, value, message = CASES[case]
     doc = make(tmp_path)
     if field is None:
         path = (1,) if reader == "curves" else ()
         what = "table sidecar" if reader == "sidecar" else what
     else:
-        path = integer_path if field == "integer" else numeric_path
+        path = {"integer": integer_path, "numeric": numeric_path,
+                "scalar": scalar_path}[field]
     (tmp_path / name).write_text(json.dumps(_edited(doc, path, value)))
     with pytest.raises(ValueError) as info:
         load(str(tmp_path / name))
     got = str(info.value)
-    assert message.format(what=what, key=path[-1] if path else "") in got
+    key = next((k for k in reversed(path) if isinstance(k, str)), "")
+    assert message.format(what=what, key=key) in got
     assert "\n" not in got
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_reader_reads_an_integral_float_as_an_integer(tmp_path, reader):
     """2.0 reads as 2: the loaded object equals the one of the original."""
-    make, name, load, _, integer_path, _ = READERS[reader]
+    make, name, load, _, integer_path, _, _ = READERS[reader]
     doc = make(tmp_path)
     (tmp_path / name).write_text(json.dumps(doc))
     want = load(str(tmp_path / name))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import changediag as cd
-from changediag.posterior import ImpossibleObservation, h_values_many
+from changediag.posterior import ImpossibleObservation, _announce, h_values_many
 
 import instances
 import oracles
@@ -253,3 +253,14 @@ def test_recursion_matches_joint_law_oracle():
             pi = cd.update(spec, pi, x)
         assert pi == pytest.approx(oracles.path_posterior(spec, path), abs=1e-12)
         assert prob == pytest.approx(oracles.path_probability(spec, path), rel=1e-12)
+
+
+def test_announce_names_the_cheapest_type_where_the_rule_stops():
+    """1-based argmin of h where ``stop`` holds, the lower index on ties,
+    0 elsewhere; int8 for a row mask and for a scalar alike."""
+    h = np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 0.5], [4.0, 4.0, 4.0], [0.0, 1.0, 0.0]])
+    out = _announce(h, np.array([True, True, True, False]))
+    assert out.dtype == np.int8 and out.tolist() == [2, 3, 1, 0]
+    assert _announce(h, True).tolist() == [2, 3, 1, 1]
+    assert _announce(h, False).tolist() == [0, 0, 0, 0]
+    assert _announce(h, False).dtype == np.int8

@@ -5,6 +5,7 @@ import pytest
 
 import changediag as cd
 from changediag.simulator import (
+    DEFAULT_N_MAX,
     Environment,
     PosteriorThreshold,
     SplineStrategy,
@@ -169,15 +170,17 @@ def test_philox_kernel_rows_span_several_passes():
         assert np.array_equal(got[r], numpy_stream(77, r, 5, 70))
 
 
-def assert_rows_match_single_runs(spec, strategy, est, rows):
+def assert_rows_match_single_runs(spec, strategy, est, rows, n_max=DEFAULT_N_MAX):
     for k in rows:
-        rec = cd.run_strategy(spec, strategy, Environment(spec, est.seed, int(k)))
+        env = Environment(spec, est.seed, int(k))
+        rec = cd.run_strategy(spec, strategy, env, n_max=n_max)
         assert rec.theta == est.theta[k]
         assert rec.mu == est.mu[k]
         assert rec.tau == est.tau[k]
         assert rec.d == est.d[k]
         assert rec.realized_cost == est.realized[k]
         assert rec.posterior_cost == est.posterior_form[k]
+        assert rec.capped == est.capped[k]
 
 
 def test_single_runs_reproduce_batch_rows(solve200):
@@ -251,6 +254,36 @@ def test_cap_accounting():
     mu_row = 0 if rec.tau < rec.theta else rec.mu
     want = spec.c * max(rec.tau - rec.theta, 0) + spec.a[mu_row, rec.d - 1]
     assert rec.realized_cost == want
+
+
+def test_cap_forces_only_the_runs_whose_rule_continues():
+    """At n_max some runs stop by their own rule and the rest are forced.
+    Only the forced ones are flagged; they announce the cheapest type and
+    price it as running cost + min h, as a scalar replay of each run says."""
+    spec = instances.FIGURES["merged"]
+    rule = PosteriorThreshold(0.6)
+    est = cd.estimate_risk(spec, rule, runs=4000, seed=3, n_max=8)
+    at_cap = np.flatnonzero(est.tau == 8)
+    pis, running = [], []
+    for k in at_cap:
+        env = Environment(spec, 3, int(k))
+        pi, cost = cd.initial_posterior(spec), 0.0
+        for n in range(1, 9):
+            cost += spec.c * (1.0 - pi[0])
+            pi = cd.update(spec, pi, env.symbol(n))
+        pis.append(pi)
+        running.append(cost)
+    pis, running = np.array(pis), np.array(running)
+    forced = 1.0 - pis[:, 0] < 0.6
+    assert forced.sum() == 3870 and (~forced).sum() == 88
+    assert np.array_equal(est.capped, np.isin(np.arange(est.runs), at_cap[forced]))
+    h = pis[forced] @ spec.a
+    assert np.array_equal(est.d[at_cap[forced]], h.argmin(axis=1) + 1)
+    want = running[forced] + h.min(axis=1)
+    assert np.array_equal(est.posterior_form[at_cap[forced]], want)
+    early = np.flatnonzero(est.tau < 8)
+    rows = [*at_cap[forced][:3], *at_cap[~forced][:3], *early[:2]]
+    assert_rows_match_single_runs(spec, rule, est, rows, n_max=8)
 
 
 def test_detection_cost_decomposition_per_run():
