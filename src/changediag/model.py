@@ -451,10 +451,14 @@ def _dump_json(doc, fp: IO[str] | str) -> None:
 
 
 def _load_json(fp: IO[str] | str):
-    """Parse one JSON document from a path or an open handle."""
+    """Parse one JSON document from a path or an open handle; text read from
+    a path that is not JSON is refused with a message naming the path."""
     if isinstance(fp, str):
         with open(fp) as handle:
-            return json.load(handle)
+            try:
+                return json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{fp}: not valid JSON: {exc}") from None
     return json.load(fp)
 
 

@@ -12,8 +12,8 @@ to one sparse matrix-vector product.
 The sweep count needed for a target accuracy comes with a guarantee: the
 N-sweep table overshoots the fixed point by at most (|h|^2/c + |h|/p)/N in
 sup norm, where |h| is the largest value of the stopping cost over the
-simplex.  Iteration stops when either the sup-norm change or that bound
-drops below the tolerance.
+simplex (beyond M = 8 types, an upper bound on it).  Iteration stops when
+either the sup-norm change or that bound drops below the tolerance.
 
 Lattice interpolation notes.  Kuhn subdivision on raw simplex coordinates
 can place a query's stencil outside the simplex; we therefore triangulate
@@ -63,6 +63,10 @@ DEFAULT_MAX_NODES = 3_000_000
 
 #: Lattice-unit tolerance for snapping near-integer cumulative coordinates.
 SNAP_TOL = 1e-9
+
+#: Most square submatrices of the cost matrix that stopping_cost_sup
+#: enumerates; C(2M+1, M) stays within it up to M = 8.
+_SUP_CANDIDATES = 24_310
 
 _MAGIC = b"CDVT"
 _VERSION = 1
@@ -218,28 +222,41 @@ def _transition(
     point k, that probability spread over the interpolation stencil of the
     updated posterior.  Rows sum to 1, so (T f) at the points is one sparse
     product, and constants are reproduced exactly.
+
+    The entries are written straight in CSR order: one (point, symbol,
+    stencil corner) array of column ids and one of values, from which the
+    entries of symbols with zero predictive probability are dropped.  That
+    is the in-row order a COO -> CSR conversion of per-symbol blocks gives.
+    One row may name a node more than once (two symbols may land on one
+    stencil, and zero-weight corners fall back on the base corner), and
+    ``sum_duplicates`` adds those entries up in that order, so the matrix
+    is bitwise the converted one without building the COO triple.
     """
     import scipy.sparse
 
-    rows, cols, vals = [], [], []
+    n, k = points.shape[0], grid.M + 1
+    cols = np.empty((n, spec.alphabet_size, k), dtype=grid.lookup.dtype)
+    vals = np.empty((n, spec.alphabet_size, k))
+    live = np.empty((n, spec.alphabet_size), dtype=bool)
     step = _step_weights(spec, points)
     for x in range(spec.alphabet_size):
         num = step * spec.f[:, x]
         total = num.sum(axis=1)
-        live = total > 0.0
-        if not np.any(live):
+        live[:, x] = rows = total > 0.0
+        if not rows.any():
             continue
-        updated = num[live] / total[live, None]
-        ids, weights = _stencil(grid, updated)
-        k = ids.shape[1]
-        rows.append(np.repeat(np.flatnonzero(live), k))
-        cols.append(ids.ravel())
-        vals.append((total[live, None] * weights).ravel())
-    T = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(points.shape[0], grid.n_nodes),
+        ids, weights = _stencil(grid, num[rows] / total[rows, None])
+        cols[rows, x] = ids
+        vals[rows, x] = total[rows, None] * weights
+    if not live.all():
+        cols, vals = cols[live], vals[live]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(live.sum(axis=1) * k, out=indptr[1:])
+    T = scipy.sparse.csr_matrix(
+        (vals.ravel(), cols.ravel(), indptr), shape=(n, grid.n_nodes)
     )
-    return T.tocsr()
+    T.sum_duplicates()
+    return T
 
 
 def transition_matrix(
@@ -252,25 +269,45 @@ def transition_matrix(
 def stopping_cost_sup(spec: ProblemSpec) -> float:
     """Largest value of the stopping cost h over the whole simplex.
 
-    h is a minimum of affine functions, hence concave, so its maximum need
-    not sit at a simplex corner; it is the value of the small linear
-    program max t subject to t <= h_j(pi) for all j and pi in the simplex.
-    """
-    from scipy.optimize import linprog
+    h(pi) = min_j pi·a[:, j] is a minimum of affine functions, hence concave,
+    so its maximum need not sit at a simplex corner.  It is the value of the
+    matrix game max over pi of min over j of pi·a[:, j], and by Shapley and
+    Snow ("Basic solutions of discrete games", 1950) the game has a basic
+    optimal pi: for some square submatrix B = a[I, J] it is 1ᵀB⁻¹ scaled to
+    sum to 1 on the rows I, and 0 elsewhere.  The candidates of all
+    C(2M+1, M) - 1 submatrices come from one batched ``np.linalg.solve`` per
+    size; h is evaluated at the corners and at every candidate that lies in
+    the simplex, and the largest of those values is sup h.
 
-    M = spec.num_types
-    # Variables (pi_0 .. pi_M, t); maximize t.
-    c_obj = np.zeros(M + 2)
-    c_obj[-1] = -1.0
-    A_ub = np.hstack([-spec.a.T, np.ones((M, 1))])  # t - h_j(pi) <= 0
-    b_ub = np.zeros(M)
-    A_eq = np.hstack([np.ones((1, M + 1)), np.zeros((1, 1))])
-    b_eq = np.ones(1)
-    bounds = [(0.0, 1.0)] * (M + 1) + [(None, None)]
-    res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
-    if not res.success:
-        raise RuntimeError(f"stopping-cost LP failed: {res.message}")
-    return float(-res.fun)
+    Where C(2M+1, M) exceeds ``_SUP_CANDIDATES`` (M > 8) nothing is
+    enumerated and the upper bound min_j max_i a[i, j] is returned instead:
+    every pi has h(pi) <= pi·a[:, j] <= max_i a[i, j] for each j.  The
+    truncation bound built on it then stays a true bound, only a looser one.
+    """
+    a = spec.a
+    rows, M = a.shape
+    if math.comb(2 * M + 1, M) > _SUP_CANDIDATES:
+        return float(a.max(axis=0).min())
+    best = a.min(axis=1).max()
+    for k in range(1, M + 1):
+        I = np.array(list(itertools.combinations(range(rows), k)))
+        J = np.array(list(itertools.combinations(range(M), k)))
+        # Bt[b] is the transpose of a[I[b], J[b]], so Bt x = 1 gives 1ᵀB⁻¹
+        Bt = a[I[:, None, None, :], J[None, :, :, None]].reshape(-1, k, k)
+        I = np.repeat(I, len(J), axis=0)
+        # solve refuses the whole batch if one matrix in it is singular
+        solvable = np.linalg.det(Bt) != 0.0
+        B = Bt[solvable]
+        # a (..., k, 1) right-hand side is one column per matrix under both
+        # numpy 1.x and 2.x; a 1-D one is broadcast only from numpy 2.0
+        x = np.linalg.solve(B, np.ones(B.shape[:-1] + (1,)))[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = x / x.sum(axis=1, keepdims=True)
+        inside = (w >= 0.0).all(axis=1)
+        pi = np.zeros((np.count_nonzero(inside), rows))
+        np.put_along_axis(pi, I[solvable][inside], w[inside], axis=1)
+        best = (pi @ a).min(axis=1).max(initial=best)
+    return float(best)
 
 
 @dataclass

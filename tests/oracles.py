@@ -2,9 +2,10 @@
 
 Everything here works directly from the generative model: explicit sums
 over the change time, the change type, and complete observation paths,
-and scalar draws from numpy's own Philox generator.  Nothing calls the
-package's posterior recursion, solver or simulator, so agreement between
-these oracles and the library is a real cross-check.
+and scalar draws from numpy's own Philox generator, plus scipy's linear
+programming for the largest stopping cost.  Nothing calls the package's
+posterior recursion, solver or simulator, so agreement between these
+oracles and the library is a real cross-check.
 """
 
 from __future__ import annotations
@@ -126,6 +127,25 @@ def horizon_value(spec: ProblemSpec, H: int) -> float:
         return float(min(h, cont))
 
     return value([], H)
+
+
+def stopping_cost_sup_lp(a: np.ndarray) -> float:
+    """max over the simplex of min_j pi·a[:, j], as the linear program
+    max t subject to t <= pi·a[:, j] for every j, pi >= 0 and sum(pi) = 1."""
+    from scipy.optimize import linprog
+
+    M = a.shape[1]
+    # variables (pi_0 .. pi_M, t); linprog minimises, so minimise -t
+    res = linprog(
+        np.r_[np.zeros(M + 1), -1.0],
+        A_ub=np.hstack([-a.T, np.ones((M, 1))]),
+        b_ub=np.zeros(M),
+        A_eq=np.r_[np.ones(M + 1), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, 1.0)] * (M + 1) + [(None, None)],
+    )
+    assert res.success, res.message
+    return float(-res.fun)
 
 
 def sa_joint_law(

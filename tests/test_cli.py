@@ -221,6 +221,18 @@ def test_version_and_table_simulation_load_no_scipy(runner, model_path, tmp_path
     assert (tmp_path / "sim.json").exists()
 
 
+def test_solve_loads_no_scipy_optimize(model_path, tmp_path):
+    args = ["solve", model_path, "-Q", "8", "-o", str(tmp_path / "t.cdvt")]
+    code = (
+        "from changediag.cli import main\n"
+        f"assert main({args!r}, standalone_mode=False) in (None, 0)\n"
+    )
+    loaded = scipy_modules_after(code, tmp_path)
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+    assert (tmp_path / "t.cdvt").exists()
+
+
 def test_simulate_stop_at_zero_uniform_cost(runner, tmp_path):
     base = instances.FIGURES["merged"]
     spec = cd.ProblemSpec(
@@ -539,7 +551,8 @@ def artefacts(tmp_path_factory):
     documents the one JSON reader refuses: a table sidecar that is an array,
     curves with an ill-typed corner or knots or a list for lambda, two curves
     for one corner, a model with a fractional type count or a list for p0,
-    models and a cost matrix holding booleans, and Q=20 tables with NaN values and with a label byte of 200."""
+    models and a cost matrix holding booleans, Q=20 tables with NaN values and
+    with a label byte of 200, and a file that is not JSON."""
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
@@ -594,6 +607,7 @@ def artefacts(tmp_path_factory):
     (root / "tc-object.json").write_text('{"a": 1}')
     (root / "tc-boolean.json").write_text("[[true, true], [false, true], [true, false]]")
     (root / "sa-list.json").write_text("[1]")
+    (root / "bad.json").write_text("{\n")
     (root / "sa-phi-int.json").write_text(json.dumps({
         "component_failure_probs": [0.1],
         "phi": [1],
@@ -677,6 +691,11 @@ def artefacts(tmp_path_factory):
          "t20-nan.cdvt: value nan at node 0 is not finite"),
         (["regions", "t20-nan.cdvt"], "t20-nan.cdvt: value nan at node 0 is not finite"),
         (["regions", "t20-label-200.cdvt"], "t20-label-200.cdvt: labels outside 0..2"),
+        (["solve", "bad.json", "-Q", "10"], "bad.json: not valid JSON: "),
+        (["simulate", "model.json", "--boundaries", "bad.json", "--runs", "5"],
+         "bad.json: not valid JSON: "),
+        (["derive-sa", "sa.json", "--delay-cost", "1", "--terminal-costs", "bad.json"],
+         "bad.json: not valid JSON: "),
     ],
     ids=[
         "solve-tol-0",
@@ -718,6 +737,9 @@ def artefacts(tmp_path_factory):
         "simulate-nan-table",
         "regions-nan-table",
         "regions-label-200",
+        "solve-bad-json",
+        "simulate-boundaries-bad-json",
+        "derive-sa-terminal-costs-bad-json",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

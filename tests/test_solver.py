@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from changediag.model import spec_to_dict
 from changediag.posterior import h_values_many
 
 import instances
+import oracles
 
 
 def shiryaev_table(Q=100, **kw):
@@ -424,3 +427,125 @@ def test_stopping_cost_sup_interior_peak():
     # min(5 pi_2, 10 pi_0 + 5 pi_1) vanishes at every corner but peaks at
     # (1/3, 0, 2/3) where the two planes cross
     assert solver.stopping_cost_sup(spec) == pytest.approx(10 / 3, abs=1e-9)
+
+
+def random_costs(rng, M: int) -> np.ndarray:
+    """A cost matrix of the shape and zero diagonal that validation asks for."""
+    a = rng.uniform(0.0, 10.0, size=(M + 1, M))
+    a[np.arange(1, M + 1), np.arange(M)] = 0.0
+    return a
+
+
+def spec_with_costs(a: np.ndarray) -> cd.ProblemSpec:
+    M = a.shape[1]
+    return cd.ProblemSpec(
+        alphabet_size=2, num_types=M, p0=0.02, p=0.05, nu=np.full(M, 1.0 / M),
+        f=np.full((M + 1, 2), 0.5), c=1.0, a=a,
+    )
+
+
+NAMED_SPECS = {
+    **instances.FIGURES,
+    "three_type": instances.three_type(),
+    "shiryaev_binary": instances.shiryaev_binary(),
+    "hypothesis_testing": instances.hypothesis_testing_two_type(),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_SPECS)
+def test_stopping_cost_sup_equals_the_lp_on_every_instance(name):
+    spec = NAMED_SPECS[name]
+    assert solver.stopping_cost_sup(spec) == oracles.stopping_cost_sup_lp(spec.a)
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_stopping_cost_sup_matches_the_lp_on_random_costs(M):
+    """Within 4 ulps of the largest cost, the scale of the LP's own rounding:
+    ``linprog`` can sit more than 4 ulps of the (smaller) value away from the
+    exact game value."""
+    rng = np.random.default_rng(1300 + M)
+    for _ in range(10 if M < 8 else 3):
+        a = random_costs(rng, M)
+        got = solver.stopping_cost_sup(spec_with_costs(a))
+        assert abs(got - oracles.stopping_cost_sup_lp(a)) <= 4 * np.spacing(a.max())
+
+
+def test_stopping_cost_sup_above_the_enumeration_cap_is_an_upper_bound():
+    rng = np.random.default_rng(1309)
+    for _ in range(3):
+        a = random_costs(rng, 9)
+        got = solver.stopping_cost_sup(spec_with_costs(a))
+        assert got == a.max(axis=0).min()
+        assert got >= oracles.stopping_cost_sup_lp(a)
+
+
+def test_value_iterate_above_the_enumeration_cap_uses_the_upper_bound():
+    """At M = 9 the truncation bound is built on min_j max_i a[i, j]."""
+    M = 9
+    a = random_costs(np.random.default_rng(1309), M)
+    f = np.full((M + 1, M + 1), 0.5 / M)
+    np.fill_diagonal(f, 0.5)
+    spec = dataclasses.replace(spec_with_costs(a), alphabet_size=M + 1, f=f)
+    table = cd.value_iterate(spec, cd.build_grid(M, 3))
+    assert table.converged and table.criterion == "delta"
+    sup_h = a.max(axis=0).min()
+    assert solver.stopping_cost_sup(spec) == sup_h
+    assert sup_h > oracles.stopping_cost_sup_lp(a)
+    bound_const = sup_h * sup_h / spec.c + sup_h / spec.p
+    assert table.error_bound == bound_const / table.iterations
+
+
+def zero_density_spec() -> cd.ProblemSpec:
+    """Two types whose densities each rule out half the alphabet, so that at
+    the type corners two symbols have zero predictive probability."""
+    return dataclasses.replace(
+        instances.FIGURES["merged"],
+        f=np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]),
+    )
+
+
+# sha256 of T's indptr, indices and data: a change to T's entries, their
+# order within a row or their dtypes shows here
+TRANSITION_DIGESTS = {
+    "merged-Q40": (
+        lambda: instances.FIGURES["merged"], 40,
+        "6d6059c0e3586159b15b7b67f3cdd03e22b596399d8be2b480fac128f7e82727",
+        "fdfeb54a6d48c1e00465337a7df2392fbb9303e9df44f91fb82efcaa5c041bba",
+        "fc1fd9ef4ec1c5503e83acd3091816717f1608c133639db0c49ddecbcab1e2da",
+    ),
+    "three-type-Q12": (
+        instances.three_type, 12,
+        "f2922793cc6599820aced318b7de70a060a4a50a92ec5922c70b1f10c68eb272",
+        "015981725310d9dc90316f64847bdf1b27b1a062e3aa834e08aec84690f5669c",
+        "92c84ad58aac8bcb84b2462e3fff3c2a75696d4abab0f6a00dcac98437cdf029",
+    ),
+    "zero-density-Q30": (
+        zero_density_spec, 30,
+        "f85ba583f4279930006b29b87aff2cce4c306ba2a53fad68d3c43707440118dc",
+        "c207415da3d6d9b0cc07b7ca130ff6b01313d2d4b88fce3ab2f9642c0c887785",
+        "97302117387a990374af370e4b61247afaef9e2f6a91571e079d313e5931716f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TRANSITION_DIGESTS)
+def test_transition_matrix_bytes_are_pinned(case):
+    make_spec, Q, *digests = TRANSITION_DIGESTS[case]
+    spec = make_spec()
+    T = solver.transition_matrix(spec, cd.build_grid(spec.num_types, Q))
+    parts = (T.indptr, T.indices, T.data)
+    assert [part.dtype for part in parts] == [np.int32, np.int32, np.float64]
+    assert [hashlib.sha256(part.tobytes()).hexdigest() for part in parts] == digests
+
+
+def test_transition_matrix_peak_memory_is_a_small_multiple_of_its_size():
+    spec = instances.FIGURES["merged"]
+    grid = cd.build_grid(2, 200)
+    solver.transition_matrix(spec, grid)  # imports scipy.sparse outside the trace
+    tracemalloc.start()
+    try:
+        T = solver.transition_matrix(spec, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * (T.indptr.nbytes + T.indices.nbytes + T.data.nbytes)
