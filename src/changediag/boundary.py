@@ -190,8 +190,9 @@ class SplineBoundary:
 
     ``knots`` are the K+1 uniform breakpoints of a K-segment clamped cubic
     spline, so ``coefficients`` has K+3 entries.  Outside the knot span the
-    curve continues linearly from the end value and slope.  The spline and
-    its end values and slopes are built once, when the curve is made.
+    curve continues linearly from the end value and slope.  The end values
+    and slopes are computed when the curve is made, with numpy alone; the
+    compiled spline that ``evaluate_boundary`` uses is built on first use.
 
     Raises:
         ValueError: a knot or a coefficient is not finite, the knots are
@@ -208,8 +209,6 @@ class SplineBoundary:
     _ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.interpolate import BSpline
-
         knots, coef = self.knots, self.coefficients
         if not (np.isfinite(knots).all() and np.isfinite(coef).all()):
             raise ValueError(
@@ -226,14 +225,26 @@ class SplineBoundary:
                 f"boundary curve for corner {self.corner} has coefficients of "
                 f"shape {coef.shape}, expected ({knots.size + 2},)"
             )
-        spl = BSpline(_full_knots(knots), coef, 3)
-        ends = knots[[0, -1]]
-        object.__setattr__(self, "_spline", spl)
+        t, ends = _full_knots(knots), knots[[0, -1]]
+        object.__setattr__(self, "_spline", None)
         # value and slope at each end knot, for the linear extension
-        object.__setattr__(self, "_ends", (spl(ends), spl.derivative(1)(ends)))
+        object.__setattr__(self, "_ends", (
+            _bspline(t, coef, 3, ends), _bspline(*_splder(t, coef, 3, 1), ends)
+        ))
 
     def __call__(self, beta):
         return evaluate_boundary(self, beta)
+
+    def _compiled(self):
+        """scipy's compiled spline of this curve, built on first use: many
+        calls on few points pay for the import once and then run faster
+        than ``_bspline``."""
+        if self._spline is None:
+            from scipy.interpolate import BSpline
+
+            spl = BSpline(_full_knots(self.knots), self.coefficients, 3)
+            object.__setattr__(self, "_spline", spl)
+        return self._spline
 
 
 def _full_knots(breaks: np.ndarray) -> np.ndarray:
@@ -242,14 +253,51 @@ def _full_knots(breaks: np.ndarray) -> np.ndarray:
     )
 
 
+def _splder(
+    t: np.ndarray, c: np.ndarray, k: int, nu: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Knots, coefficients and degree of the ``nu``-th derivative of the
+    spline (t, c, k), in the arithmetic of scipy's ``splder``."""
+    c = np.concatenate([c, np.zeros((t.size - c.shape[0],) + c.shape[1:])])
+    for _ in range(nu):
+        dt = (t[k + 1 : -1] - t[1 : -k - 1]).reshape((-1,) + (1,) * (c.ndim - 1))
+        c = (c[1 : -1 - k] - c[: -2 - k]) * k / dt
+        c = np.concatenate([c, np.zeros((k,) + c.shape[1:])])
+        t, k = t[1:-1], k - 1
+    return t, c, k
+
+
+def _bspline(t: np.ndarray, c: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """The spline (t, c, k) at the points ``x``, one row per point when c
+    is 2-D.
+
+    de Boor's recursion ("On calculating with B-splines", 1972) on the
+    interval t[m] <= x < t[m+1], m clipped to [k, t.size-k-2], with the
+    operations in the order of scipy's compiled ``BSpline``, so the result
+    is bitwise the same.  The knots are strictly increasing away from the
+    clamped ends, so no denominator is zero.
+    """
+    m = np.clip(np.searchsorted(t, x, "right") - 1, k, t.size - k - 2)
+    h = np.zeros((x.size, k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for n in range(1, j + 1):
+            xb, xa = t[m + n], t[m + n - j]
+            w = hh[:, n - 1] / (xb - xa)
+            h[:, n - 1] += w * (xb - x)
+            h[:, n] = w * (x - xa)
+    out = 0.0
+    for a in range(k + 1):
+        weight = h[:, a].reshape((-1,) + (1,) * (c.ndim - 1))
+        out = out + c[m + a - k] * weight
+    return out
+
+
 def _design(t: np.ndarray, x: np.ndarray, deriv: int = 0) -> np.ndarray:
     """Evaluate every cubic B-spline basis function (column) at ``x``."""
-    from scipy.interpolate import BSpline
-
-    basis = BSpline(t, np.eye(t.size - 4), 3)
-    if deriv:
-        basis = basis.derivative(deriv)
-    return basis(np.clip(x, t[0], t[-1]))
+    return _bspline(*_splder(t, np.eye(t.size - 4), 3, deriv), np.clip(x, t[0], t[-1]))
 
 
 def _curvature_rows(t: np.ndarray, breaks: np.ndarray) -> np.ndarray:
@@ -364,7 +412,7 @@ def evaluate_boundary(sb: SplineBoundary, beta) -> np.ndarray | float:
     x = np.atleast_1d(x)
     lo, hi = sb.knots[0], sb.knots[-1]
     (g_lo, g_hi), (s_lo, s_hi) = sb._ends
-    out = sb._spline(np.clip(x, lo, hi))
+    out = sb._compiled()(np.clip(x, lo, hi))
     left, right = x < lo, x > hi
     out[left] = g_lo + s_lo * (x[left] - lo)
     out[right] = g_hi + s_hi * (x[right] - hi)
@@ -374,7 +422,7 @@ def evaluate_boundary(sb: SplineBoundary, beta) -> np.ndarray | float:
 def is_concave(sb: SplineBoundary, eps: float = 1e-6) -> bool:
     """Whether the fitted curve's second differences at the knots stay
     below ``eps`` (the knots are uniform, so this is a shape check)."""
-    g = evaluate_boundary(sb, sb.knots)
+    g = _bspline(_full_knots(sb.knots), sb.coefficients, 3, sb.knots)
     d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
     return bool(np.all(d2 <= eps))
 

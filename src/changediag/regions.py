@@ -141,26 +141,35 @@ def _neighbor_ids(grid: SimplexGrid) -> np.ndarray:
 
 def _component_count(grid: SimplexGrid, mask: np.ndarray, neighbors: np.ndarray) -> int:
     """Number of connected components of the masked node set under lattice
-    adjacency (steps of the form e_a - e_b)."""
-    import scipy.sparse
-    from scipy.sparse.csgraph import connected_components
+    adjacency (steps of the form e_a - e_b).
 
+    Union-find by hooking and pointer jumping (after Shiloach and Vishkin,
+    "An O(log n) parallel connectivity algorithm", 1982): each round hooks
+    the larger root of every edge whose ends still have different roots
+    onto the smaller one, then jumps pointers until every node points at
+    its root.  Every component that still has such an edge merges with
+    another, so the rounds are O(log n).
+    """
     ids = np.flatnonzero(mask)
-    if ids.size == 0:
-        return 0
-    renumber = np.full(grid.n_nodes, -1, dtype=np.int64)
-    renumber[ids] = np.arange(ids.size)
     nbr = neighbors[ids]
-    ok = nbr >= 0
+    ok = nbr > ids[:, None]  # each edge once; -1 (off the simplex) drops too
     ok[ok] = mask[nbr[ok]]
-    rows = np.repeat(np.arange(ids.size), ok.sum(axis=1))
-    cols = renumber[nbr[ok]]
-    adj = scipy.sparse.coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)),
-        shape=(ids.size, ids.size),
-    ).tocsr()
-    count, _ = connected_components(adj, directed=False)
-    return int(count)
+    u = np.repeat(ids, ok.sum(axis=1))
+    v = nbr[ok]
+    parent = np.arange(grid.n_nodes)
+    while True:
+        ru, rv = parent[u], parent[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return int(np.count_nonzero(parent[ids] == ids))
 
 
 def check_region_properties(

@@ -253,6 +253,9 @@ class SplineStrategy(Strategy):
 
     def __init__(self, boundaries: dict[int, SplineBoundary]):
         self.boundaries = boundaries
+        # build the compiled splines now, not inside the first decision
+        for sb in boundaries.values():
+            sb._compiled()
 
     def decide(self, spec, pi, n):
         return fast_member(spec, self.boundaries, pi)

@@ -68,6 +68,10 @@ SNAP_TOL = 1e-9
 #: enumerates; C(2M+1, M) stays within it up to M = 8.
 _SUP_CANDIDATES = 24_310
 
+#: Rows of T whose stencils _transition computes at a time; the stencil's
+#: temporaries scale with it, not with the grid.
+_TRANSITION_ROWS = 8192
+
 _MAGIC = b"CDVT"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIIId8sdddB")
@@ -238,16 +242,19 @@ def _transition(
     cols = np.empty((n, spec.alphabet_size, k), dtype=grid.lookup.dtype)
     vals = np.empty((n, spec.alphabet_size, k))
     live = np.empty((n, spec.alphabet_size), dtype=bool)
-    step = _step_weights(spec, points)
-    for x in range(spec.alphabet_size):
-        num = step * spec.f[:, x]
-        total = num.sum(axis=1)
-        live[:, x] = rows = total > 0.0
-        if not rows.any():
-            continue
-        ids, weights = _stencil(grid, num[rows] / total[rows, None])
-        cols[rows, x] = ids
-        vals[rows, x] = total[rows, None] * weights
+    # every row is computed alone, so the blocks change no bit of T
+    for lo in range(0, n, _TRANSITION_ROWS):
+        block = slice(lo, lo + _TRANSITION_ROWS)
+        step = _step_weights(spec, points[block])
+        for x in range(spec.alphabet_size):
+            num = step * spec.f[:, x]
+            total = num.sum(axis=1)
+            live[block, x] = rows = total > 0.0
+            if not rows.any():
+                continue
+            ids, weights = _stencil(grid, num[rows] / total[rows, None])
+            cols[block][rows, x] = ids
+            vals[block][rows, x] = total[rows, None] * weights
     if not live.all():
         cols, vals = cols[live], vals[live]
     indptr = np.zeros(n + 1, dtype=np.int64)

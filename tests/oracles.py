@@ -3,15 +3,17 @@
 Everything here works directly from the generative model: explicit sums
 over the change time, the change type, and complete observation paths,
 and scalar draws from numpy's own Philox generator, plus scipy's linear
-programming for the largest stopping cost.  Nothing calls the package's
-posterior recursion, solver or simulator, so agreement between these
-oracles and the library is a real cross-check.
+programming for the largest stopping cost and a breadth-first search for
+connected components of lattice node sets.  Nothing calls the package's
+posterior recursion, solver, region checks or simulator, so agreement
+between these oracles and the library is a real cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from collections.abc import Mapping
 
 import numpy as np
@@ -146,6 +148,34 @@ def stopping_cost_sup_lp(a: np.ndarray) -> float:
     )
     assert res.success, res.message
     return float(-res.fun)
+
+
+def component_count(lattice: np.ndarray, mask: np.ndarray) -> int:
+    """Connected components of the masked rows of ``lattice`` (integer
+    simplex coordinates, one node per row), two nodes being adjacent when
+    they differ by a step e_a - e_b; breadth-first search over coordinates."""
+    nodes = {tuple(row) for row, keep in zip(lattice.tolist(), mask.tolist()) if keep}
+    dims = lattice.shape[1]
+    steps = [(a, b) for a in range(dims) for b in range(dims) if a != b]
+    seen: set = set()
+    count = 0
+    for start in nodes:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for a, b in steps:
+                nxt = list(node)
+                nxt[a] += 1
+                nxt[b] -= 1
+                nxt = tuple(nxt)
+                if nxt in nodes and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return count
 
 
 def sa_joint_law(

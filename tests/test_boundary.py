@@ -368,3 +368,29 @@ def test_evaluate_boundary_matches_a_fresh_spline(reference_curves):
         for k in range(0, x.size, 50):
             got = B.evaluate_boundary(sb, float(x[k]))
             assert type(got) is float and _same_bits(got, want[k])
+
+
+def test_end_values_and_slopes_match_a_fresh_spline(reference_curves):
+    """The linear extension starts from a fresh spline's value and first
+    derivative at each end knot, bit for bit."""
+    from scipy.interpolate import BSpline
+
+    for sb, _ in reference_curves:
+        spl = BSpline(B._full_knots(sb.knots), sb.coefficients, 3)
+        ends = sb.knots[[0, -1]]
+        values, slopes = sb._ends
+        assert _same_bits(values, spl(ends))
+        assert _same_bits(slopes, spl.derivative(1)(ends))
+
+
+def test_is_concave_takes_second_differences_of_the_evaluated_curve(reference_curves):
+    """is_concave sees the curve's values at the knots exactly as
+    evaluate_boundary gives them: it flips at the largest second difference
+    of those values and not an ulp away."""
+    for sb, _ in reference_curves:
+        g = B.evaluate_boundary(sb, sb.knots)
+        t = B._full_knots(sb.knots)
+        assert _same_bits(B._bspline(t, sb.coefficients, 3, sb.knots), g)
+        top = (g[2:] - 2.0 * g[1:-1] + g[:-2]).max()
+        assert B.is_concave(sb, eps=top) is True
+        assert B.is_concave(sb, eps=np.nextafter(top, -np.inf)) is False

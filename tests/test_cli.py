@@ -233,6 +233,29 @@ def test_solve_loads_no_scipy_optimize(model_path, tmp_path):
     assert (tmp_path / "t.cdvt").exists()
 
 
+def test_regions_and_fit_boundary_load_no_scipy(runner, model_path, tmp_path):
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "60").exit_code == 0
+    curves = [str(tmp_path / f"b{j}.json") for j in (1, 2)]
+    args = [["regions", table_path, "-o", str(tmp_path / "r.csv")]] + [
+        ["fit-boundary", str(tmp_path / "r.csv"), "-j", str(j), "-o", out]
+        for j, out in zip((1, 2), curves)
+    ]
+    code = (
+        "from changediag.cli import main\n"
+        f"for args in {args!r}:\n"
+        "    assert main(args, standalone_mode=False) in (None, 0)\n"
+    )
+    assert scipy_modules_after(code, tmp_path) == []
+    both = tmp_path / "bb.json"
+    both.write_text(json.dumps([json.loads(Path(out).read_text()) for out in curves]))
+    result = runner.invoke(main, ["simulate", model_path, "--boundaries", str(both),
+                                  "--runs", "200", "-o", str(tmp_path / "sim.json")])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
+    assert manifest["report"]["runs_per_s"] > 0
+
+
 def test_simulate_stop_at_zero_uniform_cost(runner, tmp_path):
     base = instances.FIGURES["merged"]
     spec = cd.ProblemSpec(

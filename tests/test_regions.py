@@ -11,6 +11,7 @@ import changediag as cd
 from changediag.posterior import h_values_many
 from changediag.regions import (
     StoppingRegion,
+    _component_count,
     _neighbor_ids,
     boundary_nodes,
     corner_node,
@@ -19,6 +20,7 @@ from changediag.regions import (
 from changediag.solver import transition_matrix
 
 import instances
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +390,34 @@ def test_neighbor_ids_match_explicit_shifts(M, Q):
     got = _neighbor_ids(grid)
     assert got.dtype == np.int32
     assert np.array_equal(got, reference_neighbors(grid))
+
+
+@pytest.mark.parametrize("M,Q", [(1, 40), (2, 12), (3, 7)])
+def test_component_count_matches_a_breadth_first_search(M, Q):
+    """Seeded random masks from sparse to dense: the union-find count equals
+    a plain search, and the masks include split sets."""
+    grid = cd.build_grid(M, Q)
+    neighbors = _neighbor_ids(grid)
+    rng = np.random.default_rng(100 + M)
+    counts = []
+    for density in (0.3, 0.5, 0.7, 0.9):
+        for _ in range(5):
+            mask = rng.random(grid.n_nodes) < density
+            counts.append(_component_count(grid, mask, neighbors))
+            assert counts[-1] == oracles.component_count(grid.lattice, mask)
+    assert max(counts) >= 2
+
+
+@pytest.mark.parametrize("M,Q", [(1, 6), (2, 5), (3, 4)])
+def test_component_count_of_empty_and_isolated_nodes(M, Q):
+    grid = cd.build_grid(M, Q)
+    neighbors = _neighbor_ids(grid)
+    assert _component_count(grid, np.zeros(grid.n_nodes, dtype=bool), neighbors) == 0
+    corners = np.zeros(grid.n_nodes, dtype=bool)
+    corners[[corner_node(grid, j) for j in range(M + 1)]] = True
+    for mask, want in ((corners, M + 1), (np.eye(grid.n_nodes, dtype=bool)[3], 1)):
+        assert _component_count(grid, mask, neighbors) == want
+        assert oracles.component_count(grid.lattice, mask) == want
 
 
 def test_corner_node_is_the_corner():
