@@ -8,9 +8,9 @@ reduce a suspended-animation system to a plain model file.
 
 Every command that writes files also writes ``<output>.manifest.json``
 recording the inputs, parameters and tool version, so a run can be
-repeated and compared byte for byte (the manifest's timings, its
-``wall_clock_s`` field and the ``runs_per_s`` of ``simulate``, are the only
-things that vary).
+repeated and compared byte for byte (the manifest's ``timings``, the
+per-phase seconds of ``solve`` and ``regions``, its ``wall_clock_s`` field
+and the ``runs_per_s`` of ``simulate``, are the only things that vary).
 
 Errors have one boundary: a ``ValueError`` (bad input, including a
 malformed model, table, region or boundary file) or an ``OSError`` raised
@@ -70,6 +70,7 @@ def _write_manifest(
     outputs: list[str],
     started: float,
     report: dict | None = None,
+    timings: dict | None = None,
 ) -> None:
     doc = {
         "subcommand": subcommand,
@@ -81,7 +82,23 @@ def _write_manifest(
     }
     if report is not None:
         doc["report"] = report
+    if timings is not None:
+        doc["timings"] = timings
     _dump_json(doc, anchor + ".manifest.json")
+
+
+class _Phases:
+    """Seconds spent in each named phase of a command, for its manifest."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def done(self, name: str) -> None:
+        """Close phase ``name``: it ran from the last mark until now."""
+        now = time.perf_counter()
+        self.seconds[name] = now - self._last
+        self._last = now
 
 
 def _load_solved_table(path: str, spec=None):
@@ -121,10 +138,15 @@ def main() -> None:
 def solve(model: str, Q: int, tol: float, max_iter: int, out: str) -> None:
     """Value-iterate MODEL on a resolution-Q grid and write the table."""
     started = time.monotonic()
+    phases = _Phases()
     spec = load_spec(model)
+    phases.done("load")
     grid = build_grid(spec.num_types, Q)
+    phases.done("grid")
     table = value_iterate(spec, grid, tol=tol, max_iter=max_iter)
+    phases.done("iterate")
     save_table(table, spec, out)
+    phases.done("save")
     _write_manifest(
         out,
         "solve",
@@ -139,6 +161,7 @@ def solve(model: str, Q: int, tol: float, max_iter: int, out: str) -> None:
             "error_bound": table.error_bound,
             "converged": table.converged,
         },
+        timings=phases.seconds,
     )
     click.echo(
         f"solved: {table.iterations} sweeps, criterion={table.criterion}, "
@@ -164,6 +187,7 @@ def regions(
 ) -> None:
     """Extract stopping sets from a table, check them, export CSV."""
     started = time.monotonic()
+    phases = _Phases()
     table, spec = _load_solved_table(table_path)
     region = extract_region(spec, table, stop_tol)
     other = None
@@ -171,8 +195,11 @@ def regions(
         other = extract_region(spec, _load_solved_table(compare_table, spec)[0])
     if fmt is None:
         fmt = "embedded" if table.grid.M in (2, 3) else "raw"
+    phases.done("load")
     report = check_region_properties(region, other)
+    phases.done("check")
     export_region(region, out, fmt)
+    phases.done("export")
     report_path = out + ".report.json"
     _dump_json(report, report_path)
     _write_manifest(
@@ -183,6 +210,7 @@ def regions(
         [out, report_path],
         started,
         report=report,
+        timings=phases.seconds,
     )
     for j, entry in report["labels"].items():
         click.echo(
@@ -242,12 +270,17 @@ def _strategy_from_options(spec, table, boundaries, baseline):
         if missing:
             raise ValueError(f"{boundaries}: no curve for type {missing[0]}")
         return SplineStrategy(fits)
-    name = baseline
-    if name.startswith("stop-at-"):
-        return StopAfter(int(name[len("stop-at-") :]))
-    if name.startswith("threshold-"):
-        return PosteriorThreshold(float(name[len("threshold-") :]))
-    raise ValueError(f"unknown baseline {name!r} (use stop-at-<k> or threshold-<t>)")
+    for prefix, parse, make in (
+        ("stop-at-", int, StopAfter),
+        ("threshold-", float, PosteriorThreshold),
+    ):
+        if baseline.startswith(prefix):
+            try:
+                arg = parse(baseline[len(prefix) :])
+            except ValueError:
+                break
+            return make(arg)
+    raise ValueError(f"unknown baseline {baseline!r} (use stop-at-<k> or threshold-<t>)")
 
 
 @main.command()

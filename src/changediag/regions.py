@@ -344,8 +344,7 @@ def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> N
     if fmt == "embedded" and M not in (2, 3):
         raise ValueError(f"embedded export needs 2 or 3 types, grid has M={M}")
 
-    # (column names, printf format, per-node array); every entry is exact
-    # in float64, so each chunk is formatted as one float block
+    # (column names, printf format, per-node array)
     parts = [
         ([f"k{i}" for i in range(M + 1)], "%d", grid.lattice),
         ([f"pi{i}" for i in range(M + 1)], "%.17g", grid.nodes),
@@ -359,7 +358,21 @@ def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> N
         ([f"h{j}" for j in range(1, M + 1)], "%.17g", region.h_all),
     ]
     header = ",".join(name for names, _, _ in parts for name in names)
-    row_fmt = ",".join(conv for names, conv, _ in parts for _ in names) + "\r\n"
+
+    # Most columns repeat few values, so each distinct value is formatted
+    # once, each text already carrying the separator that follows it, and
+    # rows are gathered by index.  Floats are told apart by bit pattern:
+    # 0.0 and -0.0 compare equal but print as "0" and "-0".
+    columns = [(conv, arr[:, i]) for names, conv, arr in parts for i in range(len(names))]
+    seps = [","] * (len(columns) - 1) + ["\r\n"]
+    texts, index = [], []
+    for (conv, col), sep in zip(columns, seps):
+        floats = col.dtype == np.float64
+        uniq, inv = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
+        if floats:
+            uniq = uniq.view(np.float64)
+        texts.append(np.array([conv % v + sep for v in uniq.tolist()], dtype=object))
+        index.append(inv.astype(np.int32))
 
     with open(path, "w", newline="") as fh:
         fh.write(
@@ -369,8 +382,10 @@ def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> N
         fh.write(header + "\r\n")
         for start in range(0, grid.n_nodes, _EXPORT_CHUNK):
             rows = slice(start, start + _EXPORT_CHUNK)
-            chunk = np.hstack([arr[rows] for _, _, arr in parts])
-            fh.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+            cells = np.empty((index[0][rows].size, len(texts)), dtype=object)
+            for c, (text, idx) in enumerate(zip(texts, index)):
+                cells[:, c] = text[idx[rows]]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def import_region(path: str) -> StoppingRegion:

@@ -48,6 +48,12 @@ def test_solve_writes_table_sidecar_manifest(runner, model_path, tmp_path):
     manifest = json.loads((tmp_path / "table.cdvt.manifest.json").read_text())
     assert manifest["subcommand"] == "solve"
     assert manifest["report"]["converged"] is True
+    assert_phase_timings(manifest, ["load", "grid", "iterate", "save"])
+
+
+def assert_phase_timings(manifest, phases):
+    assert list(manifest["timings"]) == phases
+    assert all(isinstance(s, float) and s >= 0 for s in manifest["timings"].values())
 
 
 def test_solve_is_bit_reproducible(runner, model_path, tmp_path):
@@ -92,6 +98,8 @@ def test_regions_csv_labels_and_report(runner, model_path, tmp_path):
     report = json.loads((tmp_path / "region.csv.report.json").read_text())
     assert report["labels"]["1"]["nonempty"] is True
     assert "continuation components:" in result.output
+    manifest = json.loads((tmp_path / "region.csv.manifest.json").read_text())
+    assert_phase_timings(manifest, ["load", "check", "export"])
 
 
 def test_regions_compare_table_reports_the_primary_region(runner, model_path, tmp_path):
@@ -719,6 +727,14 @@ def artefacts(tmp_path_factory):
          "bad.json: not valid JSON: "),
         (["derive-sa", "sa.json", "--delay-cost", "1", "--terminal-costs", "bad.json"],
          "bad.json: not valid JSON: "),
+        (["simulate", "model.json", "--baseline", "stop-at-x", "--runs", "5"],
+         "unknown baseline 'stop-at-x' (use stop-at-<k> or threshold-<t>)"),
+        (["simulate", "model.json", "--baseline", "stop-at-1.5", "--runs", "5"],
+         "unknown baseline 'stop-at-1.5' (use stop-at-<k> or threshold-<t>)"),
+        (["simulate", "model.json", "--baseline", "threshold-abc", "--runs", "5"],
+         "unknown baseline 'threshold-abc' (use stop-at-<k> or threshold-<t>)"),
+        (["simulate", "model.json", "--baseline", "threshold-2", "--runs", "5"],
+         "threshold=2.0 must lie in [0, 1]"),
     ],
     ids=[
         "solve-tol-0",
@@ -763,6 +779,10 @@ def artefacts(tmp_path_factory):
         "solve-bad-json",
         "simulate-boundaries-bad-json",
         "derive-sa-terminal-costs-bad-json",
+        "simulate-baseline-stop-at-x",
+        "simulate-baseline-stop-at-1.5",
+        "simulate-baseline-threshold-abc",
+        "simulate-threshold-2",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

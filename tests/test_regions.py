@@ -285,8 +285,11 @@ def csv_writer_reference(region, fmt):
     [
         (instances.FIGURES["merged"], 12, "embedded"),
         (instances.three_type(), 8, "raw"),
+        # more rows than one export chunk (4096)
+        (instances.FIGURES["merged"], 100, "embedded"),
+        (instances.three_type(), 28, "raw"),
     ],
-    ids=["M2-embedded", "M3-raw"],
+    ids=["M2-embedded", "M3-raw", "M2-embedded-5151-rows", "M3-raw-4495-rows"],
 )
 def test_export_bytes_match_csv_writer(tmp_path, spec, Q, fmt):
     region = small_region(spec, Q)
@@ -294,6 +297,28 @@ def test_export_bytes_match_csv_writer(tmp_path, spec, Q, fmt):
     cd.export_region(region, str(path), fmt=fmt)
     expected = csv_writer_reference(region, fmt)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_export_writes_signed_zeros_apart(tmp_path):
+    """0.0 and -0.0 compare equal but print as "0" and "-0"; the export
+    keeps them apart however often either repeats."""
+    grid = cd.build_grid(2, 4)
+    n = grid.n_nodes
+    values = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+    values[-1] = 0.25
+    h_all = np.tile([0.5, 1.5], (n, 1))
+    h_all[::3, 1] = 0.5
+    region = StoppingRegion(
+        grid=grid, labels=np.zeros(n, dtype=np.int8), values=values,
+        h_all=h_all, N_used=1, stop_tol=0.0,
+    )
+    path = tmp_path / "region.csv"
+    cd.export_region(region, str(path))
+    assert path.read_bytes() == csv_writer_reference(region, "embedded").encode("ascii")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [row["value"] for row in rows[:3]] == ["0", "-0", "0"]
+    assert {row["value"] for row in rows} == {"0", "-0", "0.25"}
 
 
 def test_export_import_round_trip_three_types(tmp_path):
