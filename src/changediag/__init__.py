@@ -40,8 +40,6 @@ from .solver import (
     GridSizeError,
     SimplexGrid,
     ValueTable,
-    apply_M,
-    apply_T,
     build_grid,
     interpolate,
     load_table,
@@ -75,13 +73,11 @@ from .simulator import (
     Environment,
     PosteriorThreshold,
     RiskEstimate,
-    SimulationRecord,
     SplineStrategy,
     StopAfter,
     Strategy,
     TableStrategy,
     estimate_risk,
-    run_strategy,
 )
 
 __version__ = "0.1.0"
@@ -112,8 +108,6 @@ __all__ = [
     "GridSizeError",
     "SimplexGrid",
     "ValueTable",
-    "apply_M",
-    "apply_T",
     "build_grid",
     "interpolate",
     "load_table",
@@ -141,12 +135,10 @@ __all__ = [
     "Environment",
     "PosteriorThreshold",
     "RiskEstimate",
-    "SimulationRecord",
     "SplineStrategy",
     "StopAfter",
     "Strategy",
     "TableStrategy",
     "estimate_risk",
-    "run_strategy",
     "__version__",
 ]

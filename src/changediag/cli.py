@@ -255,32 +255,37 @@ def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: st
         click.echo("note: fitted curve is not concave at the knots", err=True)
 
 
-def _strategy_from_options(spec, table, boundaries, baseline):
-    """The strategy the options name, refused unless it was built for ``spec``."""
-    chosen = [x for x in (table, boundaries, baseline) if x is not None]
-    if len(chosen) != 1:
-        raise ValueError("give exactly one of --table, --boundaries, --baseline")
-    if table is not None:
-        return TableStrategy(_load_solved_table(table, spec)[0])
-    if boundaries is not None:
-        fits = load_boundaries(boundaries)
+def _strategy_from_options(spec, **options):
+    """The strategy of the one option given, refused unless built for ``spec``.
+
+    ``options`` maps each strategy option the command has to its value, so
+    the refusal of none or several names exactly those options.
+    """
+    given = [(name, value) for name, value in options.items() if value is not None]
+    if len(given) != 1:
+        raise ValueError("give exactly one of " + ", ".join(f"--{o}" for o in options))
+    [(name, value)] = given
+    if name == "table":
+        return TableStrategy(_load_solved_table(value, spec)[0])
+    if name == "boundaries":
+        fits = load_boundaries(value)
         if spec.num_types != 2:
             raise ValueError(f"boundary curves need a 2-type model, not M={spec.num_types}")
         missing = sorted({1, 2} - fits.keys())
         if missing:
-            raise ValueError(f"{boundaries}: no curve for type {missing[0]}")
+            raise ValueError(f"{value}: no curve for type {missing[0]}")
         return SplineStrategy(fits)
     for prefix, parse, make in (
         ("stop-at-", int, StopAfter),
         ("threshold-", float, PosteriorThreshold),
     ):
-        if baseline.startswith(prefix):
+        if value.startswith(prefix):
             try:
-                arg = parse(baseline[len(prefix) :])
+                arg = parse(value[len(prefix) :])
             except ValueError:
                 break
             return make(arg)
-    raise ValueError(f"unknown baseline {baseline!r} (use stop-at-<k> or threshold-<t>)")
+    raise ValueError(f"unknown baseline {value!r} (use stop-at-<k> or threshold-<t>)")
 
 
 @main.command()
@@ -309,7 +314,9 @@ def simulate(
     """Estimate the Bayes risk of a strategy on MODEL by Monte Carlo."""
     started = time.monotonic()
     spec = load_spec(model)
-    strategy = _strategy_from_options(spec, table, boundaries, baseline)
+    strategy = _strategy_from_options(
+        spec, table=table, boundaries=boundaries, baseline=baseline
+    )
     mc_started = time.perf_counter()
     est = estimate_risk(
         spec, strategy, runs=runs, seed=seed, n_max=n_max, threads=threads
@@ -365,10 +372,8 @@ def diagnose(
 ) -> None:
     """Run the online procedure over a symbol stream until the alarm."""
     started = time.monotonic()
-    if table is None and boundaries is None:
-        raise ValueError("give --table or --boundaries")
     spec = load_spec(model)
-    strategy = _strategy_from_options(spec, table, boundaries, None)
+    strategy = _strategy_from_options(spec, table=table, boundaries=boundaries)
     source = sys.stdin if stream == "-" else open(stream)
     pi = initial_posterior(spec)
     n = 0

@@ -15,16 +15,18 @@ Philox4x64-10 stream keyed (s, r) that ``np.random.Philox(key=[s, r])``
 produces: uniform 0 picks the change time, uniform 1 the type, and
 uniform 1+k the k-th symbol.  Philox is counter-based (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11): each block of four
-64-bit words is a pure function of the key and the block counter.  The
-single-run ``Environment`` reads the stream through a numpy generator, the
-independent reference; ``estimate_risk`` evaluates the same function for
-all runs of a batch at once, 64 symbol uniforms per run at a time.  Run k
-of seed s therefore sees the same stream, bit for bit, whether it executes
-alone, in any batch, or in any worker thread.
+64-bit words is a pure function of the key and the block counter.
+``estimate_risk`` evaluates that function for all runs of a batch at
+once, 64 symbol uniforms per run at a time, so run k of seed s sees the
+same stream, bit for bit, in any batch and in any worker thread.  The
+single-run ``Environment`` reads the same stream through numpy's
+generator; it serves the library tour and the benchmark's online replay.
+The independent check of the batch is ``tests/oracles.ground_truth``,
+which draws the stream with scalar numpy calls and none of this module.
 
 Uniforms become ground truth, and runs become costs, in one batched place
-each (``_draw_truth``, ``_draw_symbols``, ``_price``); the single-run
-``Environment`` and ``run_strategy`` call them on one row.
+each (``_draw_truth``, ``_draw_symbols``, ``_price``); ``Environment``
+calls the first two on one row.
 """
 
 from __future__ import annotations
@@ -38,19 +40,17 @@ import numpy as np
 
 from .boundary import SplineBoundary, fast_member, fast_member_many
 from .model import ProblemSpec
-from .posterior import _announce, h_values_many, initial_posterior, update, update_many
+from .posterior import _announce, h_values_many, initial_posterior, update_many
 from .solver import ValueTable, interpolate_many
 
 __all__ = [
     "Environment",
-    "SimulationRecord",
     "RiskEstimate",
     "Strategy",
     "TableStrategy",
     "SplineStrategy",
     "StopAfter",
     "PosteriorThreshold",
-    "run_strategy",
     "estimate_risk",
 ]
 
@@ -124,10 +124,21 @@ def _philox_uniforms(
     return out
 
 
-def _check_key(name: str, value: int) -> None:
-    """A Philox key word must fit in 64 unsigned bits."""
-    if not 0 <= value < 2**64:
+def _check_int(name: str, value: int, low: int, key: bool = False) -> int:
+    """``value`` as a Python int, refused unless an integer of at least ``low``.
+
+    Python and numpy integers pass; bools and floats do not, so a seed of
+    1.5 cannot run the stream of seed 1.  A ``key`` is a Philox key word
+    and must also fit in 64 unsigned bits.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    if key and not 0 <= value < 2**64:
         raise ValueError(f"{name}={value} must be in [0, 2**64)")
+    if value < low:
+        rule = "nonnegative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name}={value} must be {rule}")
+    return int(value)
 
 
 def _draw_truth(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,13 +172,11 @@ class Environment:
     """
 
     def __init__(self, spec: ProblemSpec, seed: int, run_index: int = 0):
-        _check_key("seed", seed)
-        _check_key("run_index", run_index)
         self.spec = spec
-        self.seed = seed
-        self.run_index = run_index
+        self.seed = _check_int("seed", seed, 0, key=True)
+        self.run_index = _check_int("run_index", run_index, 0, key=True)
         self._rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, run_index], dtype=np.uint64))
+            np.random.Philox(key=np.array([self.seed, self.run_index], dtype=np.uint64))
         )
         theta, mu = _draw_truth(spec, self._rng.random((1, 2)))
         self.theta, self.mu = int(theta[0]), int(mu[0])
@@ -176,28 +185,13 @@ class Environment:
 
     def symbol(self, n: int) -> int:
         """The n-th observation (1-based)."""
-        if n < 1:
-            raise ValueError(f"observation index {n} must be >= 1")
+        _check_int("n", n, 1)
         while len(self._symbols) < n:
             steps = len(self._symbols) + 1 + np.arange(CHUNK)
             rows = np.where(self.theta <= steps, self.mu, 0)
             u = self._rng.random(CHUNK)
             self._symbols += _draw_symbols(self._cum_f, rows, u).tolist()
         return self._symbols[n - 1]
-
-
-@dataclass
-class SimulationRecord:
-    """Outcome of one run: ground truth, alarm, decision, and both costs."""
-
-    theta: int
-    mu: int
-    observations: list[int]
-    tau: int
-    d: int
-    realized_cost: float
-    posterior_cost: float
-    capped: bool
 
 
 def _price(spec: ProblemSpec, theta, mu, tau, d) -> tuple[np.ndarray, np.ndarray]:
@@ -292,48 +286,6 @@ class PosteriorThreshold(Strategy):
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-
-
-def run_strategy(
-    spec: ProblemSpec,
-    strategy: Strategy,
-    env: Environment,
-    n_max: int = DEFAULT_N_MAX,
-) -> SimulationRecord:
-    """Play one run to its alarm (reference single-stream loop).
-
-    The strategy is consulted before the first observation, so tau = 0 is a
-    possible outcome.  At ``n_max`` the run is forced to stop with the
-    cheapest terminal decision and flagged.
-    """
-    pi = initial_posterior(spec)
-    observations: list[int] = []
-    running = 0.0
-    n = 0
-    while True:
-        d = strategy.decide(spec, pi, n)
-        if d is not None or n >= n_max:
-            break
-        running += spec.c * (1.0 - pi[0])
-        x = env.symbol(n + 1)
-        observations.append(x)
-        pi = update(spec, pi, x)
-        n += 1
-    h_all = h_values_many(spec, pi[None, :])
-    capped = d is None
-    if capped:
-        d = int(_announce(h_all, True)[0])
-    delay, terminal = _price(spec, env.theta, env.mu, n, int(d))
-    return SimulationRecord(
-        theta=env.theta,
-        mu=env.mu,
-        observations=observations,
-        tau=n,
-        d=int(d),
-        realized_cost=float(delay + terminal),
-        posterior_cost=running + float(h_all[0, int(d) - 1]),
-        capped=capped,
-    )
 
 
 @dataclass
@@ -458,13 +410,10 @@ def estimate_risk(
     every run has its own keyed substream, the estimate is bit-identical
     for any thread count.
     """
-    if runs < 1:
-        raise ValueError(f"runs={runs} must be at least 1")
-    _check_key("seed", seed)
-    if n_max < 0:
-        raise ValueError(f"n_max={n_max} must be nonnegative")
-    if threads < 1:
-        raise ValueError(f"threads={threads} must be at least 1")
+    runs = _check_int("runs", runs, 1)
+    seed = _check_int("seed", seed, 0, key=True)
+    n_max = _check_int("n_max", n_max, 0)
+    threads = _check_int("threads", threads, 1)
     workers = min(threads, runs)
     bounds = np.linspace(0, runs, workers + 1).astype(int)
     jobs = [

@@ -51,8 +51,6 @@ __all__ = [
     "interpolate_many",
     "transition_matrix",
     "stopping_cost_sup",
-    "apply_T",
-    "apply_M",
     "value_iterate",
     "save_table",
     "load_table",
@@ -338,28 +336,9 @@ class ValueTable:
     stop_tol: float
 
 
-def apply_T(spec: ProblemSpec, table: ValueTable, pi: np.ndarray) -> float:
-    """One-step expected table value after observing one more symbol."""
-    return float((_transition(spec, table.grid, pi[None, :]) @ table.values)[0])
-
-
 def _labels(h_all: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
     """The Bellman stop rule: stop where h <= cont + ``stop_tol``."""
     return _announce(h_all, h_all.min(axis=1) <= cont + stop_tol)
-
-
-def apply_M(
-    spec: ProblemSpec, table: ValueTable, pi: np.ndarray
-) -> tuple[float, int | None]:
-    """One dynamic-programming backup at ``pi``.
-
-    :return: (backed-up value, action) where action is None to continue or
-        the 1-based type to announce.  Ties go to stopping.
-    """
-    h_all = h_values_many(spec, pi[None, :])
-    cont = spec.c * (1.0 - pi[0]) + apply_T(spec, table, pi)
-    j = int(_labels(h_all, np.array([cont]), 0.0)[0])
-    return (float(h_all[0, j - 1]), j) if j else (float(cont), None)
 
 
 def value_iterate(

@@ -21,6 +21,7 @@ from changediag import solver
 
 import instances
 import oracles
+from replay import replay
 
 
 def random_problem(rng: np.random.Generator) -> cd.ProblemSpec:
@@ -233,8 +234,7 @@ def test_single_type_and_known_change_cost_reductions():
     est = cd.estimate_risk(hyp, strategy, runs=10000, seed=22)
     assert np.array_equal(est.realized, hyp.c * est.tau + hyp.a[est.mu, est.d - 1])
     for k in range(100):
-        env = cd.Environment(hyp, seed=22, run_index=k)
-        record = cd.run_strategy(hyp, strategy, env)
+        record = replay(hyp, strategy, seed=22, run_index=k)
         pi = cd.initial_posterior(hyp)
         assert pi[0] == 0.0
         for x in record.observations:

@@ -1,9 +1,11 @@
 """The benchmark calls the package by name, and its traced run wraps library
 functions by name; a rename in the package would break only a benchmark run,
-so check the names here."""
+so check the names here, along with every name a module exports."""
 
+import functools
 import importlib
 import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 
@@ -36,13 +38,25 @@ def test_traced_target_resolves(target):
 
 
 def bench_names():
-    """Every ``cd.<name>`` the benchmark sources use."""
+    """Every ``cd.<name>`` the benchmark sources use, dotted chains in full."""
     found = set()
     for path in sorted(BENCH.glob("*.py")):
-        found.update(re.findall(r"\bcd\.([A-Za-z_]\w*)", path.read_text()))
+        found.update(re.findall(r"\bcd\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", path.read_text()))
     return sorted(found)
 
 
 @pytest.mark.parametrize("name", bench_names())
 def test_bench_name_resolves(name):
-    assert hasattr(changediag, name)
+    functools.reduce(getattr, name.split("."), changediag)
+
+
+MODULES = ["changediag"] + [
+    f"changediag.{m.name}" for m in pkgutil.iter_modules(changediag.__path__)
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    home = importlib.import_module(module)
+    exported = getattr(home, "__all__", [])  # the CLI module exports nothing
+    assert [name for name in exported if not hasattr(home, name)] == []

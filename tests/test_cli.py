@@ -14,9 +14,10 @@ from click.testing import CliRunner
 import changediag as cd
 from changediag.cli import main
 from changediag.model import spec_to_dict
-from changediag.simulator import Environment, TableStrategy
+from changediag.simulator import TableStrategy
 
 import instances
+from replay import replay
 
 
 @pytest.fixture()
@@ -331,8 +332,7 @@ def test_diagnose_alarm_matches_library_run(runner, model_path, tmp_path):
     table_path = str(tmp_path / "t.cdvt")
     assert solve_to(runner, model_path, table_path, "-Q", "100").exit_code == 0
     table, _ = cd.load_table(table_path)
-    env = Environment(spec, seed=2, run_index=5)
-    rec = cd.run_strategy(spec, TableStrategy(table), env)
+    rec = replay(spec, TableStrategy(table), seed=2, run_index=5)
     stream = tmp_path / "stream.txt"
     stream.write_text("".join(f"{x}\n" for x in rec.observations) + "0\n" * 50)
     result = runner.invoke(
@@ -735,6 +735,8 @@ def artefacts(tmp_path_factory):
          "unknown baseline 'threshold-abc' (use stop-at-<k> or threshold-<t>)"),
         (["simulate", "model.json", "--baseline", "threshold-2", "--runs", "5"],
          "threshold=2.0 must lie in [0, 1]"),
+        (["simulate", "model.json", "--table", "t20.cdvt", "--baseline", "stop-at-3"],
+         "give exactly one of --table, --boundaries, --baseline"),
     ],
     ids=[
         "solve-tol-0",
@@ -783,6 +785,7 @@ def artefacts(tmp_path_factory):
         "simulate-baseline-stop-at-1.5",
         "simulate-baseline-threshold-abc",
         "simulate-threshold-2",
+        "simulate-table-and-baseline",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):
@@ -798,3 +801,17 @@ def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message)
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert message in lines[0]
     assert not (artefacts / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--table", "t20.cdvt", "--boundaries", "nan-curve.json"]],
+    ids=["neither", "both"],
+)
+def test_diagnose_strategy_error_names_only_its_options(artefacts, monkeypatch, extra):
+    """diagnose has no --baseline, so its refusal does not name one."""
+    monkeypatch.chdir(artefacts)
+    result = CliRunner().invoke(main, ["diagnose", "model.json", *extra], input="0\n")
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: give exactly one of --table, --boundaries\n"

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from changediag.simulator import (
 
 import instances
 import oracles
+from replay import replay
 
 
 def test_environment_reproducible():
@@ -32,10 +35,19 @@ def test_environment_reproducible():
 
 @pytest.mark.parametrize("seed,run_index,name", [
     (2**64, 0, "seed"), (-1, 0, "seed"), (0, 2**64, "run_index"), (0, -1, "run_index"),
+    (1.5, 0, "seed"), (True, 0, "seed"), (0, np.float64(3.0), "run_index"),
+    (0, False, "run_index"),
 ])
 def test_environment_key_out_of_range(seed, run_index, name):
+    """Keys are integers in [0, 2**64); a bool or a float is refused, not
+    truncated to the stream of another key."""
     spec = instances.FIGURES["merged"]
-    with pytest.raises(ValueError, match=rf"{name}=-?\d+ must be in \[0, 2\*\*64\)"):
+    value = {"seed": seed, "run_index": run_index}[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        message = rf"^{name}={re.escape(repr(value))} must be an integer$"
+    else:
+        message = rf"{name}=-?\d+ must be in \[0, 2\*\*64\)"
+    with pytest.raises(ValueError, match=message):
         Environment(spec, seed, run_index)
 
 
@@ -109,14 +121,14 @@ def test_ground_truth_matches_scalar_oracle(name):
 
 def test_stop_immediately_record():
     spec = instances.FIGURES["merged"]
-    for i in range(200):
-        rec = cd.run_strategy(spec, StopAfter(0), Environment(spec, 3, i))
-        assert rec.tau == 0
-        _, _, col = cd.h_costs(spec, cd.initial_posterior(spec))
-        assert rec.d == col + 1
-        want = spec.a[0, rec.d - 1] if rec.theta > 0 else spec.a[rec.mu, rec.d - 1]
-        assert rec.realized_cost == want
-        assert not rec.capped
+    est = cd.estimate_risk(spec, StopAfter(0), runs=200, seed=3)
+    _, _, col = cd.h_costs(spec, cd.initial_posterior(spec))
+    for k in range(200):
+        assert est.tau[k] == 0
+        assert est.d[k] == col + 1
+        row = 0 if est.theta[k] > 0 else est.mu[k]
+        assert est.realized[k] == spec.a[row, est.d[k] - 1]
+        assert not est.capped[k]
 
 
 def test_free_stopping_cost_stops_at_zero():
@@ -126,21 +138,17 @@ def test_free_stopping_cost_stops_at_zero():
         c=1.0, a=np.array([[0.0], [0.0]]),
     )
     table = cd.value_iterate(spec, cd.build_grid(1, 50))
-    rec = cd.run_strategy(spec, TableStrategy(table), Environment(spec, 1, 0))
-    assert rec.tau == 0
-    assert rec.realized_cost == 0.0
+    est = cd.estimate_risk(spec, TableStrategy(table), runs=1, seed=1)
+    assert est.tau[0] == 0
+    assert est.realized[0] == 0.0
 
 
 def test_solved_strategy_stops_in_reasonable_time(solve200):
     spec, table = solve200("merged")
-    strategy = TableStrategy(table)
-    taus = []
-    for i in range(200):
-        rec = cd.run_strategy(spec, strategy, Environment(spec, 21, i))
-        assert not rec.capped
-        taus.append(rec.tau)
-    assert max(taus) < 500
-    assert np.mean(taus) < 100
+    est = cd.estimate_risk(spec, TableStrategy(table), runs=200, seed=21)
+    assert not est.capped.any()
+    assert est.tau.max() < 500
+    assert np.mean(est.tau) < 100
 
 
 def numpy_stream(seed, run_index, start, count):
@@ -171,16 +179,19 @@ def test_philox_kernel_rows_span_several_passes():
 
 
 def assert_rows_match_single_runs(spec, strategy, est, rows, n_max=DEFAULT_N_MAX):
+    """Each batch row equals the scalar replay of its run; returns the replays."""
+    runs = []
     for k in rows:
-        env = Environment(spec, est.seed, int(k))
-        rec = cd.run_strategy(spec, strategy, env, n_max=n_max)
-        assert rec.theta == est.theta[k]
-        assert rec.mu == est.mu[k]
-        assert rec.tau == est.tau[k]
-        assert rec.d == est.d[k]
-        assert rec.realized_cost == est.realized[k]
-        assert rec.posterior_cost == est.posterior_form[k]
-        assert rec.capped == est.capped[k]
+        run = replay(spec, strategy, est.seed, int(k), n_max=n_max)
+        assert run.theta == est.theta[k]
+        assert run.mu == est.mu[k]
+        assert run.tau == est.tau[k]
+        assert run.d == est.d[k]
+        assert run.cost == est.realized[k]
+        assert run.posterior_cost == est.posterior_form[k]
+        assert run.capped == est.capped[k]
+        runs.append(run)
+    return runs
 
 
 def test_single_runs_reproduce_batch_rows(solve200):
@@ -249,11 +260,11 @@ def test_cap_accounting():
     est = cd.estimate_risk(spec, never, runs=50, seed=13, n_max=40)
     assert est.cap_rate == 1.0
     assert (est.tau == 40).all()
-    rec = cd.run_strategy(spec, never, Environment(spec, 13, 0), n_max=40)
-    assert rec.capped and rec.tau == 40
-    mu_row = 0 if rec.tau < rec.theta else rec.mu
-    want = spec.c * max(rec.tau - rec.theta, 0) + spec.a[mu_row, rec.d - 1]
-    assert rec.realized_cost == want
+    theta, mu, tau, d = (int(x[0]) for x in (est.theta, est.mu, est.tau, est.d))
+    assert est.capped[0] and tau == 40
+    mu_row = 0 if tau < theta else mu
+    want = spec.c * max(tau - theta, 0) + spec.a[mu_row, d - 1]
+    assert est.realized[0] == want
 
 
 def test_cap_forces_only_the_runs_whose_rule_continues():
@@ -299,13 +310,14 @@ def test_hypothesis_testing_cost_reduces_to_delay_plus_error():
     spec = instances.hypothesis_testing_two_type()
     table = cd.value_iterate(spec, cd.build_grid(2, 100))
     strategy = TableStrategy(table)
-    for i in range(100):
-        rec = cd.run_strategy(spec, strategy, Environment(spec, 4, i))
-        assert rec.theta == 0
-        assert rec.realized_cost == spec.c * rec.tau + spec.a[rec.mu, rec.d - 1]
+    est = cd.estimate_risk(spec, strategy, runs=100, seed=4)
+    runs = assert_rows_match_single_runs(spec, strategy, est, range(100))
+    for k, run in enumerate(runs):
+        assert est.theta[k] == 0
+        assert est.realized[k] == spec.c * est.tau[k] + spec.a[est.mu[k], est.d[k] - 1]
         pi = cd.initial_posterior(spec)
         assert pi[0] == 0.0
-        for x in rec.observations:
+        for x in run.observations:
             pi = cd.update(spec, pi, x)
             assert pi[0] == 0.0
 
@@ -321,19 +333,21 @@ def test_posterior_cost_form_agrees_on_average(solve200):
 def test_record_path_contents(solve200):
     spec, table = solve200("merged")
     strategy = TableStrategy(table)
-    rec = cd.run_strategy(spec, strategy, Environment(spec, 2, 5))
-    assert len(rec.observations) == rec.tau
-    # replaying the recorded observations walks the run's posterior path:
-    # it continues at every step before the alarm, stops with the recorded
-    # decision after the last one, and prices to the recorded running cost
+    est = cd.estimate_risk(spec, strategy, runs=6, seed=2)
+    [run] = assert_rows_match_single_runs(spec, strategy, est, [5])
+    tau, d = int(est.tau[5]), int(est.d[5])
+    assert len(run.observations) == tau
+    # the run's observations walk its posterior path: it continues at every
+    # step before the alarm, stops with the batch row's decision after the
+    # last one, and prices to the row's running cost
     pi = cd.initial_posterior(spec)
     running = 0.0
-    for n, x in enumerate(rec.observations):
+    for n, x in enumerate(run.observations):
         assert strategy.decide(spec, pi, n) is None
         running += spec.c * (1.0 - pi[0])
         pi = cd.update(spec, pi, x)
-    assert strategy.decide(spec, pi, rec.tau) == rec.d
-    assert rec.posterior_cost == running + (pi @ spec.a)[rec.d - 1]
+    assert strategy.decide(spec, pi, tau) == d
+    assert est.posterior_form[5] == running + (pi @ spec.a)[d - 1]
 
 
 def test_risk_json_shape(solve200):
@@ -350,13 +364,9 @@ def test_spline_strategy_matches_table_strategy_often(solve200):
     spec, table = solve200("split")
     region = cd.extract_region(spec, table)
     boundaries = {j: cd.fit_boundary(region, j, K=12) for j in (1, 2)}
-    tab = TableStrategy(table)
-    spl = SplineStrategy(boundaries)
-    same = 0
-    for i in range(300):
-        r1 = cd.run_strategy(spec, tab, Environment(spec, 55, i))
-        r2 = cd.run_strategy(spec, spl, Environment(spec, 55, i))
-        same += (r1.tau, r1.d) == (r2.tau, r2.d)
+    r1 = cd.estimate_risk(spec, TableStrategy(table), runs=300, seed=55)
+    r2 = cd.estimate_risk(spec, SplineStrategy(boundaries), runs=300, seed=55)
+    same = np.count_nonzero((r1.tau == r2.tau) & (r1.d == r2.d))
     assert same / 300 >= 0.95
 
 
@@ -369,11 +379,27 @@ def test_monte_carlo_inputs_are_validated():
         ({"n_max": -5}, "n_max=-5"),
         ({"threads": 0}, "threads=0"),
         ({"threads": -2}, "threads=-2"),
+        ({"seed": 1.5}, "^seed=1.5 must be an integer$"),
+        ({"seed": True}, "^seed=True must be an integer$"),
+        ({"runs": 2.5}, "^runs=2.5 must be an integer$"),
+        ({"n_max": 2.5}, "^n_max=2.5 must be an integer$"),
+        ({"threads": 2.5}, "^threads=2.5 must be an integer$"),
     ]:
         with pytest.raises(ValueError, match=message):
-            cd.estimate_risk(spec, StopAfter(1), runs=10, seed=1, **kwargs)
+            cd.estimate_risk(spec, StopAfter(1), **{"runs": 10, "seed": 1, **kwargs})
     est = cd.estimate_risk(spec, StopAfter(3), runs=10, seed=1, n_max=0)
     assert est.tau.tolist() == [0] * 10 and est.cap_rate == 1.0
+    # numpy integers are integers, and the estimate stores them as ints
+    same = cd.estimate_risk(spec, StopAfter(3), runs=np.int64(10), seed=np.uint64(1),
+                            n_max=np.int32(0), threads=np.int8(2))
+    assert np.array_equal(same.realized, est.realized)
+    assert json.dumps(same.to_json()) == json.dumps(est.to_json())
+    env = Environment(spec, np.uint64(5), np.int64(0))
+    assert env.symbol(np.int16(3)) == Environment(spec, 5, 0).symbol(3)
+    for n, message in [(0, "^n=0 must be at least 1$"), (2.0, "^n=2.0 must be an integer$"),
+                       (True, "^n=True must be an integer$")]:
+        with pytest.raises(ValueError, match=message):
+            env.symbol(n)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, 1.5, -0.1, math.inf])

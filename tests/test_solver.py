@@ -150,13 +150,34 @@ def test_interpolate_many_matches_scalar():
         assert out == pytest.approx(cd.interpolate(table, pi), abs=1e-14)
 
 
+def expect(spec, table, pis):
+    """(T V)(pi) at each row of ``pis``: one batched operator off the nodes."""
+    return solver._transition(spec, table.grid, pis) @ table.values
+
+
+def expect_at_nodes(spec, table, pis):
+    """(T V) at lattice nodes, read from the rows of the grid operator."""
+    grid = table.grid
+    ids = grid.lookup[tuple(np.rint(pis[:, 1:] * grid.Q).astype(int).T)]
+    return solver.transition_matrix(spec, grid)[ids] @ table.values
+
+
+def backup(spec, pis, TV):
+    """Value and action of the Bellman backup at each row of ``pis``, given
+    (T V) there: action 0 continues, j > 0 announces type j; ties stop."""
+    h_all = h_values_many(spec, pis)
+    cont = spec.c * (1.0 - pis[:, 0]) + TV
+    action = solver._labels(h_all, cont, 0.0)
+    return np.where(action > 0, h_all.min(axis=1), cont), action
+
+
 def test_apply_T_constant_function():
     spec, base = shiryaev_table(Q=30, max_iter=1, tol=1e-300)
     table = dataclasses.replace(base, values=np.full(base.grid.n_nodes, 3.25))
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        pi = rng.dirichlet(np.ones(2))
-        assert cd.apply_T(spec, table, pi) == pytest.approx(3.25, abs=1e-12)
+    pis = np.array([rng.dirichlet(np.ones(2)) for _ in range(20)])
+    for value in expect(spec, table, pis):
+        assert value == pytest.approx(3.25, abs=1e-12)
 
 
 def test_apply_T_zero_at_type_corners():
@@ -165,38 +186,36 @@ def test_apply_T_zero_at_type_corners():
     h_at_nodes = h_values_many(spec, grid.nodes).min(axis=1)
     base = cd.value_iterate(spec, grid, max_iter=1, tol=1e-300)
     table = dataclasses.replace(base, values=h_at_nodes)
-    for j in (1, 2):
-        pi = np.zeros(3)
-        pi[j] = 1.0
-        assert cd.apply_T(spec, table, pi) == pytest.approx(0.0, abs=1e-14)
+    corners = np.eye(3)[1:]
+    for value in expect_at_nodes(spec, table, corners):
+        assert value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_apply_T_preserves_concavity_up_to_grid_error(solve200):
     spec, table = solve200("merged")
     eps = 5 * spec.c / table.grid.Q
     rng = np.random.default_rng(31)
-    for _ in range(200):
-        pa = rng.dirichlet(np.ones(3))
-        pb = rng.dirichlet(np.ones(3))
-        lam = rng.uniform()
-        lhs = lam * cd.apply_T(spec, table, pa) + (1 - lam) * cd.apply_T(spec, table, pb)
-        rhs = cd.apply_T(spec, table, lam * pa + (1 - lam) * pb)
-        assert lhs <= rhs + eps
+    draws = [(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)), rng.uniform())
+             for _ in range(200)]
+    pa, pb, lam = (np.array(x) for x in zip(*draws))
+    mix = lam[:, None] * pa + (1 - lam[:, None]) * pb
+    Ta, Tb, Tmix = np.split(expect(spec, table, np.vstack([pa, pb, mix])), 3)
+    assert (lam * Ta + (1 - lam) * Tb <= Tmix + eps).all()
 
 
 def test_apply_M_continue_at_no_change_corner(solve200):
     spec, table = solve200("merged")
-    value, action = cd.apply_M(spec, table, np.array([1.0, 0.0, 0.0]))
-    assert action is None
+    corner = np.array([[1.0, 0.0, 0.0]])
+    [value], [action] = backup(spec, corner, expect_at_nodes(spec, table, corner))
+    assert action == 0
     assert 0.0 <= value < 10.0
 
 
 def test_apply_M_stops_at_type_corners(solve200):
     spec, table = solve200("merged")
-    for j in (1, 2):
-        pi = np.zeros(3)
-        pi[j] = 1.0
-        value, action = cd.apply_M(spec, table, pi)
+    corners = np.eye(3)[1:]
+    values, actions = backup(spec, corners, expect_at_nodes(spec, table, corners))
+    for j, value, action in zip((1, 2), values, actions):
         assert value == 0.0
         assert action == j
 
@@ -206,13 +225,13 @@ def test_apply_M_stops_on_cheap_stopping_cost(solve200):
     optimal, so the one-step operator must pick Stop(j)."""
     spec, table = solve200("merged")
     lam = 1 / 12  # just inside the 1/11 threshold for a_0j = 10, c = 1
-    for j in (1, 2):
-        pi = np.zeros(3)
-        pi[0] = lam
-        pi[j] = 1 - lam
+    pis = np.zeros((2, 3))
+    pis[:, 0] = lam
+    pis[[0, 1], [1, 2]] = 1 - lam
+    values, actions = backup(spec, pis, expect(spec, table, pis))
+    for j, pi, value, action in zip((1, 2), pis, values, actions):
         h_vals, h, _ = cd.h_costs(spec, pi)
         assert h_vals[j - 1] <= min(h, spec.c * (1 - pi[0]))
-        value, action = cd.apply_M(spec, table, pi)
         assert action == j
         assert value == pytest.approx(h_vals[j - 1], abs=1e-12)
 
@@ -220,9 +239,9 @@ def test_apply_M_stops_on_cheap_stopping_cost(solve200):
 def test_apply_M_bounded_by_h(solve200):
     spec, table = solve200("merged")
     rng = np.random.default_rng(13)
-    for _ in range(100):
-        pi = rng.dirichlet(np.ones(3))
-        value, _ = cd.apply_M(spec, table, pi)
+    pis = np.array([rng.dirichlet(np.ones(3)) for _ in range(100)])
+    values, _ = backup(spec, pis, expect(spec, table, pis))
+    for pi, value in zip(pis, values):
         _, h, _ = cd.h_costs(spec, pi)
         assert 0.0 <= value <= h + 1e-12
 
@@ -274,7 +293,8 @@ def test_value_iterate_sweep_cap_flagged():
 
 
 def test_single_sweep_matches_one_step_operator():
-    """One sweep from V = h is the backup apply_M at every node, bit for bit."""
+    """One sweep from V = h is the backup at every node, with the operator
+    built for that node alone, bit for bit."""
     for spec, grid in [
         (instances.shiryaev_binary(), cd.build_grid(1, 60)),
         (instances.FIGURES["merged"], cd.build_grid(2, 40)),
@@ -283,7 +303,8 @@ def test_single_sweep_matches_one_step_operator():
         h_at_nodes = h_values_many(spec, grid.nodes).min(axis=1)
         h_table = dataclasses.replace(table1, values=h_at_nodes)
         for node_id in range(grid.n_nodes):
-            want, _ = cd.apply_M(spec, h_table, grid.nodes[node_id])
+            pi = grid.nodes[node_id : node_id + 1]
+            [want], _ = backup(spec, pi, expect(spec, h_table, pi))
             assert table1.values[node_id] == want
 
 
@@ -301,7 +322,8 @@ def test_apply_T_at_nodes_is_the_grid_operator(make_spec, M, Q):
     table = cd.value_iterate(spec, grid, tol=1e-300, max_iter=5)
     swept = solver.transition_matrix(spec, grid) @ table.values
     for node_id in range(grid.n_nodes):
-        assert cd.apply_T(spec, table, grid.nodes[node_id]) == swept[node_id]
+        [value] = expect(spec, table, grid.nodes[node_id : node_id + 1])
+        assert value == swept[node_id]
 
 
 @pytest.mark.parametrize("make_spec,M,Q", ONE_TO_THREE_TYPES, ids=["M1", "M2", "M3"])
@@ -315,11 +337,12 @@ def test_apply_T_of_affine_values(make_spec, M, Q):
     w = rng.uniform(-2.0, 3.0, size=M + 1)
     base = cd.value_iterate(spec, grid, tol=1e-300, max_iter=1)
     table = dataclasses.replace(base, values=grid.nodes @ w)
-    for pi in rng.dirichlet(np.ones(M + 1), size=50):
+    pis = rng.dirichlet(np.ones(M + 1), size=50)
+    for pi, value in zip(pis, expect(spec, table, pis)):
         stepped = np.empty(M + 1)
         stepped[0] = pi[0] * (1.0 - spec.p)
         stepped[1:] = pi[1:] + pi[0] * spec.p * spec.nu
-        assert cd.apply_T(spec, table, pi) == pytest.approx(w @ stepped, abs=1e-12)
+        assert value == pytest.approx(w @ stepped, abs=1e-12)
 
 
 def test_values_monotone_in_sweep_count():
