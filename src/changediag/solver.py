@@ -7,7 +7,8 @@ k a nonnegative integer vector summing to Q, and functions are extended off
 the nodes by barycentric interpolation over a Kuhn (union-jack) subdivision
 of the lattice cells.  Because updating every node's posterior lands on
 points whose interpolation stencils never change, the whole sweep collapses
-to one sparse matrix-vector product.
+to one product with a fixed operator of a few entries per node
+(``TransitionOperator``).
 
 The sweep count needed for a target accuracy comes with a guarantee: the
 N-sweep table overshoots the fixed point by at most (|h|^2/c + |h|/p)/N in
@@ -30,7 +31,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,12 +39,10 @@ from .model import (
 )
 from .posterior import _announce, _step_weights, h_values_many
 
-if TYPE_CHECKING:
-    import scipy.sparse
-
 __all__ = [
     "GridSizeError",
     "SimplexGrid",
+    "TransitionOperator",
     "ValueTable",
     "build_grid",
     "interpolate",
@@ -66,9 +64,17 @@ SNAP_TOL = 1e-9
 #: enumerates; C(2M+1, M) stays within it up to M = 8.
 _SUP_CANDIDATES = 24_310
 
-#: Rows of T whose stencils _transition computes at a time; the stencil's
-#: temporaries scale with it, not with the grid.
+#: Rows of T in one block of a TransitionOperator.
 _TRANSITION_ROWS = 8192
+
+#: Rows whose entries _transition computes at a time, inside one block of
+#: _TRANSITION_ROWS; the temporaries scale with it, not with the grid.
+_STENCIL_ROWS = 1024
+
+#: Column that marks an entry to drop: one of a symbol that cannot be
+#: observed, or one added into a later entry of its column.  It sorts after
+#: every node id.
+_DEAD = np.iinfo(np.int32).max
 
 _MAGIC = b"CDVT"
 _VERSION = 1
@@ -215,58 +221,170 @@ def interpolate(table: "ValueTable", pi: np.ndarray) -> float:
     return float(interpolate_many(table.grid, table.values, pi[None, :])[0])
 
 
+class TransitionOperator:
+    """The one-step expectation operator T of the posterior chain; apply it
+    as ``T @ values``.
+
+    The rows are stored in blocks of ``_TRANSITION_ROWS``.  A block is a
+    (width, rows) array of column ids and one of weights: column r of the
+    block lists row r's distinct columns in ascending order, padded to the
+    block's width with column 0 at weight 0.  ``T @ values`` gathers a
+    block's values into one buffer, scales it by the weights and adds its
+    lines up one after another, so every row is summed from left to right
+    from 0.0, as a CSR product sums it.  A padding entry adds a zero, which
+    changes no bit of the sum while ``values`` is finite.
+
+    ``indptr``, ``indices`` and ``data`` give the same operator in CSR form,
+    with 32-bit indices where they fit; ``indices`` and ``data`` are built
+    from the blocks on each access.
+    """
+
+    def __init__(
+        self,
+        shape: tuple[int, int],
+        indptr: np.ndarray,
+        blocks: list[tuple[np.ndarray, np.ndarray]],
+    ):
+        self.shape = shape
+        self.indptr = indptr
+        self._blocks = blocks
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the blocks and ``indptr``."""
+        return self.indptr.nbytes + sum(ids.nbytes + w.nbytes for ids, w in self._blocks)
+
+    def _csr(self, part: int) -> np.ndarray:
+        """Entries of every block's ids (part 0) or weights (part 1), in
+        CSR order."""
+        counts = np.diff(self.indptr)
+        out = []
+        for b, block in enumerate(self._blocks):
+            arr = block[part]
+            rows = counts[b * _TRANSITION_ROWS : b * _TRANSITION_ROWS + arr.shape[1]]
+            out.append(arr.T[np.arange(arr.shape[0]) < rows[:, None]])
+        return np.concatenate(out)
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr(0).astype(self.indptr.dtype)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._csr(1)
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        return self.matvec(values)
+
+    def matvec(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``T @ values``, written into ``out`` when one is given."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (self.shape[1],):
+            raise ValueError(f"T has shape {self.shape}, got values of shape {values.shape}")
+        if out is None:
+            out = np.empty(self.shape[0])
+        buf = np.empty(max((ids.size for ids, _ in self._blocks), default=0))
+        for b, (ids, w) in enumerate(self._blocks):
+            lo = b * _TRANSITION_ROWS
+            row = out[lo : lo + ids.shape[1]]
+            terms = buf[: ids.size].reshape(ids.shape)
+            # every id is in range; "clip" skips the slower checks of "raise"
+            np.take(values, ids, out=terms, mode="clip")
+            terms *= w
+            # line by line: np.add.reduce sums a one-row block pairwise
+            np.add(terms[0], 0.0, out=row)
+            for line in terms[1:]:
+                row += line
+        return out
+
+
 def _transition(
     spec: ProblemSpec, grid: SimplexGrid, points: np.ndarray
-) -> scipy.sparse.csr_matrix:
+) -> TransitionOperator:
     """One-step expectation operator from ``points`` onto the grid.
 
     Row k holds, for every symbol with positive predictive probability at
     point k, that probability spread over the interpolation stencil of the
-    updated posterior.  Rows sum to 1, so (T f) at the points is one sparse
-    product, and constants are reproduced exactly.
+    updated posterior.  Rows sum to 1, so constants are reproduced exactly.
 
-    The entries are written straight in CSR order: one (point, symbol,
-    stencil corner) array of column ids and one of values, from which the
-    entries of symbols with zero predictive probability are dropped.  That
-    is the in-row order a COO -> CSR conversion of per-symbol blocks gives.
-    One row may name a node more than once (two symbols may land on one
-    stencil, and zero-weight corners fall back on the base corner), and
-    ``sum_duplicates`` adds those entries up in that order, so the matrix
-    is bitwise the converted one without building the COO triple.
+    A row lists its entries in (symbol, stencil corner) order, leaving out
+    the symbols of zero predictive probability.  One row may name a node
+    more than once (two symbols may land on one stencil, and zero-weight
+    corners fall back on the base corner); a stable sort by column brings
+    those entries together in that order, and they are added up from left
+    to right.  For rows of up to 16 entries that is also the order of a
+    COO -> CSR conversion followed by ``sum_duplicates``, whose in-row sort
+    is stable only that far; wider rows have the order above.
     """
-    import scipy.sparse
-
-    n, k = points.shape[0], grid.M + 1
-    cols = np.empty((n, spec.alphabet_size, k), dtype=grid.lookup.dtype)
-    vals = np.empty((n, spec.alphabet_size, k))
-    live = np.empty((n, spec.alphabet_size), dtype=bool)
-    # every row is computed alone, so the blocks change no bit of T
+    n, width = points.shape[0], spec.alphabet_size * (grid.M + 1)
+    counts = np.empty(n, dtype=np.int64)
+    blocks = []
     for lo in range(0, n, _TRANSITION_ROWS):
-        block = slice(lo, lo + _TRANSITION_ROWS)
-        step = _step_weights(spec, points[block])
-        for x in range(spec.alphabet_size):
-            num = step * spec.f[:, x]
-            total = num.sum(axis=1)
-            live[block, x] = rows = total > 0.0
-            if not rows.any():
-                continue
-            ids, weights = _stencil(grid, num[rows] / total[rows, None])
-            cols[block][rows, x] = ids
-            vals[block][rows, x] = total[rows, None] * weights
-    if not live.all():
-        cols, vals = cols[live], vals[live]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(live.sum(axis=1) * k, out=indptr[1:])
-    T = scipy.sparse.csr_matrix(
-        (vals.ravel(), cols.ravel(), indptr), shape=(n, grid.n_nodes)
-    )
-    T.sum_duplicates()
-    return T
+        m = min(_TRANSITION_ROWS, n - lo)
+        ids, w = np.empty((width, m), dtype=np.intp), np.empty((width, m))
+        # every row is computed alone, so the chunks change no bit of T
+        for sub in range(lo, lo + m, _STENCIL_ROWS):
+            chunk = slice(sub, min(lo + m, sub + _STENCIL_ROWS))
+            cols, vals, counts[chunk] = _row_entries(spec, grid, points[chunk])
+            ids[:, chunk.start - lo : chunk.stop - lo] = cols.T
+            w[:, chunk.start - lo : chunk.stop - lo] = vals.T
+        used = counts[lo : lo + m].max()
+        if used < width:
+            ids, w = ids[:used].copy(), w[:used].copy()
+        blocks.append((ids, w))
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, grid.n_nodes) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    return TransitionOperator((n, grid.n_nodes), indptr, blocks)
 
 
-def transition_matrix(
-    spec: ProblemSpec, grid: SimplexGrid
-) -> scipy.sparse.csr_matrix:
+def _row_entries(
+    spec: ProblemSpec, grid: SimplexGrid, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of T at ``points``: columns and weights, both of shape
+    (n, alphabet size * (M+1)), and the entry count of each row.
+
+    Each row holds its distinct columns in ascending order, padded with
+    column 0 at weight 0.
+    """
+    n, A, k = points.shape[0], spec.alphabet_size, grid.M + 1
+    num = _step_weights(spec, points)[:, None, :] * spec.f.T
+    total = num.sum(axis=2)
+    live = total > 0.0
+    # a symbol of zero predictive probability gets the stencil of the zero
+    # vector, whose columns then become _DEAD
+    ids, weights = _stencil(grid, (num / np.where(live, total, 1.0)[:, :, None]).reshape(-1, k))
+    cols = np.where(live.reshape(-1, 1), ids, _DEAD).reshape(n, A * k)
+    vals = (total.reshape(-1, 1) * weights).reshape(n, A * k)
+    # a stable sort brings the entries of one column together, in
+    # (symbol, corner) order; _DEAD sorts last
+    order = np.argsort(cols, axis=1, kind="stable")
+    order += np.arange(0, n * A * k, A * k)[:, None]
+    cols, vals = cols.take(order), vals.take(order)
+    counts = np.full(n, A * k)
+    same = cols[:, 1:] == cols[:, :-1]
+    short = np.flatnonzero(same.any(axis=1) | (cols[:, -1] == _DEAD))
+    if short.size:
+        c, v, s = cols[short], vals[short], same[short]
+        # running sums add each column's entries up from left to right,
+        # into the last of them; the others become _DEAD
+        for j in range(1, A * k):
+            np.add(v[:, j - 1], v[:, j], out=v[:, j], where=s[:, j - 1])
+        c[:, :-1][s] = _DEAD
+        order = np.argsort(c, axis=1, kind="stable")
+        c, v = np.take_along_axis(c, order, axis=1), np.take_along_axis(v, order, axis=1)
+        dropped = c == _DEAD
+        c[dropped], v[dropped] = 0, 0.0
+        cols[short], vals[short], counts[short] = c, v, A * k - dropped.sum(axis=1)
+    return cols, vals, counts
+
+
+def transition_matrix(spec: ProblemSpec, grid: SimplexGrid) -> TransitionOperator:
     """One-step expectation operator at every grid node, row k at node k."""
     return _transition(spec, grid, grid.nodes)
 
@@ -355,8 +473,10 @@ def value_iterate(
     "max_iter", table flagged not converged but still returned).
 
     Per-node values are non-increasing across sweeps; this is a property of
-    the exact operator that could be broken at rounding scale by the sparse
-    product, so each sweep is clamped by the previous one.
+    the exact operator that could be broken at rounding scale by the
+    product with T, so each sweep is clamped by the previous one.  The
+    sweeps reuse two node vectors: the new values, and the old ones, which
+    then hold the change.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol={tol} must be finite")
@@ -374,16 +494,19 @@ def value_iterate(
     sup_h = stopping_cost_sup(spec)
     bound_const = sup_h * sup_h / spec.c + sup_h / spec.p
 
-    V = h.copy()
+    V, V_new = h.copy(), np.empty_like(h)
     sup_change = math.inf
     criterion = "max_iter"
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        V_new = np.minimum(h, delay + T @ V)
+        T.matvec(V, out=V_new)
+        V_new += delay
+        np.minimum(h, V_new, out=V_new)
         np.minimum(V_new, V, out=V_new)
-        sup_change = float(np.max(np.abs(V - V_new)))
-        V = V_new
+        # V_new <= V, so the change needs no abs; V is not needed after it
+        sup_change = float(np.subtract(V, V_new, out=V).max())
+        V, V_new = V_new, V
         if sup_change < tol:
             criterion = "delta"
             converged = True

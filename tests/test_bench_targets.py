@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import changediag
+from changediag import solver
+
+import instances
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
@@ -35,6 +38,21 @@ def test_traced_target_resolves(target):
     else:
         assert callable(getattr(home, attr))
     assert hook is None or callable(hook)
+
+
+def test_nnz_hook_reads_the_transition_operator():
+    """The traced run reads matrix size and bytes off transition_matrix's
+    result through the CSR attributes."""
+    [hook] = [t[3] for t in load_targets() if t[2] == "solver.transition_matrix"]
+    spec = instances.FIGURES["merged"]
+    grid = changediag.build_grid(spec.num_types, 30)
+    T = solver.transition_matrix(spec, grid)
+    counts = hook((spec, grid), T)
+    n = grid.n_nodes
+    assert counts["n"] == n
+    assert counts["nnz"] == T.indices.size == T.data.size == T.indptr[-1]
+    # int32 indptr and indices, float64 data
+    assert counts["bytes"] == 4 * (n + 1) + 12 * counts["nnz"]
 
 
 def bench_names():

@@ -59,7 +59,9 @@ def test_immediate_change_when_p0_is_one():
 def test_change_time_frequency_binomial():
     spec = instances.FIGURES["merged"]
     draws = 20_000
-    zeros = sum(Environment(spec, 77, i).theta == 0 for i in range(draws))
+    # run i of the batch draws theta as Environment(spec, 77, i) does
+    est = cd.estimate_risk(spec, StopAfter(0), runs=draws, seed=77)
+    zeros = np.count_nonzero(est.theta == 0)
     sigma = math.sqrt(draws * 0.02 * 0.98)
     assert abs(zeros - draws * 0.02) <= 3 * sigma
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import changediag as cd
-from changediag import solver
+from changediag import posterior, solver
 from changediag.model import spec_to_dict
 from changediag.posterior import h_values_many
 
@@ -156,10 +156,10 @@ def expect(spec, table, pis):
 
 
 def expect_at_nodes(spec, table, pis):
-    """(T V) at lattice nodes, read from the rows of the grid operator."""
+    """(T V) at lattice nodes, read from the grid operator's product."""
     grid = table.grid
     ids = grid.lookup[tuple(np.rint(pis[:, 1:] * grid.Q).astype(int).T)]
-    return solver.transition_matrix(spec, grid)[ids] @ table.values
+    return (solver.transition_matrix(spec, grid) @ table.values)[ids]
 
 
 def backup(spec, pis, TV):
@@ -527,6 +527,18 @@ def zero_density_spec() -> cd.ProblemSpec:
     )
 
 
+def wide_spec() -> cd.ProblemSpec:
+    """Two types over ten symbols: 30 entries per row, many of them in one
+    column, where scipy's in-row sort (stable up to 16 entries) had no
+    defined order."""
+    ramp = np.arange(1.0, 11.0) / 55.0
+    return dataclasses.replace(
+        instances.FIGURES["merged"],
+        alphabet_size=10,
+        f=np.array([np.full(10, 0.1), ramp, ramp[::-1]]),
+    )
+
+
 # sha256 of T's indptr, indices and data: a change to T's entries, their
 # order within a row or their dtypes shows here
 TRANSITION_DIGESTS = {
@@ -547,6 +559,12 @@ TRANSITION_DIGESTS = {
         "f85ba583f4279930006b29b87aff2cce4c306ba2a53fad68d3c43707440118dc",
         "c207415da3d6d9b0cc07b7ca130ff6b01313d2d4b88fce3ab2f9642c0c887785",
         "97302117387a990374af370e4b61247afaef9e2f6a91571e079d313e5931716f",
+    ),
+    "wide-Q12": (
+        wide_spec, 12,
+        "eec0a98572f960de5880324f9104414998433e44a1321aef16c81765ebb957ee",
+        "eb4a32e01561c1a6e17741a2754228c2fa8a1eb3ac174853e2204a23aea32eb8",
+        "9fbb57335bca0b5ea5e76a8fdcfe0412bd929c2635f708c3f9baa994adb1c614",
     ),
     # 20,301 rows: more than one block of _transition
     "merged-Q200": (
@@ -571,7 +589,7 @@ def test_transition_matrix_bytes_are_pinned(case):
 def test_transition_matrix_peak_memory_is_a_small_multiple_of_its_size():
     spec = instances.FIGURES["merged"]
     grid = cd.build_grid(2, 200)
-    solver.transition_matrix(spec, grid)  # imports scipy.sparse outside the trace
+    solver.transition_matrix(spec, grid)  # first-call costs stay outside the trace
     tracemalloc.start()
     try:
         T = solver.transition_matrix(spec, grid)
@@ -579,3 +597,76 @@ def test_transition_matrix_peak_memory_is_a_small_multiple_of_its_size():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * (T.indptr.nbytes + T.indices.nbytes + T.data.nbytes)
+
+
+@pytest.mark.parametrize(
+    "make_spec,Q", [(wide_spec, 12), (zero_density_spec, 15), (instances.three_type, 6)],
+    ids=["wide", "zero-density", "three-type"],
+)
+def test_transition_rows_sum_entries_in_symbol_and_corner_order(make_spec, Q):
+    """Each row, built entry by entry: for every symbol of positive
+    predictive probability, its stencil corners in order, an entry added
+    to the running sum of its column; columns then ascending."""
+    spec = make_spec()
+    grid = cd.build_grid(spec.num_types, Q)
+    T = solver.transition_matrix(spec, grid)
+    widest = np.diff(T.indptr).max()
+    indptr, indices, data = [0], [], []
+    for node in grid.nodes:
+        row = {}
+        for x in range(spec.alphabet_size):
+            num = posterior._step_weights(spec, node[None, :])[0] * spec.f[:, x]
+            total = num.sum()
+            if not total > 0.0:
+                continue
+            ids, weights = solver._stencil(grid, (num / total)[None, :])
+            for col, weight in zip(ids[0].tolist(), weights[0].tolist()):
+                row[col] = row[col] + total * weight if col in row else total * weight
+        indices += sorted(row)
+        data += [row[col] for col in sorted(row)]
+        indptr.append(len(indices))
+    assert T.indptr.tolist() == indptr
+    assert T.indices.tolist() == indices
+    assert T.data.tobytes() == np.array(data).tobytes()
+    if make_spec is wide_spec:
+        assert widest > 16
+
+
+@pytest.mark.parametrize("make_spec", [wide_spec, lambda: instances.FIGURES["merged"]],
+                         ids=["wide", "merged"])
+def test_product_sums_each_row_from_left_to_right(make_spec):
+    """T @ v adds each row's CSR entries in order, from 0.0, as a CSR
+    product does; the points span two blocks, the last of one row."""
+    spec = make_spec()
+    grid = cd.build_grid(spec.num_types, 12)
+    rows = solver._TRANSITION_ROWS + 1
+    T = solver._transition(spec, grid, grid.nodes[np.arange(rows) % grid.n_nodes])
+    v = np.random.default_rng(5).random(grid.n_nodes)
+    indptr, indices, data = T.indptr.tolist(), T.indices.tolist(), T.data.tolist()
+    expect = []
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        acc = 0.0
+        for col, weight in zip(indices[lo:hi], data[lo:hi]):
+            acc += weight * v[col]
+        expect.append(acc)
+    assert (T @ v).tobytes() == np.array(expect).tobytes()
+
+
+def test_value_iterate_peak_memory_is_the_operator_and_a_few_node_vectors():
+    spec = instances.FIGURES["merged"]
+    grid = cd.build_grid(2, 200)
+    nbytes = solver.transition_matrix(spec, grid).nbytes
+    tracemalloc.start()
+    try:
+        cd.value_iterate(spec, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= nbytes + 16 * 8 * grid.n_nodes
+
+
+def test_transition_operator_refuses_a_vector_of_another_length():
+    spec = instances.FIGURES["merged"]
+    T = solver.transition_matrix(spec, cd.build_grid(2, 10))
+    with pytest.raises(ValueError, match="shape"):
+        T @ np.ones(T.shape[1] - 1)
