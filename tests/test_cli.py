@@ -215,21 +215,46 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
         assert heavy not in loaded
 
 
-def test_cli_chain_loads_no_scipy(runner, model_path, tmp_path):
-    """The whole chain in one fresh interpreter: --version, solve, regions at
-    the table's own stop_tol and at another (which rebuilds T), fit-boundary
-    for both corners and simulate --table load no scipy module."""
+def test_version_and_table_simulation_load_no_scipy(runner, model_path, tmp_path):
     table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "8").exit_code == 0
+    args = [["--version"],
+            ["simulate", model_path, "--table", table_path, "--runs", "50",
+             "--threads", "1", "-o", str(tmp_path / "sim.json")]]
+    code = (
+        "from changediag.cli import main\n"
+        f"for args in {args!r}:\n"
+        "    assert main(args, standalone_mode=False) in (None, 0)\n"
+    )
+    assert scipy_modules_after(code, tmp_path) == []
+    assert (tmp_path / "sim.json").exists()
+
+
+def test_solve_loads_no_scipy_optimize(model_path, tmp_path):
+    """solve builds T with numpy alone: neither scipy.optimize nor
+    scipy.sparse, nor any other scipy module, is loaded."""
+    args = ["solve", model_path, "-Q", "8", "-o", str(tmp_path / "t.cdvt")]
+    code = (
+        "from changediag.cli import main\n"
+        f"assert main({args!r}, standalone_mode=False) in (None, 0)\n"
+    )
+    loaded = scipy_modules_after(code, tmp_path)
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+    assert loaded == []
+    assert (tmp_path / "t.cdvt").exists()
+
+
+def test_regions_and_fit_boundary_load_no_scipy(runner, model_path, tmp_path):
+    """regions at the table's own stop_tol and at another (which rebuilds T)
+    and fit-boundary for both corners load no scipy module."""
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "60").exit_code == 0
     curves = [str(tmp_path / f"b{j}.json") for j in (1, 2)]
     args = [
-        ["--version"],
-        ["solve", model_path, "-Q", "60", "-o", table_path],
         ["regions", table_path, "-o", str(tmp_path / "r.csv")],
         ["regions", table_path, "--stop-tol", "1e-3", "-o", str(tmp_path / "r2.csv")],
         *(["fit-boundary", str(tmp_path / "r.csv"), "-j", str(j), "-o", out]
           for j, out in zip((1, 2), curves)),
-        ["simulate", model_path, "--table", table_path, "--runs", "50",
-         "--threads", "1", "-o", str(tmp_path / "sim.json")],
     ]
     code = (
         "from changediag.cli import main\n"
@@ -237,14 +262,13 @@ def test_cli_chain_loads_no_scipy(runner, model_path, tmp_path):
         "    assert main(args, standalone_mode=False) in (None, 0)\n"
     )
     assert scipy_modules_after(code, tmp_path) == []
-    for name in ("r2.csv", "sim.json"):
-        assert (tmp_path / name).exists()
+    assert (tmp_path / "r2.csv").exists()
     both = tmp_path / "bb.json"
     both.write_text(json.dumps([json.loads(Path(out).read_text()) for out in curves]))
     result = runner.invoke(main, ["simulate", model_path, "--boundaries", str(both),
-                                  "--runs", "200", "-o", str(tmp_path / "sim-b.json")])
+                                  "--runs", "200", "-o", str(tmp_path / "sim.json")])
     assert result.exit_code == 0, result.output
-    manifest = json.loads((tmp_path / "sim-b.json.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
     assert manifest["report"]["runs_per_s"] > 0
 
 
