@@ -102,20 +102,20 @@ def _designated(M: int, corner: int) -> tuple[list[int], int]:
 def corner_radius(pi: np.ndarray, corner: int) -> float:
     """Embedded Euclidean distance from ``pi`` to the corner."""
     pi = np.asarray(pi, dtype=np.float64)
-    M = pi.shape[-1] - 1
-    sq = (1.0 + (pi * pi).sum(axis=-1)) / 2.0 - pi[..., corner]
-    return np.sqrt(C_M[M] * np.maximum(sq, 0.0))
+    sq = (1.0 + np.add.reduce(pi * pi, axis=-1)) / 2.0 - pi[..., corner]
+    return np.sqrt(C_M[pi.shape[-1] - 1] * np.maximum(sq, 0.0))
 
 
 def _polar(pis: np.ndarray, corner: int) -> tuple[np.ndarray, np.ndarray]:
     """Corner radius r, shape (n,), and angles beta, shape (n, M-1), of each
-    row of ``pis``; rows with r = 0 sit at the corner and get no usable
-    angle."""
+    row of ``pis``; rows with r = 0 sit at the corner and get angle 0,
+    which is of no use."""
     keep, _ = _designated(pis.shape[1] - 1, corner)
     r = corner_radius(pis, corner)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.arcsin(np.clip(pis[:, keep] / r[:, None], 0.0, 1.0))
-    return r, beta
+    beta = np.zeros((pis.shape[0], len(keep)))
+    np.divide(pis.take(keep, axis=1), r[:, None], out=beta, where=r[:, None] > 0.0)
+    beta.clip(0.0, 1.0, out=beta)
+    return r, np.arcsin(beta, out=beta)
 
 
 def to_polar(pi: np.ndarray, corner: int) -> PolarPoint:
@@ -366,14 +366,20 @@ def fit_spline(
     cv_score = None
     if lam is None:
         order = np.argsort(beta, kind="stable")
+        # each fold's validation rows (in angle order) and training rows,
+        # picked once for every candidate lam
+        splits = []
+        for fold in range(5):
+            val = order[fold::5]
+            train = np.ones(beta.size, dtype=bool)
+            train[val] = False
+            splits.append((phi[val], r[val], phi[train], r[train]))
         best, best_score = LAMBDA_GRID[0], np.inf
         for cand in LAMBDA_GRID:
             sse = 0.0
-            for fold in range(5):
-                val = order[fold::5]
-                train = np.setdiff1d(order, val)
-                coef = _solve_penalized(phi[train], curvature, r[train], cand)
-                resid = r[val] - phi[val] @ coef
+            for phi_val, r_val, phi_train, r_train in splits:
+                coef = _solve_penalized(phi_train, curvature, r_train, cand)
+                resid = r_val - phi_val @ coef
                 sse += float(resid @ resid)
             if sse <= best_score:
                 best, best_score = cand, sse
@@ -409,13 +415,16 @@ def evaluate_boundary(sb: SplineBoundary, beta) -> np.ndarray | float:
     """Fitted radius at the given angle(s), linear beyond the end knots."""
     x = np.asarray(beta, dtype=np.float64)
     single = x.ndim == 0
-    x = np.atleast_1d(x)
+    if single:
+        x = x.reshape(1)
     lo, hi = sb.knots[0], sb.knots[-1]
-    (g_lo, g_hi), (s_lo, s_hi) = sb._ends
-    out = sb._compiled()(np.clip(x, lo, hi))
-    left, right = x < lo, x > hi
-    out[left] = g_lo + s_lo * (x[left] - lo)
-    out[right] = g_hi + s_hi * (x[right] - hi)
+    inside = x.clip(lo, hi)
+    out = sb._compiled()(inside)
+    if (x != inside).any():
+        (g_lo, g_hi), (s_lo, s_hi) = sb._ends
+        left, right = x < lo, x > hi
+        out[left] = g_lo + s_lo * (x[left] - lo)
+        out[right] = g_hi + s_hi * (x[right] - hi)
     return float(out[0]) if single else out
 
 
@@ -443,17 +452,13 @@ def fast_member_many(
     if pis.shape[1] != 3:
         raise ValueError("fast membership is built for the 2-type problem")
     cheapest = _announce(h_values_many(spec, pis), True)
-    stop = np.zeros(pis.shape[0], dtype=bool)
+    stop = np.empty(pis.shape[0], dtype=bool)
+    picked = np.bincount(cheapest, minlength=3).tolist()
     for corner in (1, 2):
-        rows = np.flatnonzero(cheapest == corner)
-        if rows.size == 0:
-            continue
-        r, beta = _polar(pis[rows], corner)
-        ghat = np.full(rows.size, np.inf)
-        live = r > 0.0
-        if np.any(live):
-            ghat[live] = boundaries[corner](beta[live, 0])
-        stop[rows] = r <= ghat
+        if picked[corner]:
+            rows = cheapest == corner
+            r, beta = _polar(pis[rows], corner)
+            stop[rows] = (r <= boundaries[corner](beta[:, 0])) | (r <= 0.0)
     return cheapest * stop
 
 

@@ -15,6 +15,8 @@ just ndarrays of shape (M+1,).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .model import ProblemSpec
@@ -47,17 +49,27 @@ def initial_posterior(spec: ProblemSpec) -> np.ndarray:
     return pi
 
 
+@functools.lru_cache(maxsize=None)
+def _stay(p: float, M: int) -> np.ndarray:
+    """The factor of each coordinate in the part of pi·P that does not
+    move: 1-p for pi_0, 1 for each type."""
+    stay = np.ones(M + 1)
+    stay[0] = 1.0 - p
+    stay.setflags(write=False)
+    return stay
+
+
 def _step_weights(spec: ProblemSpec, pis: np.ndarray) -> np.ndarray:
     """One step of the change chain, pi·P, for posteriors of any leading shape.
 
     The no-change weight is (1-p)*pi_0: the change must not trigger this
-    period.  The type-i weight is pi_i + pi_0*p*nu_i: either the change of
+    period.  The type-i weight is pi_i + (pi_0*p)*nu_i: either the change of
     type i was already in effect, or it triggers right now.  Multiplying by
     the symbol's density column gives the posterior numerators.
     """
-    w = pis.astype(np.float64)
-    w[..., 0] *= 1.0 - spec.p
-    w[..., 1:] += pis[..., :1] * spec.p * spec.nu
+    w = pis * _stay(spec.p, spec.num_types)
+    tail = w[..., 1:]
+    tail += pis[..., :1] * spec.p * spec.nu
     return w
 
 
@@ -80,16 +92,17 @@ def update(spec: ProblemSpec, pi: np.ndarray, x: int) -> np.ndarray:
         ImpossibleObservation: if the symbol has zero predictive
             probability at ``pi``.
     """
-    num = _step_weights(spec, pi) * spec.f[:, x]
-    total = num.sum()
+    num = _step_weights(spec, pi)
+    num *= spec.f[:, x]
+    total = np.add.reduce(num)
     if total <= 0.0:
         raise ImpossibleObservation(
             f"symbol {x} has zero likelihood at posterior {pi.tolist()}"
         )
-    out = num / total
+    num /= total
     # Renormalize so that drift cannot accumulate over long streams.
-    out /= out.sum()
-    return out
+    num /= np.add.reduce(num)
+    return num
 
 
 def update_many(spec: ProblemSpec, pis: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -102,18 +115,19 @@ def update_many(spec: ProblemSpec, pis: np.ndarray, xs: np.ndarray) -> np.ndarra
     Raises ImpossibleObservation if any row degenerates; the message names
     the first offending row.
     """
-    num = _step_weights(spec, pis) * spec.f[:, xs].T
-    totals = num.sum(axis=1)
+    num = _step_weights(spec, pis)
+    num *= spec.f.T[xs]
+    totals = np.add.reduce(num, axis=1, keepdims=True)
     dead = totals <= 0.0
-    if np.any(dead):
+    if dead.any():
         row = int(np.argmax(dead))
         raise ImpossibleObservation(
             f"symbol {int(xs[row])} has zero likelihood at posterior "
             f"{pis[row].tolist()} (row {row})"
         )
-    out = num / totals[:, None]
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+    num /= totals
+    num /= np.add.reduce(num, axis=1, keepdims=True)
+    return num
 
 
 def predictive(spec: ProblemSpec, pi: np.ndarray) -> np.ndarray:
@@ -143,4 +157,4 @@ def h_values_many(spec: ProblemSpec, pis: np.ndarray) -> np.ndarray:
 def _announce(h_all: np.ndarray, stop) -> np.ndarray:
     """The terminal decision: where ``stop`` holds, announce the cheapest type
     (1-based, the smallest index on ties), else 0 to continue; int8 per row."""
-    return np.where(stop, h_all.argmin(axis=1) + 1, 0).astype(np.int8)
+    return np.multiply(h_all.argmin(axis=1) + 1, stop, dtype=np.int8, casting="unsafe")

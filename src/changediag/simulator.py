@@ -239,7 +239,7 @@ class TableStrategy(Strategy):
     def decide_many(self, spec, pis, n):
         values = interpolate_many(self.table.grid, self.table.values, pis)
         h_all = h_values_many(spec, pis)
-        return _announce(h_all, h_all.min(axis=1) - values <= self.table.stop_tol)
+        return _announce(h_all, np.minimum.reduce(h_all, axis=1) - values <= self.table.stop_tol)
 
 
 class SplineStrategy(Strategy):
@@ -352,44 +352,48 @@ def _simulate_block(
     window = window[:, 2:]
     cum_f = np.cumsum(spec.f, axis=1)
 
-    pis = np.tile(initial_posterior(spec), (runs, 1))
     tau = np.zeros(runs, dtype=np.int64)
     d = np.zeros(runs, dtype=np.int64)
     capped = np.zeros(runs, dtype=bool)
-    running = np.zeros(runs)
     post_form = np.zeros(runs)
 
+    # The state of the runs still going, row k for run ``active[k]``; rows
+    # leave together when their runs stop.
     active = np.arange(runs)
+    pis = np.tile(initial_posterior(spec), (runs, 1))
+    running = np.zeros(runs)
+    change, kind = theta, mu
     window_row = np.arange(runs)
     n = 0
     while active.size:
-        dec = strategy.decide_many(spec, pis[active], n)
+        dec = strategy.decide_many(spec, pis, n)
         if n >= n_max:
             # the cap announces the cheapest type wherever the strategy continues
             capped[active] = dec == 0
-            cheapest = _announce(h_values_many(spec, pis[active]), True)
-            dec = np.where(capped[active], cheapest, dec)
+            dec = np.where(dec == 0, _announce(h_values_many(spec, pis), True), dec)
         stopping = dec > 0
-        if np.any(stopping):
+        if stopping.any():
             done = active[stopping]
             tau[done] = n
             d[done] = dec[stopping]
-            h_done = h_values_many(spec, pis[done])
-            post_form[done] = running[done] + h_done[
+            h_done = h_values_many(spec, pis[stopping])
+            post_form[done] = running[stopping] + h_done[
                 np.arange(done.size), d[done] - 1
             ]
-            active = active[~stopping]
+            go_on = ~stopping
+            active, pis, running = active[go_on], pis[go_on], running[go_on]
+            change, kind, window_row = change[go_on], kind[go_on], window_row[go_on]
         if active.size == 0:
             break
 
-        running[active] += spec.c * (1.0 - pis[active, 0])
+        running += spec.c * (1.0 - pis[:, 0])
 
         if n and n % CHUNK == 0:
             window = _philox_uniforms(seed, run_offset + active, 2 + n, CHUNK)
-            window_row[active] = np.arange(active.size)
-        us = window[window_row[active], n % CHUNK]
-        rows = np.where(theta[active] <= n + 1, mu[active], 0)
-        pis[active] = update_many(spec, pis[active], _draw_symbols(cum_f, rows, us))
+            window_row = np.arange(active.size)
+        us = window[window_row, n % CHUNK]
+        rows = np.where(change <= n + 1, kind, 0)
+        pis = update_many(spec, pis, _draw_symbols(cum_f, rows, us))
         n += 1
 
     delay, terminal = _price(spec, theta, mu, tau, d)

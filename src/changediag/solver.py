@@ -26,6 +26,7 @@ corners are the only ones that may fall outside, and those are discarded).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -162,48 +163,76 @@ def build_grid(M: int, Q: int, max_nodes: int = DEFAULT_MAX_NODES) -> SimplexGri
     return SimplexGrid(M=M, Q=Q, lattice=lattice, nodes=nodes, lookup=lookup)
 
 
+@functools.lru_cache(maxsize=None)
+def _kuhn_steps(M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants of the stencils on the (M, Q) lattice.
+
+    ``step[i]`` is the flat lookup offset of a unit step along cumulative
+    coordinate i, which moves tail coordinate i up and tail coordinate i-1
+    down.  ``frame`` is the column that ``_stencil`` sorts the fractions
+    into: -1, then M slots, then -0.0.
+    """
+    strides = _strides(M, Q)
+    step = strides - np.concatenate(([0], strides[:-1]))
+    frame = np.zeros((M + 2, 1))
+    frame[0], frame[-1] = -1.0, -0.0
+    step.setflags(write=False)
+    frame.setflags(write=False)
+    return step, frame
+
+
 def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation stencils for a batch of simplex points.
 
     :param points: array of shape (n, M+1) of simplex coordinates.
     :return: (node ids of shape (n, M+1), barycentric weights of the same
         shape); weights are nonnegative and sum to 1 per row.
+
+    The work runs on (coordinate, point) arrays, so every call costs the
+    same few numpy operations whatever n is, and each operation runs along
+    the n points rather than along a row of M+1.
     """
     M, Q = grid.M, grid.Q
+    step, frame = _kuhn_steps(M, Q)
     n = points.shape[0]
 
-    # Cumulative tail sums, scaled to lattice units, then forced into the
-    # monotone staircase that the triangulation lives on.
-    v = np.cumsum(points[:, ::-1], axis=1)[:, ::-1][:, 1:] * Q
+    # Cumulative tail sums v_i = pi_i + ... + pi_M (added from pi_M up, as
+    # a cumulative sum adds them), scaled to lattice units, then forced
+    # into the monotone staircase that the triangulation lives on.
+    v = points.T[1:].copy()
+    for i in range(M - 2, -1, -1):
+        np.add(v[i + 1], v[i], out=v[i])
+    v *= Q
     nearest = np.rint(v)
-    v = np.where(np.abs(v - nearest) <= SNAP_TOL, nearest, v)
-    v = np.clip(v, 0.0, Q)
-    v = np.minimum.accumulate(v, axis=1)
+    gap = np.subtract(v, nearest)
+    np.abs(gap, out=gap)
+    np.copyto(v, nearest, where=gap <= SNAP_TOL)
+    v.clip(0.0, Q, out=v)
+    for i in range(1, M):
+        np.minimum(v[i - 1], v[i], out=v[i])
+    neg_frac, base = np.modf(v)
+    np.negative(neg_frac, out=neg_frac)
 
-    base = np.floor(v).astype(np.int64)
-    frac = v - base
-
-    order = np.argsort(-frac, axis=1, kind="stable")
-    frac_sorted = np.take_along_axis(frac, order, axis=1)
-
+    # Column k of ``framed`` becomes (-1, -frac sorted up, -0.0): point k's
+    # fractions in descending order between two values that sort first and
+    # last (frac lies in [0, 1)).  The weights 1 - frac_(0), frac_(0) -
+    # frac_(1), ..., frac_(M-1) are its consecutive differences, bit for bit.
+    framed = frame.repeat(n, axis=1)
+    framed[1:-1] = neg_frac
+    framed[1:-1].sort(axis=0, kind="stable")
     weights = np.empty((n, M + 1))
-    weights[:, 0] = 1.0 - frac_sorted[:, 0]
-    if M > 1:
-        weights[:, 1:M] = frac_sorted[:, : M - 1] - frac_sorted[:, 1:]
-    weights[:, M] = frac_sorted[:, M - 1]
+    np.subtract(framed[1:], framed[:-1], out=weights.T)
 
-    # A unit step along cumulative coordinate i moves tail coordinate i up
-    # and tail coordinate i-1 down, a constant offset in the flat lookup.
-    # Corner t+1 of the Kuhn simplex is corner t stepped along order[t];
-    # zero-weight corners may leave the staircase, so they keep the (always
-    # valid) base corner.
-    strides = _strides(M, Q)
-    step = strides - np.concatenate(([0], strides[:-1]))
-    offsets = np.zeros((n, M + 1), dtype=np.int64)
-    np.cumsum(step[order], axis=1, out=offsets[:, 1:])
-    offsets[~(weights > 0.0)] = 0
-    ids = grid.lookup.ravel()[(base @ step)[:, None] + offsets]
-    if ids.min() < 0:
+    # Corner t of the Kuhn simplex steps the base corner along the t
+    # coordinates of largest fraction, which are those whose fraction
+    # exceeds the next one down in sorted order wherever corner t has
+    # weight (a tie leaves it none).  Zero-weight corners may leave the
+    # staircase, so they keep the (always valid) base corner.
+    steps = neg_frac < framed[1:, None]
+    steps &= (weights.T > 0.0)[:, None]
+    corners = step @ (steps + base)
+    ids = grid.lookup.ravel().take(corners.astype(np.intp).T)
+    if ids.min(initial=0) < 0:
         raise RuntimeError("interpolation stencil left the simplex lattice")
     return ids, weights
 
@@ -211,8 +240,18 @@ def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndar
 def interpolate_many(
     grid: SimplexGrid, values: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """Piecewise-linear interpolation of per-node values at many points."""
-    ids, weights = _stencil(grid, np.atleast_2d(points))
+    """Piecewise-linear interpolation of per-node values at many points.
+
+    Raises:
+        ValueError: if the points do not have the grid's M+1 coordinates.
+    """
+    points = np.atleast_2d(points)
+    if points.shape[-1] != grid.M + 1:
+        raise ValueError(
+            f"points have {points.shape[-1]} coordinates, the grid's simplex "
+            f"has {grid.M + 1}"
+        )
+    ids, weights = _stencil(grid, points)
     return np.einsum("nk,nk->n", values[ids], weights)
 
 

@@ -194,13 +194,15 @@ def test_fit_boundary_rejects_truncated_region_csv(runner, model_path, tmp_path)
     assert not (tmp_path / "g.json").exists()
 
 
-def scipy_modules_after(code: str, cwd) -> list[str]:
-    """scipy modules loaded by ``code`` run in a fresh interpreter."""
+def modules_after(code: str, cwd, package: str = "scipy") -> list[str]:
+    """Modules of ``package`` (scipy unless named) loaded by ``code`` run in
+    a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(cd.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = (
         f"{code}\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m == {package!r} "
+        f"or m.startswith({package + '.'!r}))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
@@ -210,7 +212,7 @@ def scipy_modules_after(code: str, cwd) -> list[str]:
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
-    loaded = scipy_modules_after("import changediag.cli", tmp_path)
+    loaded = modules_after("import changediag.cli", tmp_path)
     for heavy in ("scipy.optimize", "scipy.interpolate", "scipy.sparse"):
         assert heavy not in loaded
 
@@ -226,7 +228,7 @@ def test_version_and_table_simulation_load_no_scipy(runner, model_path, tmp_path
         f"for args in {args!r}:\n"
         "    assert main(args, standalone_mode=False) in (None, 0)\n"
     )
-    assert scipy_modules_after(code, tmp_path) == []
+    assert modules_after(code, tmp_path) == []
     assert (tmp_path / "sim.json").exists()
 
 
@@ -238,10 +240,26 @@ def test_solve_loads_no_scipy_optimize(model_path, tmp_path):
         "from changediag.cli import main\n"
         f"assert main({args!r}, standalone_mode=False) in (None, 0)\n"
     )
-    loaded = scipy_modules_after(code, tmp_path)
+    loaded = modules_after(code, tmp_path)
     assert not [m for m in loaded if m.startswith("scipy.optimize")]
     assert loaded == []
     assert (tmp_path / "t.cdvt").exists()
+
+
+def test_fit_boundary_loads_no_numpy_ma(runner, model_path, tmp_path):
+    """Cross-validation picks its folds without ``np.setdiff1d``, whose
+    import of ``numpy.ma`` would cost every fit-boundary process."""
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "60").exit_code == 0
+    csv = str(tmp_path / "r.csv")
+    assert runner.invoke(main, ["regions", table_path, "-o", csv]).exit_code == 0
+    args = ["fit-boundary", csv, "-j", "1", "-o", str(tmp_path / "b1.json")]
+    code = (
+        "from changediag.cli import main\n"
+        f"assert main({args!r}, standalone_mode=False) in (None, 0)\n"
+    )
+    assert modules_after(code, tmp_path, "numpy.ma") == []
+    assert (tmp_path / "b1.json").exists()
 
 
 def test_regions_and_fit_boundary_load_no_scipy(runner, model_path, tmp_path):
@@ -261,7 +279,7 @@ def test_regions_and_fit_boundary_load_no_scipy(runner, model_path, tmp_path):
         f"for args in {args!r}:\n"
         "    assert main(args, standalone_mode=False) in (None, 0)\n"
     )
-    assert scipy_modules_after(code, tmp_path) == []
+    assert modules_after(code, tmp_path) == []
     assert (tmp_path / "r2.csv").exists()
     both = tmp_path / "bb.json"
     both.write_text(json.dumps([json.loads(Path(out).read_text()) for out in curves]))

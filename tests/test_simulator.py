@@ -234,6 +234,28 @@ def test_table_decide_is_the_stopping_rule_on_single_posteriors(solve200, name):
         assert strategy.decide(spec, pi, 0) == want
 
 
+def test_table_decide_equals_decide_many_row_by_row(solve200):
+    """The one-row ``decide`` is row k of ``decide_many``, on random points
+    and on nodes."""
+    spec, table = solve200("merged")
+    strategy = TableStrategy(table)
+    pts = np.vstack([np.random.default_rng(4).dirichlet(np.ones(3), 1000),
+                     table.grid.nodes[::11]])
+    batch = strategy.decide_many(spec, pts, 0)
+    assert [strategy.decide(spec, pi, 0) or 0 for pi in pts] == batch.tolist()
+
+
+def test_every_strategy_decides_an_empty_batch(solve200):
+    spec, table = solve200("merged")
+    region = cd.extract_region(spec, table)
+    boundaries = {j: cd.fit_boundary(region, j, K=12) for j in (1, 2)}
+    strategies = [TableStrategy(table), SplineStrategy(boundaries), StopAfter(0),
+                  PosteriorThreshold(0.5)]
+    for strategy in strategies:
+        out = strategy.decide_many(spec, np.empty((0, 3)), 0)
+        assert out.shape == (0,) and out.dtype == np.int8, type(strategy).__name__
+
+
 def test_worker_count_does_not_change_results(solve200):
     spec, table = solve200("merged")
     strategy = TableStrategy(table)

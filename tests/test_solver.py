@@ -104,6 +104,46 @@ def test_stencil_matches_corner_by_corner_reference(M, Q):
     assert weights.tobytes() == want_weights.tobytes()
 
 
+@pytest.mark.parametrize("M,Q", [(1, 9), (2, 7), (3, 6), (4, 5)])
+def test_stencils_of_single_rows_equal_the_batch(M, Q):
+    """Stencils computed one point at a time are the batched ones, bit for
+    bit: the one-row call runs the same kernel, not a scalar copy of it."""
+    grid = cd.build_grid(M, Q)
+    rng = np.random.default_rng(10 + M)
+    points = np.concatenate([
+        rng.dirichlet(np.full(M + 1, 0.3), size=300),
+        cd.build_grid(M, 2 * Q).nodes,
+        np.eye(M + 1),
+    ])
+    ids, weights = solver._stencil(grid, points)
+    for k, point in enumerate(points):
+        one_ids, one_weights = solver._stencil(grid, point[None, :])
+        assert np.array_equal(one_ids[0], ids[k])
+        assert one_weights[0].tobytes() == weights[k].tobytes()
+
+
+def test_interpolation_of_an_empty_batch_is_empty():
+    grid = cd.build_grid(2, 7)
+    ids, weights = solver._stencil(grid, np.empty((0, 3)))
+    assert ids.shape == weights.shape == (0, 3)
+    out = solver.interpolate_many(grid, np.zeros(grid.n_nodes), np.empty((0, 3)))
+    assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_interpolation_refuses_points_of_the_wrong_width(width):
+    spec = instances.FIGURES["merged"]
+    table = cd.value_iterate(spec, cd.build_grid(2, 7), max_iter=2, tol=1e-300)
+    pi = np.full(width, 1.0 / width)
+    message = f"points have {width} coordinates, the grid's simplex has 3"
+    with pytest.raises(ValueError, match=message):
+        solver.interpolate_many(table.grid, table.values, pi[None, :])
+    with pytest.raises(ValueError, match=message):
+        cd.interpolate(table, pi)
+    with pytest.raises(ValueError, match=message):
+        cd.TableStrategy(table).decide(spec, pi, 0)
+
+
 def test_grid_size_cap():
     with pytest.raises(cd.GridSizeError):
         cd.build_grid(2, 4, max_nodes=10)
