@@ -195,9 +195,10 @@ class SplineBoundary:
     compiled spline that ``evaluate_boundary`` uses is built on first use.
 
     Raises:
-        ValueError: a knot or a coefficient is not finite, the knots are
-            not a 1-D strictly increasing array of two or more, or the
-            coefficients do not have shape (knots.size + 2,).
+        ValueError: the corner is not 1 or 2, a knot or a coefficient is
+            not finite, the knots are not a 1-D strictly increasing array
+            of two or more, or the coefficients do not have shape
+            (knots.size + 2,).
     """
 
     corner: int
@@ -210,6 +211,11 @@ class SplineBoundary:
 
     def __post_init__(self):
         knots, coef = self.knots, self.coefficients
+        if self.corner not in (1, 2):
+            raise ValueError(
+                f"boundary curve for corner {self.corner}: not a type of the "
+                "2-type model"
+            )
         if not (np.isfinite(knots).all() and np.isfinite(coef).all()):
             raise ValueError(
                 f"boundary curve for corner {self.corner} has a non-finite "

@@ -49,7 +49,7 @@ from .model import (
     derive_suspended_animation,
     save_spec,
 )
-from .posterior import ImpossibleObservation, initial_posterior, update
+from .posterior import initial_posterior, update
 from .regions import _fmt, export_region, extract_region, check_region_properties, import_region
 from .simulator import (
     DEFAULT_N_MAX,
@@ -102,11 +102,9 @@ class _Phases:
 
 
 def _load_solved_table(path: str, spec=None):
-    """The table at ``path`` and the model it was solved for, refused when
-    its sidecar is missing or, given ``spec``, when that model is another."""
+    """The table at ``path`` and the model it was solved for, refused when,
+    given ``spec``, that model is another."""
     table, table_spec = load_table(path)
-    if table_spec is None:
-        raise ValueError(f"{path}: sidecar with the model is missing")
     if spec is not None and table_spec != spec:
         raise ValueError(f"{path}: the table was solved for a different model")
     return table, table_spec
@@ -271,10 +269,10 @@ def _strategy_from_options(spec, **options):
         fits = load_boundaries(value)
         if spec.num_types != 2:
             raise ValueError(f"boundary curves need a 2-type model, not M={spec.num_types}")
-        missing = sorted({1, 2} - fits.keys())
-        if missing:
-            raise ValueError(f"{value}: no curve for type {missing[0]}")
-        return SplineStrategy(fits)
+        try:
+            return SplineStrategy(fits)
+        except ValueError as exc:
+            raise ValueError(f"{value}: {exc}") from None
     for prefix, parse, make in (
         ("stop-at-", int, StopAfter),
         ("threshold-", float, PosteriorThreshold),
@@ -409,16 +407,10 @@ def diagnose(
             except ValueError:
                 click.echo(f"step {n + 1}: not a symbol: {line!r}", err=True)
                 sys.exit(3)
-            if not 0 <= x < spec.alphabet_size:
-                click.echo(
-                    f"step {n + 1}: symbol {x} outside alphabet "
-                    f"0..{spec.alphabet_size - 1}",
-                    err=True,
-                )
-                sys.exit(3)
             try:
                 pi = update(spec, pi, x)
-            except ImpossibleObservation as exc:
+            except ValueError as exc:
+                # a symbol outside the alphabet, or an impossible observation
                 click.echo(f"step {n + 1}: {exc}", err=True)
                 sys.exit(3)
             n += 1

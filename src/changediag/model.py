@@ -472,6 +472,37 @@ def _integer(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
+def _check_int(name: str, value: int, low: int, key: bool = False) -> int:
+    """``value`` as a Python int, refused unless an integer of at least ``low``.
+
+    Python and numpy integers pass; bools and floats do not, so a seed of
+    1.5 cannot run the stream of seed 1.  A ``key`` is a Philox key word
+    and must also fit in 64 unsigned bits.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    if key and not 0 <= value < 2**64:
+        raise ValueError(f"{name}={value} must be in [0, 2**64)")
+    if value < low:
+        rule = "nonnegative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name}={value} must be {rule}")
+    return int(value)
+
+
+def _text(x) -> str:
+    """A string field of a JSON document; anything else is refused."""
+    if not isinstance(x, str):
+        raise ValueError(f"{x!r} is not a string")
+    return x
+
+
+def _flag(x) -> bool:
+    """A boolean field of a JSON document: true or false, not 1 or "true"."""
+    if not isinstance(x, bool):
+        raise ValueError(f"{x!r} is not true or false")
+    return x
+
+
 def _reals(x, field: str) -> np.ndarray:
     """A real array field of a JSON document, nested lists of numbers, as a
     float64 array of any shape: a boolean, or anything else that is not a

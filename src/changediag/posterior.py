@@ -89,9 +89,13 @@ def update(spec: ProblemSpec, pi: np.ndarray, x: int) -> np.ndarray:
     """Condition the posterior on one more observed symbol.
 
     Raises:
+        ValueError: if ``x`` is not an integer in 0..alphabet_size-1.
         ImpossibleObservation: if the symbol has zero predictive
             probability at ``pi``.
     """
+    A = spec.alphabet_size
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < A:
+        raise ValueError(f"symbol {x} outside alphabet 0..{A - 1}")
     num = _step_weights(spec, pi)
     num *= spec.f[:, x]
     total = np.add.reduce(num)
@@ -112,9 +116,14 @@ def update_many(spec: ProblemSpec, pis: np.ndarray, xs: np.ndarray) -> np.ndarra
     :param xs: integer symbols of shape (n,).
     :return: updated posteriors, shape (n, M+1).
 
-    Raises ImpossibleObservation if any row degenerates; the message names
+    Raises ValueError if a symbol is not an integer in 0..alphabet_size-1,
+    and ImpossibleObservation if any row degenerates; either message names
     the first offending row.
     """
+    xs, A = np.asarray(xs), spec.alphabet_size
+    if xs.dtype.kind not in "iu" or xs.min(initial=0) < 0 or xs.max(initial=0) >= A:
+        row = int(np.argmax((xs < 0) | (xs >= A))) if xs.dtype.kind in "iu" else 0
+        raise ValueError(f"symbol {xs[row]} outside alphabet 0..{A - 1} (row {row})")
     num = _step_weights(spec, pis)
     num *= spec.f.T[xs]
     totals = np.add.reduce(num, axis=1, keepdims=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import SplineBoundary, fast_member, fast_member_many
-from .model import ProblemSpec
+from .model import ProblemSpec, _check_int
 from .posterior import _announce, h_values_many, initial_posterior, update_many
 from .solver import ValueTable, interpolate_many
 
@@ -122,23 +122,6 @@ def _philox_uniforms(
         words = words.reshape(words.shape[0], -1)[:, start % 4 : start % 4 + count]
         out[rows] = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return out
-
-
-def _check_int(name: str, value: int, low: int, key: bool = False) -> int:
-    """``value`` as a Python int, refused unless an integer of at least ``low``.
-
-    Python and numpy integers pass; bools and floats do not, so a seed of
-    1.5 cannot run the stream of seed 1.  A ``key`` is a Philox key word
-    and must also fit in 64 unsigned bits.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name}={value!r} must be an integer")
-    if key and not 0 <= value < 2**64:
-        raise ValueError(f"{name}={value} must be in [0, 2**64)")
-    if value < low:
-        rule = "nonnegative" if low == 0 else f"at least {low}"
-        raise ValueError(f"{name}={value} must be {rule}")
-    return int(value)
 
 
 def _draw_truth(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +229,13 @@ class SplineStrategy(Strategy):
     """Stop by the compressed polar boundaries (2-type problems)."""
 
     def __init__(self, boundaries: dict[int, SplineBoundary]):
+        missing = sorted({1, 2} - boundaries.keys())
+        if missing:
+            raise ValueError(f"no curve for type {missing[0]}")
+        if any(sb.corner != j for j, sb in boundaries.items()):
+            raise ValueError(
+                f"curves keyed {sorted(boundaries)} are not the curves of types 1 and 2"
+            )
         self.boundaries = boundaries
         # build the compiled splines now, not inside the first decision
         for sb in boundaries.values():
@@ -262,9 +252,7 @@ class StopAfter(Strategy):
     """Baseline: stop unconditionally once ``k`` observations are in."""
 
     def __init__(self, k: int):
-        self.k = int(k)
-        if self.k < 0:
-            raise ValueError(f"k={self.k} must be nonnegative")
+        self.k = _check_int("k", k, 0)
 
     def decide_many(self, spec, pis, n):
         return _announce(h_values_many(spec, pis), n >= self.k)

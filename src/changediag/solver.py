@@ -30,13 +30,14 @@ import functools
 import itertools
 import math
 import os
-import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    ProblemSpec, _dump_json, _load_json, _read_doc, spec_from_dict, spec_to_dict
+    ProblemSpec, _check_int, _dump_json, _flag, _integer, _load_json, _read_doc, _real,
+    _text, spec_from_dict, spec_to_dict
 )
 from .posterior import _announce, _step_weights, h_values_many
 
@@ -77,9 +78,9 @@ _STENCIL_ROWS = 1024
 #: every node id.
 _DEAD = np.iinfo(np.int32).max
 
-_MAGIC = b"CDVT"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIIIId8sdddB")
+#: The magic and format version that a table sidecar records.
+_MAGIC = "CDVT"
+_VERSION = 2
 
 
 class GridSizeError(ValueError):
@@ -144,10 +145,10 @@ def build_grid(M: int, Q: int, max_nodes: int = DEFAULT_MAX_NODES) -> SimplexGri
     """Enumerate the lattice {k/Q} on the M-simplex.
 
     Raises:
+        ValueError: if M or Q is not an integer of at least 1.
         GridSizeError: if C(Q+M, M) exceeds ``max_nodes``.
     """
-    if M < 1 or Q < 1:
-        raise ValueError(f"need M >= 1 and Q >= 1, got M={M}, Q={Q}")
+    M, Q = _check_int("M", M, 1), _check_int("Q", Q, 1)
     count = math.comb(Q + M, M)
     if count > max_nodes:
         raise GridSizeError(
@@ -243,7 +244,8 @@ def interpolate_many(
     """Piecewise-linear interpolation of per-node values at many points.
 
     Raises:
-        ValueError: if the points do not have the grid's M+1 coordinates.
+        ValueError: if the points do not have the grid's M+1 coordinates,
+            or one of them has a coordinate that is not finite.
     """
     points = np.atleast_2d(points)
     if points.shape[-1] != grid.M + 1:
@@ -251,6 +253,10 @@ def interpolate_many(
             f"points have {points.shape[-1]} coordinates, the grid's simplex "
             f"has {grid.M + 1}"
         )
+    finite = np.isfinite(points)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"point {row} has a non-finite coordinate: {points[row].tolist()}")
     ids, weights = _stencil(grid, points)
     return np.einsum("nk,nk->n", values[ids], weights)
 
@@ -573,46 +579,27 @@ def value_iterate(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: binary table + JSON sidecar
+# Persistence: node data + JSON sidecar
 # ---------------------------------------------------------------------------
 
 
-def _sidecar_path(path: str) -> str:
-    return path + ".json"
-
-
 def save_table(table: ValueTable, spec: ProblemSpec, path: str) -> None:
-    """Write the table to ``path`` and a JSON sidecar to ``path``.json.
+    """Write the node data to ``path`` and the table's record to ``path``.json.
 
-    The binary layout is a fixed-size header followed by the node values as
-    little-endian float64 in grid node order, then one action byte per
-    node.  The sidecar duplicates the header fields and embeds the problem
-    instance so downstream commands can run from the table alone.
+    The node data are the values as little-endian float64 in grid node
+    order, then one action byte per node, and nothing else.  The JSON
+    sidecar is the table's one header: the lattice resolution, the solve
+    record, a crc32 of the node data and the problem instance, from which
+    the grid and the alphabet follow.
     """
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        table.grid.M,
-        table.grid.Q,
-        spec.alphabet_size,
-        table.iterations,
-        table.tol,
-        table.criterion.encode("ascii").ljust(8, b"\x00"),
-        table.sup_change,
-        table.error_bound,
-        table.stop_tol,
-        int(table.converged),
-    )
+    values = np.asarray(table.values, dtype="<f8").tobytes()
+    payload = values + np.asarray(table.labels, dtype=np.uint8).tobytes()
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.asarray(table.values, dtype="<f8").tobytes())
-        fh.write(np.asarray(table.labels, dtype=np.uint8).tobytes())
+        fh.write(payload)
     sidecar = {
-        "magic": _MAGIC.decode("ascii"),
+        "magic": _MAGIC,
         "version": _VERSION,
-        "M": table.grid.M,
         "Q": table.grid.Q,
-        "alphabet_size": spec.alphabet_size,
         "iterations": table.iterations,
         "tol": table.tol,
         "criterion": table.criterion,
@@ -620,88 +607,63 @@ def save_table(table: ValueTable, spec: ProblemSpec, path: str) -> None:
         "error_bound": table.error_bound,
         "stop_tol": table.stop_tol,
         "converged": table.converged,
-        "n_nodes": table.grid.n_nodes,
+        "crc32": zlib.crc32(payload),
         "model": spec_to_dict(spec),
     }
-    _dump_json(sidecar, _sidecar_path(path))
+    _dump_json(sidecar, path + ".json")
 
 
-def load_table(path: str) -> tuple[ValueTable, ProblemSpec | None]:
-    """Read a table written by save_table.
+def _record(d) -> dict:
+    """The fields of a table sidecar of this version."""
+    if d["magic"] != _MAGIC:
+        raise ValueError(f"magic {d['magic']!r} is not {_MAGIC!r}")
+    if _integer(d["version"]) != _VERSION:
+        raise ValueError(f"unsupported version {d['version']}")
+    return dict(
+        Q=_check_int("Q", _integer(d["Q"]), 1),
+        iterations=_integer(d["iterations"]),
+        tol=_real(d["tol"], "tol"),
+        criterion=_text(d["criterion"]),
+        sup_change=_real(d["sup_change"], "sup_change"),
+        error_bound=_real(d["error_bound"], "error_bound"),
+        stop_tol=_real(d["stop_tol"], "stop_tol"),
+        converged=_flag(d["converged"]),
+        crc32=_integer(d["crc32"]),
+        spec=spec_from_dict(d["model"]),
+    )
 
-    Returns the table and, when the sidecar is readable, the problem
-    instance it embeds (None otherwise; commands that need the model then
-    fail with a clear message instead of guessing).
+
+def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
+    """Read a table written by save_table, with the problem instance its
+    sidecar embeds.
 
     Raises:
-        ValueError: on a malformed, truncated or overlong file, a non-finite
-            value, a label outside 0..M, or when the sidecar disagrees with
-            the header about M, Q or the alphabet.
+        ValueError: on a missing or malformed sidecar, node data of the
+            wrong size or with another crc32 than the sidecar's, a
+            non-finite value, or a label outside 0..M.
     """
+    sidecar = path + ".json"
+    if not os.path.exists(sidecar):
+        raise ValueError(f"{path}: sidecar with the model is missing")
+    record = _read_doc(f"{sidecar}: table sidecar", _load_json(sidecar), _record)
+    spec, crc = record.pop("spec"), record.pop("crc32")
+    grid = build_grid(spec.num_types, record.pop("Q"))
+    n = grid.n_nodes
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        (
-            magic,
-            version,
-            M,
-            Q,
-            alphabet_size,
-            iterations,
-            tol,
-            criterion_raw,
-            sup_change,
-            error_bound,
-            stop_tol,
-            converged,
-        ) = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a value-table file (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        grid = build_grid(M, Q)
-        n = grid.n_nodes
-        values = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-        labels = np.frombuffer(fh.read(n), dtype=np.uint8)
-        if values.shape[0] != n or labels.shape[0] != n:
-            raise ValueError(f"{path}: truncated node data")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the node data")
+        payload = fh.read(9 * n + 1)
+    if len(payload) < 9 * n:
+        raise ValueError(f"{path}: truncated node data")
+    if len(payload) > 9 * n:
+        raise ValueError(f"{path}: trailing bytes after the node data")
+    if zlib.crc32(payload) != crc:
+        raise ValueError(f"{path}: node data do not match the crc32 of {sidecar}")
+    values = np.frombuffer(payload, dtype="<f8", count=n).astype(np.float64)
+    labels = np.frombuffer(payload, dtype=np.uint8, offset=8 * n)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         node = bad[0]
         raise ValueError(f"{path}: value {values[node]} at node {node} is not finite")
-    if (labels > M).any():
-        raise ValueError(f"{path}: labels outside 0..{M}")
-
-    table = ValueTable(
-        grid=grid,
-        values=values,
-        labels=labels.astype(np.int8),
-        iterations=iterations,
-        sup_change=sup_change,
-        error_bound=error_bound,
-        tol=tol,
-        criterion=criterion_raw.rstrip(b"\x00").decode("ascii"),
-        converged=bool(converged),
-        stop_tol=stop_tol,
-    )
-    spec = None
-    sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        doc = _read_doc(f"{sidecar}: table sidecar", _load_json(sidecar), dict)
-        # both the sidecar's own fields and its embedded model must describe
-        # the grid and alphabet the binary header was written for
-        claims = [(key, doc.get(key)) for key in ("M", "Q", "alphabet_size")]
-        if "model" in doc:
-            spec = spec_from_dict(doc["model"])
-            claims += [("M", spec.num_types), ("alphabet_size", spec.alphabet_size)]
-        header = {"M": M, "Q": Q, "alphabet_size": alphabet_size}
-        for key, claimed in claims:
-            if claimed is not None and claimed != header[key]:
-                raise ValueError(
-                    f"{sidecar}: {key}={claimed} disagrees with the table "
-                    f"header ({key}={header[key]})"
-                )
+    if (labels > grid.M).any():
+        raise ValueError(f"{path}: labels outside 0..{grid.M}")
+    table = ValueTable(grid=grid, values=values, labels=labels.astype(np.int8), **record)
     return table, spec

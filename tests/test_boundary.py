@@ -277,6 +277,12 @@ def test_non_finite_curve_refused(knots, coefficients):
         cd.SplineBoundary(2, knots, coefficients, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("corner", [0, 3, 7])
+def test_curve_for_a_corner_outside_the_2_type_model_refused(corner):
+    with pytest.raises(ValueError, match=f"^boundary curve for corner {corner}: not a type"):
+        cd.SplineBoundary(corner, np.linspace(0.0, 1.0, 5), np.full(7, 0.3), 1.0, 0.0)
+
+
 @pytest.mark.parametrize(
     "knots,coefficients,message",
     [

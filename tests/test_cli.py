@@ -607,8 +607,11 @@ def artefacts(tmp_path_factory):
     documents the one JSON reader refuses: a table sidecar that is an array,
     curves with an ill-typed corner or knots or a list for lambda, two curves
     for one corner, a model with a fractional type count or a list for p0,
-    models and a cost matrix holding booleans, Q=20 tables with NaN values and
-    with a label byte of 200, and a file that is not JSON."""
+    models and a cost matrix holding booleans, Q=20 tables with NaN values,
+    with a label byte of 200, without a sidecar, as a version-1 pair, with a
+    string for a flag, with Q=0, with node data one byte short or long, and with the
+    node data of the Q=20 table of another model, and a file that is not
+    JSON."""
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
@@ -638,6 +641,19 @@ def artefacts(tmp_path_factory):
             cd.save_table(bad, spec, str(root / "t20-label-200.cdvt"))
     skew = instances.FIGURES["split_skew"]
     cd.save_table(cd.value_iterate(skew, cd.build_grid(2, 20)), skew, str(root / "t20-skew.cdvt"))
+    data, sidecar = (root / "t20.cdvt").read_bytes(), json.loads((root / "t20.cdvt.json").read_text())
+    for name, payload, fields in [
+        ("no-sidecar", data, None),
+        ("v1", b"CDVT" + bytes(61) + data, {"version": 1}),
+        ("converged-yes", data, {"converged": "yes"}),
+        ("Q-0", data, {"Q": 0}),
+        ("short", data[:-1], {}),
+        ("long", data + b"\0", {}),
+        ("skew-data", (root / "t20-skew.cdvt").read_bytes(), {}),
+    ]:
+        (root / f"t20-{name}.cdvt").write_bytes(payload)
+        if fields is not None:
+            (root / f"t20-{name}.cdvt.json").write_text(json.dumps({**sidecar, **fields}))
     curves = [
         cd.SplineBoundary(corner=j, knots=np.linspace(0.0, np.pi / 3, 5),
                           coefficients=np.full(7, 0.3), lam=1.0, rms=0.0)
@@ -747,6 +763,18 @@ def artefacts(tmp_path_factory):
          "t20-nan.cdvt: value nan at node 0 is not finite"),
         (["regions", "t20-nan.cdvt"], "t20-nan.cdvt: value nan at node 0 is not finite"),
         (["regions", "t20-label-200.cdvt"], "t20-label-200.cdvt: labels outside 0..2"),
+        (["regions", "t20-no-sidecar.cdvt"],
+         "t20-no-sidecar.cdvt: sidecar with the model is missing"),
+        (["simulate", "model.json", "--table", "t20-v1.cdvt", "--runs", "5"],
+         "malformed t20-v1.cdvt.json: table sidecar: unsupported version 1"),
+        (["regions", "t20-converged-yes.cdvt"],
+         "malformed t20-converged-yes.cdvt.json: table sidecar: 'yes' is not true or false"),
+        (["regions", "t20-Q-0.cdvt"],
+         "malformed t20-Q-0.cdvt.json: table sidecar: Q=0 must be at least 1"),
+        (["regions", "t20-short.cdvt"], "t20-short.cdvt: truncated node data"),
+        (["regions", "t20-long.cdvt"], "t20-long.cdvt: trailing bytes after the node data"),
+        (["simulate", "model.json", "--table", "t20-skew-data.cdvt", "--runs", "5"],
+         "t20-skew-data.cdvt: node data do not match the crc32 of t20-skew-data.cdvt.json"),
         (["solve", "bad.json", "-Q", "10"], "bad.json: not valid JSON: "),
         (["simulate", "model.json", "--boundaries", "bad.json", "--runs", "5"],
          "bad.json: not valid JSON: "),
@@ -803,6 +831,13 @@ def artefacts(tmp_path_factory):
         "simulate-nan-table",
         "regions-nan-table",
         "regions-label-200",
+        "regions-no-sidecar",
+        "simulate-version-1-table",
+        "regions-sidecar-flag-string",
+        "regions-sidecar-Q-0",
+        "regions-short-node-data",
+        "regions-long-node-data",
+        "simulate-node-data-of-another-model",
         "solve-bad-json",
         "simulate-boundaries-bad-json",
         "derive-sa-terminal-costs-bad-json",

@@ -44,8 +44,8 @@ GOLDEN = {
     "sa": "b94e03168e2f153ee06ed15b5260764f1319bd8a18d0c2397d9ff0d2f6ba4621",
     "boundary": "5035d784de63bd1c11d0f9d2f75f90e0203e749ea4721a9a30674f415208c204",
     "boundaries": "daee4f627c141d91ab11cddf524812f8945aade50c25c0f7ae61d48387c62359",
-    "table": "211f0d9ef5f62f6e9c34e7f4127cb3a3b54ec910a1646db30290abf4d40c7f02",
-    "table.json": "34ed4db99d214060a4fec22dba765c5864c19eb94d99d08505b65766b0b6bc18",
+    "table": "1fc78ae1a51d831a0cffdc01703646474f660ea9889aa64b4ab453acf9f5e196",
+    "table.json": "82f21d995f4bccee67dc78a062dff8eefc92f823154a31aa71635f2ffe754dca",
 }
 
 WRITERS = {
@@ -79,8 +79,8 @@ def _curves_doc(tmp_path):
 # reader -> (good document, its file name, load from that path, what the
 # errors name, path to an integer field, path to a numeric array field, path
 # to a one-number field).  A curve file is an array, so its second curve
-# carries the cases; the sidecar's own fields are optional, so its embedded
-# model carries the field cases.
+# carries the cases; the sidecar's own fields carry its integer and
+# one-number cases, its embedded model the array cases.
 READERS = {
     "model": (lambda tmp: spec_to_dict(instances.FIGURES["merged"]), "m.json",
               cd.load_spec, "model document", ("num_types",), ("nu",), ("p0",)),
@@ -90,8 +90,7 @@ READERS = {
     "curves": (_curves_doc, "b.json", cd.load_boundaries, "boundary curve",
                (1, "corner"), (1, "knots"), (1, "lambda")),
     "sidecar": (_sidecar_doc, "t.cdvt.json", lambda p: cd.load_table(p[:-5])[1],
-                "model document", ("model", "alphabet_size"),
-                ("model", "terminal_costs"), ("model", "p0")),
+                "model document", ("Q",), ("model", "terminal_costs"), ("tol",)),
 }
 
 DELETE = object()
@@ -132,10 +131,11 @@ def test_reader_refuses_a_malformed_document(tmp_path, reader, case):
     doc = make(tmp_path)
     if field is None:
         path = (1,) if reader == "curves" else ()
-        what = "table sidecar" if reader == "sidecar" else what
     else:
         path = {"integer": integer_path, "numeric": numeric_path,
                 "scalar": scalar_path}[field]
+    if reader == "sidecar" and path[:1] != ("model",):
+        what = f"{tmp_path / name}: table sidecar"
     (tmp_path / name).write_text(json.dumps(_edited(doc, path, value)))
     with pytest.raises(ValueError) as info:
         load(str(tmp_path / name))

@@ -94,6 +94,21 @@ def test_impossible_observation():
         cd.update(spec, np.array([0.0, 1.0]), 1)
 
 
+@pytest.mark.parametrize("x", [-1, 4, 1.0, True, np.int64(-2)])
+def test_update_refuses_a_symbol_outside_the_alphabet(x):
+    """A negative symbol used to read the density column from the end of the
+    alphabet, and the others ended in numpy IndexErrors."""
+    spec = figure_spec()
+    pi = cd.initial_posterior(spec)
+    with pytest.raises(ValueError, match=rf"^symbol {x} outside alphabet 0\.\.3$"):
+        cd.update(spec, pi, x)
+    pis = np.tile(pi, (3, 1))
+    xs = np.array([0, 1, x], dtype=np.asarray(x).dtype)
+    row = 2 if xs.dtype.kind in "iu" else 0
+    with pytest.raises(ValueError, match=rf"^symbol {xs[row]} outside alphabet 0\.\.3 \(row {row}\)$"):
+        cd.update_many(spec, pis, xs)
+
+
 def test_predictive_corners():
     spec = figure_spec()
     e0 = np.array([1.0, 0.0, 0.0])

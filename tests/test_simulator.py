@@ -256,6 +256,21 @@ def test_every_strategy_decides_an_empty_batch(solve200):
         assert out.shape == (0,) and out.dtype == np.int8, type(strategy).__name__
 
 
+def test_spline_strategy_needs_the_curves_of_types_1_and_2():
+    """A missing curve used to end a Monte Carlo run in a KeyError."""
+    curves = {j: cd.SplineBoundary(j, np.linspace(0.0, np.pi / 3, 5), np.full(7, 0.3),
+                                   1.0, 0.0) for j in (1, 2)}
+    for boundaries, message in [
+        ({1: curves[1]}, "^no curve for type 2$"),
+        ({2: curves[2]}, "^no curve for type 1$"),
+        ({1: curves[2], 2: curves[1]}, r"^curves keyed \[1, 2\] are not the curves"),
+        ({**curves, 3: curves[1]}, r"^curves keyed \[1, 2, 3\] are not the curves"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SplineStrategy(boundaries)
+    SplineStrategy(curves)
+
+
 def test_worker_count_does_not_change_results(solve200):
     spec, table = solve200("merged")
     strategy = TableStrategy(table)
@@ -435,6 +450,10 @@ def test_posterior_threshold_outside_unit_interval_rejected(threshold):
 
 
 def test_stop_after_negative_count_rejected():
-    with pytest.raises(ValueError, match="^k=-3 must be nonnegative$"):
-        StopAfter(-3)
+    for k, message in [(-3, "^k=-3 must be nonnegative$"),
+                       (2.5, "^k=2.5 must be an integer$"),
+                       (True, "^k=True must be an integer$")]:
+        with pytest.raises(ValueError, match=message):
+            StopAfter(k)
     assert StopAfter(0).k == 0
+    assert type(StopAfter(np.int64(2)).k) is int

@@ -3,6 +3,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -144,11 +147,39 @@ def test_interpolation_refuses_points_of_the_wrong_width(width):
         cd.TableStrategy(table).decide(spec, pi, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_interpolation_refuses_non_finite_points(bad):
+    """A NaN or infinite coordinate would reach the stencil's integer casts;
+    it is refused naming the first such row."""
+    spec = instances.FIGURES["merged"]
+    table = cd.value_iterate(spec, cd.build_grid(2, 7), max_iter=2, tol=1e-300)
+    pis = np.full((3, 3), 1.0 / 3.0)
+    pis[1:, 1] = bad
+    message = rf"^point 1 has a non-finite coordinate: \[.*{bad}.*\]$"
+    with pytest.raises(ValueError, match=message):
+        solver.interpolate_many(table.grid, table.values, pis)
+    with pytest.raises(ValueError, match=message):
+        cd.TableStrategy(table).decide_many(spec, pis, 0)
+    message = message.replace("point 1", "point 0")
+    with pytest.raises(ValueError, match=message):
+        cd.interpolate(table, pis[1])
+    with pytest.raises(ValueError, match=message):
+        cd.TableStrategy(table).decide(spec, pis[1], 0)
+
+
 def test_grid_size_cap():
     with pytest.raises(cd.GridSizeError):
         cd.build_grid(2, 4, max_nodes=10)
     with pytest.raises(cd.GridSizeError):
         cd.build_grid(3, 2000)
+    for M, Q, message in [(2, True, "^Q=True must be an integer$"),
+                          (2, 2.5, "^Q=2.5 must be an integer$"),
+                          (2, 0, "^Q=0 must be at least 1$"),
+                          (0, 5, "^M=0 must be at least 1$"),
+                          (2.0, 5, "^M=2.0 must be an integer$")]:
+        with pytest.raises(ValueError, match=message):
+            cd.build_grid(M, Q)
+    assert cd.build_grid(np.int64(2), np.int32(3)).n_nodes == 10
 
 
 def test_interpolate_exact_at_nodes():
@@ -458,27 +489,80 @@ def test_load_table_rejects_trailing_bytes(saved_table):
         cd.load_table(saved_table)
 
 
-@pytest.mark.parametrize("key,wrong", [("M", 3), ("Q", 7), ("alphabet_size", 5)])
-def test_load_table_rejects_sidecar_header_mismatch(saved_table, key, wrong):
-    sidecar = saved_table + ".json"
-    with open(sidecar) as fh:
+def _edit_sidecar(path, **fields):
+    with open(path + ".json") as fh:
         doc = json.load(fh)
-    doc[key] = wrong
-    with open(sidecar, "w") as fh:
+    doc.update(fields)
+    with open(path + ".json", "w") as fh:
         json.dump(doc, fh)
-    with pytest.raises(ValueError, match=f"{key}={wrong} disagrees"):
+
+
+@pytest.mark.parametrize("key,wrong", [("Q", 7)])
+def test_load_table_rejects_sidecar_header_mismatch(saved_table, key, wrong):
+    """The sidecar is the table's header: a Q of another grid asks for more
+    node data than the file holds."""
+    _edit_sidecar(saved_table, **{key: wrong})
+    with pytest.raises(ValueError, match="^.*table.cdvt: truncated node data$"):
         cd.load_table(saved_table)
 
 
 def test_load_table_rejects_model_of_another_shape(saved_table):
-    sidecar = saved_table + ".json"
-    with open(sidecar) as fh:
-        doc = json.load(fh)
-    doc["model"] = spec_to_dict(instances.shiryaev_binary())
-    with open(sidecar, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(ValueError, match="M=1 disagrees"):
+    _edit_sidecar(saved_table, model=spec_to_dict(instances.shiryaev_binary()))
+    with pytest.raises(ValueError, match="^.*table.cdvt: trailing bytes after the node data$"):
         cd.load_table(saved_table)
+
+
+def test_table_file_holds_the_node_data_only(saved_table):
+    """n float64 values, then n label bytes, and nothing else."""
+    table, _ = cd.load_table(saved_table)
+    n = table.grid.n_nodes
+    raw = pathlib.Path(saved_table).read_bytes()
+    assert len(raw) == 9 * n
+    assert raw == table.values.astype("<f8").tobytes() + table.labels.astype(np.uint8).tobytes()
+
+
+def test_load_table_without_its_sidecar_is_refused(saved_table):
+    os.remove(saved_table + ".json")
+    with pytest.raises(ValueError, match="^.*table.cdvt: sidecar with the model is missing$"):
+        cd.load_table(saved_table)
+
+
+def test_load_table_refuses_a_version_1_pair(saved_table):
+    """Version 1 kept the record in a 65-byte binary header before the node
+    data, and its sidecar had no crc32."""
+    table, spec = cd.load_table(saved_table)
+    header = struct.pack(
+        "<4sIIIIId8sdddB", b"CDVT", 1, 2, 6, spec.alphabet_size, table.iterations,
+        table.tol, table.criterion.encode(), table.sup_change, table.error_bound,
+        table.stop_tol, table.converged,
+    )
+    path = pathlib.Path(saved_table)
+    path.write_bytes(header + path.read_bytes())
+    doc = json.loads(pathlib.Path(saved_table + ".json").read_text())
+    del doc["crc32"]
+    doc.update(version=1, M=2, alphabet_size=spec.alphabet_size, n_nodes=table.grid.n_nodes)
+    pathlib.Path(saved_table + ".json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        cd.load_table(saved_table)
+    assert str(info.value) == (
+        f"malformed {saved_table}.json: table sidecar: unsupported version 1"
+    )
+
+
+def test_load_table_refuses_the_node_data_of_another_table(tmp_path):
+    """Two tables on one grid: each sidecar's crc32 tells its own node data
+    from the other's."""
+    spec = instances.FIGURES["merged"]
+    grid = cd.build_grid(2, 6)
+    one, two = tmp_path / "1.cdvt", tmp_path / "2.cdvt"
+    for k, path in enumerate((one, two), 1):
+        cd.save_table(cd.value_iterate(spec, grid, max_iter=k), spec, str(path))
+    assert len(one.read_bytes()) == len(two.read_bytes())
+    assert one.read_bytes() != two.read_bytes()
+    one.write_bytes(two.read_bytes())
+    with pytest.raises(ValueError) as info:
+        cd.load_table(str(one))
+    assert str(info.value) == f"{one}: node data do not match the crc32 of {one}.json"
 
 
 def test_stopping_cost_sup_interior_peak():
