@@ -190,9 +190,11 @@ class SplineBoundary:
 
     ``knots`` are the K+1 uniform breakpoints of a K-segment clamped cubic
     spline, so ``coefficients`` has K+3 entries.  Outside the knot span the
-    curve continues linearly from the end value and slope.  The end values
-    and slopes are computed when the curve is made, with numpy alone; the
-    compiled spline that ``evaluate_boundary`` uses is built on first use.
+    curve continues linearly from the end value and slope.  The piece
+    table, built when the curve is made, has rows (base, c0, c1, c2, c3)
+    and a column per piece, g(x) = c0 + c1 u + c2 u^2 + c3 u^3 with
+    u = x - base: the line left of the first knot, each segment's Taylor
+    expansion at its left knot, and the line right of the last knot.
 
     Raises:
         ValueError: the corner is not 1 or 2, a knot or a coefficient is
@@ -206,8 +208,7 @@ class SplineBoundary:
     coefficients: np.ndarray
     lam: float
     rms: float
-    _spline: object = field(init=False, repr=False, compare=False)
-    _ends: tuple = field(init=False, repr=False, compare=False)
+    _pieces: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots, coef = self.knots, self.coefficients
@@ -231,26 +232,23 @@ class SplineBoundary:
                 f"boundary curve for corner {self.corner} has coefficients of "
                 f"shape {coef.shape}, expected ({knots.size + 2},)"
             )
-        t, ends = _full_knots(knots), knots[[0, -1]]
-        object.__setattr__(self, "_spline", None)
-        # value and slope at each end knot, for the linear extension
-        object.__setattr__(self, "_ends", (
-            _bspline(t, coef, 3, ends), _bspline(*_splder(t, coef, 3, 1), ends)
-        ))
+        t = _full_knots(knots)
+        # one column per knot (the first twice): the knot, then g's d-th
+        # derivative there over d!; c2 = c3 = 0 turns the end columns into
+        # the lines
+        taylor = [_bspline(*_splder(t, coef, 3, d), knots) / (1, 1, 2, 6)[d]
+                  for d in range(4)]
+        pieces = np.vstack([knots, *taylor])[:, np.r_[0, : knots.size]]
+        pieces[3:, [0, -1]] = 0.0
+        object.__setattr__(self, "_pieces", pieces)
 
     def __call__(self, beta):
         return evaluate_boundary(self, beta)
 
-    def _compiled(self):
-        """scipy's compiled spline of this curve, built on first use: many
-        calls on few points pay for the import once and then run faster
-        than ``_bspline``."""
-        if self._spline is None:
-            from scipy.interpolate import BSpline
-
-            spl = BSpline(_full_knots(self.knots), self.coefficients, 3)
-            object.__setattr__(self, "_spline", spl)
-        return self._spline
+    @property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Value and slope at each end knot, as the end lines hold them."""
+        return self._pieces[1, [0, -1]], self._pieces[2, [0, -1]]
 
 
 def _full_knots(breaks: np.ndarray) -> np.ndarray:
@@ -263,7 +261,8 @@ def _splder(
     t: np.ndarray, c: np.ndarray, k: int, nu: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Knots, coefficients and degree of the ``nu``-th derivative of the
-    spline (t, c, k), in the arithmetic of scipy's ``splder``."""
+    spline (t, c, k), in the arithmetic of the reference B-spline library
+    that ``tests/test_boundary.py`` checks it against bit for bit."""
     c = np.concatenate([c, np.zeros((t.size - c.shape[0],) + c.shape[1:])])
     for _ in range(nu):
         dt = (t[k + 1 : -1] - t[1 : -k - 1]).reshape((-1,) + (1,) * (c.ndim - 1))
@@ -279,9 +278,10 @@ def _bspline(t: np.ndarray, c: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
 
     de Boor's recursion ("On calculating with B-splines", 1972) on the
     interval t[m] <= x < t[m+1], m clipped to [k, t.size-k-2], with the
-    operations in the order of scipy's compiled ``BSpline``, so the result
-    is bitwise the same.  The knots are strictly increasing away from the
-    clamped ends, so no denominator is zero.
+    operations in the order of the reference library's compiled evaluator,
+    so the result is bitwise the same (``tests/test_boundary.py``).  The
+    knots are strictly increasing away from the clamped ends, so no
+    denominator is zero.
     """
     m = np.clip(np.searchsorted(t, x, "right") - 1, k, t.size - k - 2)
     h = np.zeros((x.size, k + 1))
@@ -418,26 +418,19 @@ def fit_boundary(
 
 
 def evaluate_boundary(sb: SplineBoundary, beta) -> np.ndarray | float:
-    """Fitted radius at the given angle(s), linear beyond the end knots."""
+    """Fitted radius at the given angle(s), linear beyond the end knots:
+    each angle's piece by one search over the knots, then Horner's rule."""
     x = np.asarray(beta, dtype=np.float64)
-    single = x.ndim == 0
-    if single:
-        x = x.reshape(1)
-    lo, hi = sb.knots[0], sb.knots[-1]
-    inside = x.clip(lo, hi)
-    out = sb._compiled()(inside)
-    if (x != inside).any():
-        (g_lo, g_hi), (s_lo, s_hi) = sb._ends
-        left, right = x < lo, x > hi
-        out[left] = g_lo + s_lo * (x[left] - lo)
-        out[right] = g_hi + s_hi * (x[right] - hi)
-    return float(out[0]) if single else out
+    base, c0, c1, c2, c3 = sb._pieces.take(np.searchsorted(sb.knots, x, "right"), axis=1)
+    u = x - base
+    out = ((c3 * u + c2) * u + c1) * u + c0
+    return float(out) if out.ndim == 0 else out
 
 
 def is_concave(sb: SplineBoundary, eps: float = 1e-6) -> bool:
     """Whether the fitted curve's second differences at the knots stay
     below ``eps`` (the knots are uniform, so this is a shape check)."""
-    g = _bspline(_full_knots(sb.knots), sb.coefficients, 3, sb.knots)
+    g = sb._pieces[1, 1:]
     d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
     return bool(np.all(d2 <= eps))
 

@@ -237,9 +237,6 @@ class SplineStrategy(Strategy):
                 f"curves keyed {sorted(boundaries)} are not the curves of types 1 and 2"
             )
         self.boundaries = boundaries
-        # build the compiled splines now, not inside the first decision
-        for sb in boundaries.values():
-            sb._compiled()
 
     def decide(self, spec, pi, n):
         return fast_member(spec, self.boundaries, pi)

@@ -638,6 +638,7 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
     sidecar embeds.
 
     Raises:
+        GridSizeError: the sidecar's grid is over the node cap.
         ValueError: on a missing or malformed sidecar, node data of the
             wrong size or with another crc32 than the sidecar's, a
             non-finite value, or a label outside 0..M.
@@ -647,7 +648,10 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
         raise ValueError(f"{path}: sidecar with the model is missing")
     record = _read_doc(f"{sidecar}: table sidecar", _load_json(sidecar), _record)
     spec, crc = record.pop("spec"), record.pop("crc32")
-    grid = build_grid(spec.num_types, record.pop("Q"))
+    try:
+        grid = build_grid(spec.num_types, record.pop("Q"))
+    except GridSizeError as exc:
+        raise GridSizeError(f"{sidecar}: {exc}") from exc
     n = grid.n_nodes
     with open(path, "rb") as fh:
         payload = fh.read(9 * n + 1)

@@ -194,21 +194,78 @@ def test_fit_boundary_rejects_truncated_region_csv(runner, model_path, tmp_path)
     assert not (tmp_path / "g.json").exists()
 
 
+def fresh_python(code: str, cwd) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    package."""
+    src = os.path.dirname(os.path.dirname(cd.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
 def modules_after(code: str, cwd, package: str = "scipy") -> list[str]:
     """Modules of ``package`` (scipy unless named) loaded by ``code`` run in
     a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(cd.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = (
         f"{code}\nimport json, sys\n"
         f"print(json.dumps(sorted(m for m in sys.modules if m == {package!r} "
         f"or m.startswith({package + '.'!r}))))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
+    return json.loads(fresh_python(probe, cwd).strip().splitlines()[-1])
+
+
+def run_commands(arg_lists) -> str:
+    """Code that runs each CLI argument list in turn, each to exit 0."""
+    return (
+        "from changediag.cli import main\n"
+        f"for args in {arg_lists!r}:\n"
+        "    assert main(args, standalone_mode=False) in (None, 0), args\n"
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def boundary_chain(model_path, tmp_path) -> tuple[str, str]:
+    """Code for solve -> regions -> fit-boundary -j 1 and -j 2 on "merged"
+    at Q=60, which then joins the two curves into bb.json, and code for
+    simulate --boundaries and diagnose --boundaries with them."""
+    t, csv, both = (str(tmp_path / name) for name in ("t.cdvt", "r.csv", "bb.json"))
+    curves = [str(tmp_path / f"b{j}.json") for j in (1, 2)]
+    (tmp_path / "stream.txt").write_text("3\n" * 200)
+    build = run_commands([
+        ["solve", model_path, "-Q", "60", "-o", t],
+        ["regions", t, "-o", csv],
+        *(["fit-boundary", csv, "-j", str(j), "-o", out] for j, out in zip((1, 2), curves)),
+    ]) + (
+        "import json, pathlib\n"
+        f"pathlib.Path({both!r}).write_text(json.dumps("
+        f"[json.loads(pathlib.Path(p).read_text()) for p in {curves!r}]))\n"
+    )
+    use = run_commands([
+        ["simulate", model_path, "--boundaries", both, "--runs", "200",
+         "-o", str(tmp_path / "sim.json")],
+        ["diagnose", model_path, "--boundaries", both,
+         "--stream", str(tmp_path / "stream.txt")],
+    ])
+    return build, use
+
+
+def test_chain_runs_with_scipy_blocked(model_path, tmp_path):
+    """Nothing in the package needs scipy: with ``import scipy`` made to
+    fail, the whole chain through the spline rule runs."""
+    build, use = boundary_chain(model_path, tmp_path)
+    out = fresh_python("import sys\nsys.modules['scipy'] = None\n" + build + use, tmp_path)
+    assert (tmp_path / "sim.json").exists()
+    assert out.splitlines()[-1].startswith("ALARM n=")
+
+
+def test_boundary_rules_load_no_scipy(model_path, tmp_path):
+    """simulate --boundaries and diagnose --boundaries evaluate the curves
+    with numpy alone: no scipy module is loaded."""
+    build, use = boundary_chain(model_path, tmp_path)
+    fresh_python(build, tmp_path)
+    assert modules_after(use, tmp_path) == []
+    assert (tmp_path / "sim.json").exists()
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
@@ -609,9 +666,9 @@ def artefacts(tmp_path_factory):
     for one corner, a model with a fractional type count or a list for p0,
     models and a cost matrix holding booleans, Q=20 tables with NaN values,
     with a label byte of 200, without a sidecar, as a version-1 pair, with a
-    string for a flag, with Q=0, with node data one byte short or long, and with the
-    node data of the Q=20 table of another model, and a file that is not
-    JSON."""
+    string for a flag, with Q=0 or a Q over the grid cap, with node data one
+    byte short or long, and with the node data of the Q=20 table of another
+    model, and a file that is not JSON."""
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
@@ -647,6 +704,7 @@ def artefacts(tmp_path_factory):
         ("v1", b"CDVT" + bytes(61) + data, {"version": 1}),
         ("converged-yes", data, {"converged": "yes"}),
         ("Q-0", data, {"Q": 0}),
+        ("Q-5000", data, {"Q": 5000}),
         ("short", data[:-1], {}),
         ("long", data + b"\0", {}),
         ("skew-data", (root / "t20-skew.cdvt").read_bytes(), {}),
@@ -771,6 +829,8 @@ def artefacts(tmp_path_factory):
          "malformed t20-converged-yes.cdvt.json: table sidecar: 'yes' is not true or false"),
         (["regions", "t20-Q-0.cdvt"],
          "malformed t20-Q-0.cdvt.json: table sidecar: Q=0 must be at least 1"),
+        (["regions", "t20-Q-5000.cdvt"],
+         "t20-Q-5000.cdvt.json: grid M=2, Q=5000 has 12507501 nodes, over the cap"),
         (["regions", "t20-short.cdvt"], "t20-short.cdvt: truncated node data"),
         (["regions", "t20-long.cdvt"], "t20-long.cdvt: trailing bytes after the node data"),
         (["simulate", "model.json", "--table", "t20-skew-data.cdvt", "--runs", "5"],
@@ -835,6 +895,7 @@ def artefacts(tmp_path_factory):
         "simulate-version-1-table",
         "regions-sidecar-flag-string",
         "regions-sidecar-Q-0",
+        "regions-sidecar-Q-over-the-cap",
         "regions-short-node-data",
         "regions-long-node-data",
         "simulate-node-data-of-another-model",

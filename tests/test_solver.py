@@ -506,6 +506,15 @@ def test_load_table_rejects_sidecar_header_mismatch(saved_table, key, wrong):
         cd.load_table(saved_table)
 
 
+def test_load_table_names_the_sidecar_of_a_grid_over_the_cap(saved_table):
+    _edit_sidecar(saved_table, Q=5000)
+    with pytest.raises(cd.GridSizeError) as info:
+        cd.load_table(saved_table)
+    assert str(info.value) == (
+        f"{saved_table}.json: grid M=2, Q=5000 has 12507501 nodes, over the cap 3000000"
+    )
+
+
 def test_load_table_rejects_model_of_another_shape(saved_table):
     _edit_sidecar(saved_table, model=spec_to_dict(instances.shiryaev_binary()))
     with pytest.raises(ValueError, match="^.*table.cdvt: trailing bytes after the node data$"):
