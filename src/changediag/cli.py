@@ -12,6 +12,10 @@ repeated and compared byte for byte (the manifest's ``timings``, the
 per-phase seconds of ``solve`` and ``regions``, its ``wall_clock_s`` field
 and the ``runs_per_s`` of ``simulate``, are the only things that vary).
 
+Each command imports the library functions it calls in its own body, so a
+process runs only the modules of its command: ``--version`` and ``--help``
+load no numpy.
+
 Errors have one boundary: a ``ValueError`` (bad input, including a
 malformed model, table, region or boundary file) or an ``OSError`` raised
 anywhere in a command ends the run with exit 1 and one ``error:`` line on
@@ -29,37 +33,8 @@ import sys
 import time
 
 import click
-import numpy as np
 
-from . import __version__
-from .boundary import (
-    SplineBoundary,
-    boundary_samples,
-    fit_spline,
-    is_concave,
-    load_boundaries,
-    save_boundary,
-)
-from .model import (
-    _dump_json,
-    _load_json,
-    _reals,
-    load_sa_spec,
-    load_spec,
-    derive_suspended_animation,
-    save_spec,
-)
-from .posterior import initial_posterior, update
-from .regions import _fmt, export_region, extract_region, check_region_properties, import_region
-from .simulator import (
-    DEFAULT_N_MAX,
-    PosteriorThreshold,
-    SplineStrategy,
-    StopAfter,
-    TableStrategy,
-    estimate_risk,
-)
-from .solver import build_grid, load_table, save_table, value_iterate
+from . import DEFAULT_N_MAX, __version__
 
 
 def _write_manifest(
@@ -72,6 +47,8 @@ def _write_manifest(
     report: dict | None = None,
     timings: dict | None = None,
 ) -> None:
+    from .model import _dump_json
+
     doc = {
         "subcommand": subcommand,
         "inputs": inputs,
@@ -104,6 +81,8 @@ class _Phases:
 def _load_solved_table(path: str, spec=None):
     """The table at ``path`` and the model it was solved for, refused when,
     given ``spec``, that model is another."""
+    from .solver import load_table
+
     table, table_spec = load_table(path)
     if spec is not None and table_spec != spec:
         raise ValueError(f"{path}: the table was solved for a different model")
@@ -135,6 +114,9 @@ def main() -> None:
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 def solve(model: str, Q: int, tol: float, max_iter: int, out: str) -> None:
     """Value-iterate MODEL on a resolution-Q grid and write the table."""
+    from .model import _fmt, load_spec
+    from .solver import build_grid, save_table, value_iterate
+
     started = time.monotonic()
     phases = _Phases()
     spec = load_spec(model)
@@ -184,6 +166,9 @@ def regions(
     out: str,
 ) -> None:
     """Extract stopping sets from a table, check them, export CSV."""
+    from .model import _dump_json
+    from .regions import check_region_properties, export_region, extract_region
+
     started = time.monotonic()
     phases = _Phases()
     table, spec = _load_solved_table(table_path)
@@ -231,6 +216,10 @@ def regions(
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: str) -> None:
     """Fit the polar spline of one stopping boundary from a region CSV."""
+    from .boundary import SplineBoundary, boundary_samples, fit_spline, is_concave, save_boundary
+    from .model import _fmt
+    from .regions import import_region
+
     started = time.monotonic()
     region = import_region(region_csv)
     beta, r = boundary_samples(region, j)
@@ -259,6 +248,9 @@ def _strategy_from_options(spec, **options):
     ``options`` maps each strategy option the command has to its value, so
     the refusal of none or several names exactly those options.
     """
+    from .boundary import load_boundaries
+    from .simulator import PosteriorThreshold, SplineStrategy, StopAfter, TableStrategy
+
     given = [(name, value) for name, value in options.items() if value is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of " + ", ".join(f"--{o}" for o in options))
@@ -310,6 +302,11 @@ def simulate(
     out: str,
 ) -> None:
     """Estimate the Bayes risk of a strategy on MODEL by Monte Carlo."""
+    import numpy as np
+
+    from .model import _dump_json, _fmt, load_spec
+    from .simulator import estimate_risk
+
     started = time.monotonic()
     spec = load_spec(model)
     strategy = _strategy_from_options(
@@ -369,6 +366,9 @@ def diagnose(
     echo_posterior: bool,
 ) -> None:
     """Run the online procedure over a symbol stream until the alarm."""
+    from .model import _fmt, load_spec
+    from .posterior import initial_posterior, update
+
     started = time.monotonic()
     spec = load_spec(model)
     strategy = _strategy_from_options(spec, table=table, boundaries=boundaries)
@@ -437,6 +437,17 @@ def derive_sa(
     out: str,
 ) -> None:
     """Reduce a suspended-animation system file to a model file."""
+    import numpy as np
+
+    from .model import (
+        _fmt,
+        _load_json,
+        _reals,
+        derive_suspended_animation,
+        load_sa_spec,
+        save_spec,
+    )
+
     started = time.monotonic()
     sa = load_sa_spec(system)
     M = sa.num_labels

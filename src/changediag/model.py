@@ -450,6 +450,11 @@ def _dump_json(doc, fp: IO[str] | str) -> None:
     fp.write("\n")
 
 
+def _fmt(x: float) -> str:
+    """``x`` to 17 significant digits, which read back as the same float64."""
+    return format(float(x), ".17g")
+
+
 def _load_json(fp: IO[str] | str):
     """Parse one JSON document from a path or an open handle; text read from
     a path that is not JSON is refused with a message naming the path."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemSpec
+from .model import ProblemSpec, _fmt
 from .posterior import h_values_many
 from .solver import (
     SimplexGrid,
@@ -321,10 +321,6 @@ def boundary_nodes(region: StoppingRegion, j: int) -> np.ndarray:
 
 #: Rows formatted per write; bounds the text held in memory at once.
 _EXPORT_CHUNK = 4096
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> None:

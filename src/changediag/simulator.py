@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DEFAULT_N_MAX
 from .boundary import SplineBoundary, fast_member, fast_member_many
 from .model import ProblemSpec, _check_int
 from .posterior import _announce, h_values_many, initial_posterior, update_many
@@ -64,9 +65,6 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 #: Rows per pass of the batched Philox kernel.
 _PHILOX_ROWS = 1024
-
-#: Default cap on observations per run; hitting it flags the run.
-DEFAULT_N_MAX = 100_000
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

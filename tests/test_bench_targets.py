@@ -5,6 +5,7 @@ so check the names here, along with every name a module exports."""
 import functools
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -15,6 +16,7 @@ import changediag
 from changediag import solver
 
 import instances
+from test_cli import fresh_python
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
@@ -38,6 +40,32 @@ def test_traced_target_resolves(target):
     else:
         assert callable(getattr(home, attr))
     assert hook is None or callable(hook)
+
+
+def test_cli_import_registers_every_traced_module(tmp_path):
+    """``Tracer.install`` runs right after ``import changediag.cli`` and
+    looks each target's module up in ``sys.modules``: the package registers
+    its modules there, although their bodies have not run."""
+    names = sorted({f"changediag.{t[0]}" for t in load_targets()})
+    code = (
+        "import json, sys\nimport changediag.cli\n"
+        f"print(json.dumps([m for m in {names!r} if m not in sys.modules]))"
+    )
+    assert json.loads(fresh_python(code, tmp_path)) == []
+
+
+def test_package_names_resolve_live(monkeypatch):
+    """The traced run replaces a function in its home module and later puts
+    it back; the package name must follow both, never keep a stale one."""
+    original = changediag.simulator.estimate_risk
+
+    def patched(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(changediag.simulator, "estimate_risk", patched)
+    assert changediag.estimate_risk is patched
+    monkeypatch.undo()
+    assert changediag.estimate_risk is original
 
 
 def test_nnz_hook_reads_the_transition_operator():
@@ -71,6 +99,10 @@ def test_bench_name_resolves(name):
 MODULES = ["changediag"] + [
     f"changediag.{m.name}" for m in pkgutil.iter_modules(changediag.__path__)
 ]
+
+
+def test_dir_lists_every_exported_name():
+    assert set(changediag.__all__) <= set(dir(changediag))
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -216,6 +216,19 @@ def modules_after(code: str, cwd, package: str = "scipy") -> list[str]:
     return json.loads(fresh_python(probe, cwd).strip().splitlines()[-1])
 
 
+def modules_run(code: str, cwd) -> list[str]:
+    """The ``changediag`` submodules whose body ``code`` ran in a fresh
+    interpreter.  The package registers its library modules lazily, and
+    each stays a ``_LazyModule`` until its first attribute access; the probe
+    reads ``type()``, because any attribute access would run the body."""
+    probe = (
+        f"{code}\nimport importlib.util, json, sys\n"
+        "print(json.dumps(sorted(m for m, mod in sys.modules.items() "
+        "if m.startswith('changediag.') and type(mod) is not importlib.util._LazyModule)))"
+    )
+    return json.loads(fresh_python(probe, cwd).strip().splitlines()[-1])
+
+
 def run_commands(arg_lists) -> str:
     """Code that runs each CLI argument list in turn, each to exit 0."""
     return (
@@ -266,6 +279,38 @@ def test_boundary_rules_load_no_scipy(model_path, tmp_path):
     fresh_python(build, tmp_path)
     assert modules_after(use, tmp_path) == []
     assert (tmp_path / "sim.json").exists()
+
+
+def test_version_runs_no_library_module_and_loads_no_numpy(tmp_path):
+    code = run_commands([["--version"]])
+    assert modules_run(code, tmp_path) == ["changediag.cli"]
+    assert modules_after(code, tmp_path, "numpy") == []
+
+
+def test_solve_runs_only_model_posterior_and_solver(model_path, tmp_path):
+    code = run_commands([["solve", model_path, "-Q", "8", "-o", str(tmp_path / "t.cdvt")]])
+    assert modules_run(code, tmp_path) == [
+        "changediag.cli", "changediag.model", "changediag.posterior", "changediag.solver",
+    ]
+
+
+def test_regions_runs_neither_boundary_nor_simulator(runner, model_path, tmp_path):
+    table_path = str(tmp_path / "t.cdvt")
+    assert solve_to(runner, model_path, table_path, "-Q", "20").exit_code == 0
+    ran = modules_run(run_commands([["regions", table_path, "-o", str(tmp_path / "r.csv")]]), tmp_path)
+    assert "changediag.regions" in ran
+    assert "changediag.boundary" not in ran
+    assert "changediag.simulator" not in ran
+
+
+def test_fit_boundary_does_not_run_simulator(runner, model_path, tmp_path):
+    table_path, csv = str(tmp_path / "t.cdvt"), str(tmp_path / "r.csv")
+    assert solve_to(runner, model_path, table_path, "-Q", "60").exit_code == 0
+    assert runner.invoke(main, ["regions", table_path, "-o", csv]).exit_code == 0
+    args = ["fit-boundary", csv, "-j", "1", "-o", str(tmp_path / "b1.json")]
+    ran = modules_run(run_commands([args]), tmp_path)
+    assert "changediag.boundary" in ran
+    assert "changediag.simulator" not in ran
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
