@@ -23,15 +23,7 @@ import numpy as np
 
 from .model import ProblemSpec, _fmt
 from .posterior import h_values_many
-from .solver import (
-    SimplexGrid,
-    ValueTable,
-    _labels,
-    _stencil,
-    _strides,
-    build_grid,
-    transition_matrix,
-)
+from .solver import SimplexGrid, ValueTable, _labels, _rank, build_grid, transition_matrix
 
 __all__ = [
     "StoppingRegion",
@@ -41,7 +33,6 @@ __all__ = [
     "export_region",
     "import_region",
     "boundary_nodes",
-    "nearest_node",
     "corner_node",
 ]
 
@@ -105,38 +96,39 @@ def extract_region(
     )
 
 
-def _unit_offsets(grid: SimplexGrid) -> np.ndarray:
-    """Flat lookup offset of each unit vector e_0..e_M; e_0 moves no tail
-    coordinate, so a node's flat index is ``lattice @ _unit_offsets``."""
-    return np.concatenate(([0], _strides(grid.M, grid.Q)))
+def _tail_sums(points: np.ndarray) -> np.ndarray:
+    """Tail sums R_i = k_i + ... + k_M of integer points given as rows
+    (k_0, ..., k_M), as the (M, n) array that ``_rank`` reads."""
+    sums = np.ascontiguousarray(points[:, :0:-1].T, dtype=np.intp)
+    for i in range(1, len(sums)):
+        sums[i] += sums[i - 1]
+    return sums[::-1]
 
 
 def corner_node(grid: SimplexGrid, coord: int) -> int:
     """Node id of the simplex corner with all mass on ``coord``."""
-    return int(grid.lookup.ravel()[grid.Q * _unit_offsets(grid)[coord]])
+    corner = grid.Q * np.eye(grid.M + 1, dtype=int)[[coord]]
+    return int(_rank(grid, _tail_sums(corner))[0])
 
 
-def nearest_node(grid: SimplexGrid, pi: np.ndarray) -> int:
-    """Node id carrying the largest barycentric weight for ``pi``."""
-    ids, weights = _stencil(grid, np.atleast_2d(pi))
-    return int(ids[0, int(np.argmax(weights[0]))])
+def _neighbor_ids(grid: SimplexGrid, ids: np.ndarray | None = None) -> np.ndarray:
+    """Lattice neighbors of nodes along directions e_a - e_b.
 
-
-def _neighbor_ids(grid: SimplexGrid) -> np.ndarray:
-    """Lattice neighbors of every node along directions e_a - e_b.
-
-    Returns an int32 array of shape (n_nodes, (M+1)*M) with -1 where the
-    step leaves the simplex; columns run over (a, b) in lexicographic order.
+    Returns an int32 array with a row per node of ``ids`` (every node when
+    it is None) and a column per (a, b) in lexicographic order, with -1
+    where the step leaves the simplex.
     """
-    lattice = grid.lattice
-    unit = _unit_offsets(grid)
-    a, b = np.array(list(itertools.permutations(range(grid.M + 1), 2))).T
-    leaves = (lattice == grid.Q)[:, a] | (lattice == 0)[:, b]
-    flat = (lattice @ unit)[:, None] + (unit[a] - unit[b])
-    flat[leaves] = 0
-    ids = grid.lookup.ravel()[flat]
-    ids[leaves] = -1
-    return ids
+    lattice = grid.lattice if ids is None else grid.lattice[ids]
+    sums = _tail_sums(lattice)
+    out = np.empty((lattice.shape[0], grid.M * (grid.M + 1)), dtype=np.int32)
+    for col, (a, b) in enumerate(itertools.permutations(range(grid.M + 1), 2)):
+        # the step moves the tail sums R_i, min(a, b) < i <= max(a, b), by
+        # one, up if a > b (in place, and back); it leaves where k_b = 0
+        moved, shift = sums[min(a, b) : max(a, b)], 1 if a > b else -1
+        moved += shift
+        out[:, col] = np.where(lattice[:, b] == 0, -1, _rank(grid, sums))
+        moved -= shift
+    return out
 
 
 def _component_count(grid: SimplexGrid, mask: np.ndarray, neighbors: np.ndarray) -> int:
@@ -197,8 +189,6 @@ def check_region_properties(
     """
     grid = region.grid
     M = grid.M
-    lookup = grid.lookup.ravel()
-    unit = _unit_offsets(grid)
     neighbors = _neighbor_ids(grid)
     rng = np.random.default_rng(seed)
     report: dict = {
@@ -209,9 +199,8 @@ def check_region_properties(
     }
 
     # A node is strictly inside its stopping set when every lattice
-    # neighbor carries the same label.
-    same = np.take(region.labels, np.where(neighbors >= 0, neighbors, 0))
-    same = (same == region.labels[:, None]) | (neighbors < 0)
+    # neighbor carries the same label (-1 reads the last node's; masked).
+    same = (region.labels[neighbors] == region.labels[:, None]) | (neighbors < 0)
     interior = same.all(axis=1)
 
     for j in range(1, M + 1):
@@ -232,15 +221,16 @@ def check_region_properties(
                 pick = rng.integers(0, ids.size, size=(max_pairs, 2))
                 u, w = ids[pick[pick[:, 0] != pick[:, 1]].T]
             # the lattice points strictly inside segment u-w are
-            # u + m * diff / g for m = 1..g-1, g the gcd of the entries of diff
+            # u + m * diff / g for m = 1..g-1, g the gcd of the entries of
+            # diff; tail sums are linear, so theirs are found the same way
             diff = grid.lattice[w].astype(np.int64) - grid.lattice[u]
             g = np.gcd.reduce(np.abs(diff), axis=1)
             gaps = g - 1
             pair = np.repeat(np.arange(u.size), gaps)
             m = np.arange(1, pair.size + 1) - np.repeat(np.cumsum(gaps) - gaps, gaps)
-            start = grid.lattice[u] @ unit
-            step = (diff // g[:, None]) @ unit
-            inside = lookup[start[pair] + m * step[pair]]
+            start = _tail_sums(grid.lattice[u])
+            step = _tail_sums(diff // g[:, None])
+            inside = _rank(grid, start[:, pair] + m * step[:, pair])
             off = region.labels[inside] != j
             bad = np.bincount(pair, weights=off, minlength=u.size) > 0
             entry["convexity_pairs"] = int(u.size)
@@ -307,11 +297,10 @@ def embed(pi: np.ndarray) -> np.ndarray:
 
 def boundary_nodes(region: StoppingRegion, j: int) -> np.ndarray:
     """Stop(j) nodes with at least one continuation neighbor, ascending."""
-    neighbors = _neighbor_ids(region.grid)
-    mask = region.mask(j)
-    nbr_labels = np.take(region.labels, np.where(neighbors >= 0, neighbors, 0))
-    touches_cont = ((nbr_labels == 0) & (neighbors >= 0)).any(axis=1)
-    return np.flatnonzero(mask & touches_cont)
+    ids = np.flatnonzero(region.mask(j))
+    neighbors = _neighbor_ids(region.grid, ids)  # -1 reads the last label; masked
+    touches_cont = ((region.labels[neighbors] == 0) & (neighbors >= 0)).any(axis=1)
+    return ids[touches_cont]
 
 
 # ---------------------------------------------------------------------------

@@ -95,27 +95,18 @@ class SimplexGrid:
         M: simplex dimension (posteriors have M+1 coordinates).
         Q: lattice resolution; node coordinates are multiples of 1/Q.
         lattice: integer coordinates, shape (n_nodes, M+1), rows summing
-            to Q, in ascending lexicographic order.
+            to Q, in ascending lexicographic order (a node's id is its row).
         nodes: lattice / Q as float64.
-        lookup: dense index array of shape (Q+1,)*M mapping the tail
-            coordinates (k_1, ..., k_M) to the node id (k_0 is implied).
     """
 
     M: int
     Q: int
     lattice: np.ndarray
     nodes: np.ndarray
-    lookup: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return self.lattice.shape[0]
-
-
-def _strides(M: int, Q: int) -> np.ndarray:
-    """Element strides of the C-ordered lookup, so that
-    ``lookup.ravel()[tail @ _strides(M, Q)]`` is ``lookup[tuple(tail)]``."""
-    return (Q + 1) ** np.arange(M - 1, -1, -1, dtype=np.int64)
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -155,31 +146,50 @@ def build_grid(M: int, Q: int, max_nodes: int = DEFAULT_MAX_NODES) -> SimplexGri
             f"grid M={M}, Q={Q} has {count} nodes, over the cap {max_nodes}"
         )
     lattice = _compositions(Q, M + 1)
-    lookup = np.full((Q + 1,) * M, -1, dtype=np.int32)
-    lookup.ravel()[lattice[:, 1:] @ _strides(M, Q)] = np.arange(count, dtype=np.int32)
     nodes = lattice.astype(np.float64) / Q
     lattice.setflags(write=False)
     nodes.setflags(write=False)
-    lookup.setflags(write=False)
-    return SimplexGrid(M=M, Q=Q, lattice=lattice, nodes=nodes, lookup=lookup)
+    return SimplexGrid(M=M, Q=Q, lattice=lattice, nodes=nodes)
 
 
 @functools.lru_cache(maxsize=None)
 def _kuhn_steps(M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constants of the stencils on the (M, Q) lattice.
+    """Constants of the node ranks and stencils on the (M, Q) lattice.
 
-    ``step[i]`` is the flat lookup offset of a unit step along cumulative
-    coordinate i, which moves tail coordinate i up and tail coordinate i-1
-    down.  ``frame`` is the column that ``_stencil`` sorts the fractions
-    into: -1, then M slots, then -0.0.
+    ``rank`` is the (M, Q+2) table of ``_rank``; a row's binomials are the
+    running sums of the next row's (the hockey-stick identity), and its
+    column Q+1 names no node.  ``frame`` is the column that ``_stencil``
+    sorts the fractions into: -1, then M slots, then -0.0.
     """
-    strides = _strides(M, Q)
-    step = strides - np.concatenate(([0], strides[:-1]))
+    count = math.comb(Q + M, M)
+    rank = np.tile(-np.arange(Q + 2, dtype=np.int64), (M, 1))
+    for i in range(M - 2, -1, -1):
+        np.cumsum(rank[i + 1], out=rank[i])
+    rank[0] += count - 1
+    rank[:, -1] = -count
     frame = np.zeros((M + 2, 1))
     frame[0], frame[-1] = -1.0, -0.0
-    step.setflags(write=False)
+    rank.setflags(write=False)
     frame.setflags(write=False)
-    return step, frame
+    return rank, frame
+
+
+def _rank(grid: SimplexGrid, sums: np.ndarray) -> np.ndarray:
+    """Node ids of lattice points from their tail sums R_i = k_i + ... + k_M,
+    an integer array of shape (M, ...) with the points along its last axes.
+
+    The id is the rank in the lexicographic order of the lattice,
+    C(Q+M, M) - 1 - sum_i C(R_i + M - i, M - i + 1) (the combinatorial
+    number system; Knuth, TAOCP 4A, 7.2.1.3), one table entry per
+    coordinate.  A sum of -1 or Q+1 reads -C(Q+M, M), so the id is
+    negative; other points off the staircase Q >= R_1 >= ... >= R_M >= 0
+    are not checked.
+    """
+    rank = _kuhn_steps(grid.M, grid.Q)[0]
+    ids = rank[0].take(sums[0])
+    for i in range(1, grid.M):
+        ids += rank[i].take(sums[i])
+    return ids
 
 
 def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +204,7 @@ def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     the n points rather than along a row of M+1.
     """
     M, Q = grid.M, grid.Q
-    step, frame = _kuhn_steps(M, Q)
+    frame = _kuhn_steps(M, Q)[1]
     n = points.shape[0]
 
     # Cumulative tail sums v_i = pi_i + ... + pi_M (added from pi_M up, as
@@ -228,11 +238,11 @@ def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     # coordinates of largest fraction, which are those whose fraction
     # exceeds the next one down in sorted order wherever corner t has
     # weight (a tie leaves it none).  Zero-weight corners may leave the
-    # staircase, so they keep the (always valid) base corner.
-    steps = neg_frac < framed[1:, None]
-    steps &= (weights.T > 0.0)[:, None]
-    corners = step @ (steps + base)
-    ids = grid.lookup.ravel().take(corners.astype(np.intp).T)
+    # staircase, so they keep the (always valid) base corner.  The corners
+    # are tail sums, laid out (coordinate, corner, point).
+    steps = neg_frac[:, None] < framed[1:]
+    steps &= weights.T > 0.0
+    ids = _rank(grid, steps + base.astype(np.intp)[:, None]).T
     if ids.min(initial=0) < 0:
         raise RuntimeError("interpolation stencil left the simplex lattice")
     return ids, weights

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from changediag import ProblemSpec, SuspendedAnimationSpec
+from changediag import ProblemSpec, SuspendedAnimationSpec, derive_suspended_animation, phi_binary
 
 TWO_TYPE_F = np.array(
     [
@@ -99,3 +99,17 @@ def sa_two_component(phi) -> SuspendedAnimationSpec:
         phi=phi,
         label_densities=TWO_TYPE_F.copy(),
     )
+
+
+def sa_three_component() -> ProblemSpec:
+    """Three components failing independently with probability 0.05 each,
+    every failure pattern its own type: seven types on four symbols."""
+    a = np.full((8, 7), 3.0)
+    a[0, :] = 10.0
+    np.fill_diagonal(a[1:], 0.0)
+    sa = SuspendedAnimationSpec(
+        component_failure_probs=(0.05, 0.05, 0.05),
+        phi=phi_binary(3),
+        label_densities=np.random.default_rng(5).dirichlet(2 * np.ones(4), size=8),
+    )
+    return derive_suspended_animation(sa, 1.0, a)

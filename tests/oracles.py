@@ -150,6 +150,11 @@ def stopping_cost_sup_lp(a: np.ndarray) -> float:
     return float(-res.fun)
 
 
+def lattice_index(lattice: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Row number of each row of ``lattice``, keyed by the row as a tuple."""
+    return {tuple(row): k for k, row in enumerate(lattice.tolist())}
+
+
 def component_count(lattice: np.ndarray, mask: np.ndarray) -> int:
     """Connected components of the masked rows of ``lattice`` (integer
     simplex coordinates, one node per row), two nodes being adjacent when

@@ -15,7 +15,6 @@ from changediag.regions import (
     _neighbor_ids,
     boundary_nodes,
     corner_node,
-    nearest_node,
 )
 from changediag.solver import transition_matrix
 
@@ -32,9 +31,10 @@ def merged_region(solve200):
 def test_corner_labels(merged_region):
     spec, region = merged_region
     grid = region.grid
-    assert region.labels[grid.lookup[grid.Q, 0]] == 1
-    assert region.labels[grid.lookup[0, grid.Q]] == 2
-    assert region.labels[grid.lookup[0, 0]] == 0
+    index = oracles.lattice_index(grid.lattice)
+    assert region.labels[index[(0, grid.Q, 0)]] == 1
+    assert region.labels[index[(0, 0, grid.Q)]] == 2
+    assert region.labels[index[(grid.Q, 0, 0)]] == 0
 
 
 def test_cheap_stopping_cost_nodes_are_labeled(merged_region):
@@ -57,13 +57,14 @@ def test_edge_segment_near_type_corner_is_labeled(merged_region):
     spec, region = merged_region
     grid = region.grid
     cutoff = spec.c / (spec.a[0, 0] + spec.c)
+    index = oracles.lattice_index(grid.lattice)
     for k in range(grid.Q + 1):
         lam = k / grid.Q
-        label = region.labels[grid.lookup[grid.Q - k, 0]]
+        label = region.labels[index[(k, grid.Q - k, 0)]]
         if lam <= cutoff:
             assert label == 1
     # and the far end of the edge, near e0, continues
-    assert region.labels[grid.lookup[1, 0]] == 0
+    assert region.labels[index[(grid.Q - 1, 1, 0)]] == 0
 
 
 def test_stop_labels_respect_cost_ties(merged_region):
@@ -221,6 +222,7 @@ def test_boundary_nodes_are_frontier(merged_region):
     ids = boundary_nodes(region, 1)
     assert ids.size > 0
     labels = region.labels
+    index = oracles.lattice_index(grid.lattice)
     for node_id in ids:
         assert labels[node_id] == 1
         k = grid.lattice[node_id]
@@ -234,16 +236,14 @@ def test_boundary_nodes_are_frontier(merged_region):
                 nb[b] += 1
                 if (nb < 0).any():
                     continue
-                if labels[grid.lookup[nb[1], nb[2]]] == 0:
+                if labels[index[tuple(nb.tolist())]] == 0:
                     has_continue_neighbor = True
         assert has_continue_neighbor
 
 
 def test_helper_node_lookups(grid200):
-    assert corner_node(grid200, 1) == grid200.lookup[grid200.Q, 0]
-    pi = np.array([0.501, 0.249, 0.25])
-    node = nearest_node(grid200, pi)
-    assert np.abs(grid200.nodes[node] - pi).max() <= 1.0 / grid200.Q
+    index = oracles.lattice_index(grid200.lattice)
+    assert corner_node(grid200, 1) == index[(0, grid200.Q, 0)]
 
 
 def small_region(spec, Q):
@@ -394,7 +394,7 @@ def reference_neighbors(grid):
     """Neighbor table by explicit shifts: node + e_a - e_b, looked up by its
     coordinates, for every ordered pair a != b."""
     M = grid.M
-    node_id = {tuple(row): k for k, row in enumerate(grid.lattice.tolist())}
+    node_id = oracles.lattice_index(grid.lattice)
     table = []
     for row in grid.lattice.tolist():
         cols = []
@@ -409,12 +409,15 @@ def reference_neighbors(grid):
     return np.array(table)
 
 
-@pytest.mark.parametrize("M,Q", [(1, 6), (2, 5), (2, 9), (3, 4)])
+@pytest.mark.parametrize("M,Q", [(1, 6), (2, 5), (2, 9), (3, 4), (5, 4)])
 def test_neighbor_ids_match_explicit_shifts(M, Q):
     grid = cd.build_grid(M, Q)
     got = _neighbor_ids(grid)
     assert got.dtype == np.int32
-    assert np.array_equal(got, reference_neighbors(grid))
+    want = reference_neighbors(grid)
+    assert np.array_equal(got, want)
+    some = np.arange(1, grid.n_nodes, 3)
+    assert np.array_equal(_neighbor_ids(grid, some), want[some])
 
 
 @pytest.mark.parametrize("M,Q", [(1, 40), (2, 12), (3, 7)])

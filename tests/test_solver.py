@@ -48,17 +48,40 @@ def test_grid_lattice_matches_product_enumeration(M, Q):
     )
     assert np.array_equal(grid.lattice, np.array(reference))
     assert np.array_equal(grid.nodes, np.array(reference) / Q)
-    # lookup inverts the enumeration and marks every other cell unused
-    ids = grid.lookup[tuple(grid.lattice[:, j] for j in range(1, M + 1))]
-    assert np.array_equal(ids, np.arange(grid.n_nodes))
-    assert np.count_nonzero(grid.lookup >= 0) == grid.n_nodes
+
+
+def tail_sums(rows):
+    """R_1, ..., R_M of integer points given as rows, as an (M, n) array."""
+    rows = np.asarray(rows)
+    return np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1].T
+
+
+@pytest.mark.parametrize("M,Q", [(1, 7), (2, 9), (3, 6), (4, 5), (5, 4), (6, 3), (7, 3)])
+def test_rank_numbers_every_lattice_row(M, Q):
+    grid = cd.build_grid(M, Q)
+    assert np.array_equal(solver._rank(grid, tail_sums(grid.lattice)), np.arange(grid.n_nodes))
+    index = oracles.lattice_index(grid.lattice)
+    for coord in range(M + 1):
+        corner = tuple(Q * np.eye(M + 1, dtype=int)[coord])
+        assert cd.regions.corner_node(grid, coord) == index[corner]
+    # a tail sum of -1 or Q+1 names no node, in any row, so its id is
+    # negative and not that of the next or the previous row's node
+    for i in range(M):
+        sums = np.zeros((M, 1), dtype=int)
+        sums[: i + 1] = Q + 1
+        assert solver._rank(grid, sums)[0] < 0
+        sums[:i] = 0
+        assert solver._rank(grid, sums)[0] < 0
+        sums[:] = Q
+        sums[i:] = -1
+        assert solver._rank(grid, sums)[0] < 0
 
 
 def reference_stencil(grid, points):
     """Kuhn stencils built corner by corner: each corner is a full lattice
     vector, found by its coordinates among the grid's nodes."""
     M, Q = grid.M, grid.Q
-    node_id = {tuple(row): k for k, row in enumerate(grid.lattice.tolist())}
+    node_id = oracles.lattice_index(grid.lattice)
     # the same snapping into the staircase as the library
     v = np.cumsum(points[:, ::-1], axis=1)[:, ::-1][:, 1:] * Q
     nearest = np.rint(v)
@@ -84,7 +107,7 @@ def reference_stencil(grid, points):
     return np.array(ids), np.array(weights), ties
 
 
-@pytest.mark.parametrize("M,Q", [(1, 9), (2, 7), (3, 6), (4, 5)])
+@pytest.mark.parametrize("M,Q", [(1, 9), (2, 7), (3, 6), (4, 5), (5, 4), (7, 3)])
 def test_stencil_matches_corner_by_corner_reference(M, Q):
     grid = cd.build_grid(M, Q)
     rng = np.random.default_rng(M)
@@ -107,7 +130,7 @@ def test_stencil_matches_corner_by_corner_reference(M, Q):
     assert weights.tobytes() == want_weights.tobytes()
 
 
-@pytest.mark.parametrize("M,Q", [(1, 9), (2, 7), (3, 6), (4, 5)])
+@pytest.mark.parametrize("M,Q", [(1, 9), (2, 7), (3, 6), (4, 5), (5, 4), (7, 3)])
 def test_stencils_of_single_rows_equal_the_batch(M, Q):
     """Stencils computed one point at a time are the batched ones, bit for
     bit: the one-row call runs the same kernel, not a scalar copy of it."""
@@ -205,8 +228,9 @@ def test_interpolate_midpoint_of_adjacent_nodes():
     spec = instances.FIGURES["merged"]
     grid = cd.build_grid(2, 10)
     table = cd.value_iterate(spec, grid, max_iter=3, tol=1e-300)
-    a = grid.lookup[4, 3]
-    b = grid.lookup[5, 2]
+    index = oracles.lattice_index(grid.lattice)
+    a = index[(3, 4, 3)]
+    b = index[(3, 5, 2)]
     mid = (grid.nodes[a] + grid.nodes[b]) / 2
     want = (table.values[a] + table.values[b]) / 2
     assert cd.interpolate(table, mid) == pytest.approx(want, abs=1e-14)
@@ -229,7 +253,8 @@ def expect(spec, table, pis):
 def expect_at_nodes(spec, table, pis):
     """(T V) at lattice nodes, read from the grid operator's product."""
     grid = table.grid
-    ids = grid.lookup[tuple(np.rint(pis[:, 1:] * grid.Q).astype(int).T)]
+    index = oracles.lattice_index(grid.lattice)
+    ids = [index[tuple(k)] for k in np.rint(pis * grid.Q).astype(int).tolist()]
     return (solver.transition_matrix(spec, grid) @ table.values)[ids]
 
 
@@ -433,6 +458,7 @@ def test_value_iterate_approximately_concave(solve200):
     spec, table = solve200("split")
     grid = table.grid
     eps = 5 * spec.c / grid.Q
+    index = oracles.lattice_index(grid.lattice)
     rng = np.random.default_rng(77)
     checked = 0
     while checked < 1000:
@@ -441,9 +467,9 @@ def test_value_iterate_approximately_concave(solve200):
         if ((a + b) % 2).any():
             continue
         mid = (a + b) // 2
-        va = table.values[grid.lookup[a[1], a[2]]]
-        vb = table.values[grid.lookup[b[1], b[2]]]
-        vm = table.values[grid.lookup[mid[1], mid[2]]]
+        va = table.values[index[tuple(a.tolist())]]
+        vb = table.values[index[tuple(b.tolist())]]
+        vm = table.values[index[tuple(mid.tolist())]]
         assert vm >= (va + vb) / 2 - eps
         checked += 1
 
@@ -451,9 +477,10 @@ def test_value_iterate_approximately_concave(solve200):
 def test_labels_mark_type_corners(solve200):
     spec, table = solve200("merged")
     grid = table.grid
-    assert table.labels[grid.lookup[grid.Q, 0]] == 1
-    assert table.labels[grid.lookup[0, grid.Q]] == 2
-    assert table.labels[grid.lookup[0, 0]] == 0
+    index = oracles.lattice_index(grid.lattice)
+    assert table.labels[index[(0, grid.Q, 0)]] == 1
+    assert table.labels[index[(0, 0, grid.Q)]] == 2
+    assert table.labels[index[(grid.Q, 0, 0)]] == 0
 
 
 def test_table_round_trip(tmp_path, solve200):
@@ -796,6 +823,20 @@ def test_value_iterate_peak_memory_is_the_operator_and_a_few_node_vectors():
     finally:
         tracemalloc.stop()
     assert peak <= nbytes + 16 * 8 * grid.n_nodes
+
+
+def test_seven_type_grid_and_solve_peak_memory_is_a_small_multiple_of_the_operator():
+    """The node cap bounds what a grid allocates: building the M=7 lattice
+    and solving on it stays within a few times T."""
+    spec = instances.sa_three_component()
+    nbytes = solver.transition_matrix(spec, cd.build_grid(7, 10)).nbytes
+    tracemalloc.start()
+    try:
+        cd.value_iterate(spec, cd.build_grid(7, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * nbytes
 
 
 def test_transition_operator_refuses_a_vector_of_another_length():
