@@ -34,7 +34,7 @@ import numpy as np
 from .model import (
     ProblemSpec, _dump_json, _integer, _load_json, _read_doc, _real, _reals
 )
-from .posterior import _announce, h_values_many
+from .posterior import h_values_many
 from .regions import StoppingRegion, boundary_nodes
 
 __all__ = [
@@ -112,10 +112,11 @@ def _polar(pis: np.ndarray, corner: int) -> tuple[np.ndarray, np.ndarray]:
     which is of no use."""
     keep, _ = _designated(pis.shape[1] - 1, corner)
     r = corner_radius(pis, corner)
-    beta = np.zeros((pis.shape[0], len(keep)))
-    np.divide(pis.take(keep, axis=1), r[:, None], out=beta, where=r[:, None] > 0.0)
+    # one line per angle, left at angle 0 where r = 0
+    beta = np.zeros((len(keep), pis.shape[0]))
+    np.divide(pis.T.take(keep, axis=0), r, out=beta, where=r > 0.0)
     beta.clip(0.0, 1.0, out=beta)
-    return r, np.arcsin(beta, out=beta)
+    return r, np.arcsin(beta, out=beta).T
 
 
 def to_polar(pi: np.ndarray, corner: int) -> PolarPoint:
@@ -450,15 +451,18 @@ def fast_member_many(
     """
     if pis.shape[1] != 3:
         raise ValueError("fast membership is built for the 2-type problem")
-    cheapest = _announce(h_values_many(spec, pis), True)
+    h_all = h_values_many(spec, pis)
+    # the cheapest type is 2 where strictly cheaper, else 1: the first on
+    # ties, as ``posterior._announce`` picks
+    second = h_all[:, 1] < h_all[:, 0]
     stop = np.empty(pis.shape[0], dtype=bool)
-    picked = np.bincount(cheapest, minlength=3).tolist()
-    for corner in (1, 2):
-        if picked[corner]:
-            rows = cheapest == corner
-            r, beta = _polar(pis[rows], corner)
-            stop[rows] = (r <= boundaries[corner](beta[:, 0])) | (r <= 0.0)
-    return cheapest * stop
+    for corner, picked in ((1, ~second), (2, second)):
+        rows = picked.nonzero()[0]
+        if rows.size:
+            r, beta = _polar(pis.T.take(rows, axis=1).T, corner)
+            # r >= 0, and r = 0 (the corner) stops whatever the curve says
+            stop[rows] = r <= np.maximum(boundaries[corner](beta[:, 0]), 0.0)
+    return np.multiply(1 + second, stop, dtype=np.int8, casting="unsafe")
 
 
 def fast_member(

@@ -50,10 +50,11 @@ def initial_posterior(spec: ProblemSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _stay(p: float, M: int) -> np.ndarray:
+def _stay(p: float, M: int, ndim: int) -> np.ndarray:
     """The factor of each coordinate in the part of pi·P that does not
-    move: 1-p for pi_0, 1 for each type."""
-    stay = np.ones(M + 1)
+    move, 1-p for pi_0 and 1 for each type, as a column that broadcasts
+    over ``ndim - 1`` trailing axes."""
+    stay = np.ones((M + 1,) + (1,) * (ndim - 1))
     stay[0] = 1.0 - p
     stay.setflags(write=False)
     return stay
@@ -66,11 +67,25 @@ def _step_weights(spec: ProblemSpec, pis: np.ndarray) -> np.ndarray:
     period.  The type-i weight is pi_i + (pi_0*p)*nu_i: either the change of
     type i was already in effect, or it triggers right now.  Multiplying by
     the symbol's density column gives the posterior numerators.
+
+    The weights are computed into a C-ordered (M+1, ...) array, whose
+    transpose is returned: for a batch, each operation runs along the
+    posteriors rather than along a row of M+1.
     """
-    w = pis * _stay(spec.p, spec.num_types)
-    tail = w[..., 1:]
-    tail += pis[..., :1] * spec.p * spec.nu
-    return w
+    cols = pis.T
+    w = np.multiply(cols, _stay(spec.p, spec.num_types, pis.ndim), order="C")
+    w[1:] += np.multiply.outer(spec.nu, cols[0] * spec.p)
+    return w.T
+
+
+def _row_min(x: np.ndarray) -> np.ndarray:
+    """``np.minimum.reduce(x, axis=-1)`` of a 2-D x, in one pass along the
+    columns of a column-major copy rather than one reduction per row.
+
+    The values are equal; where +0.0 and -0.0 tie, either zero may come
+    back, as from numpy's own vectorized reduction.
+    """
+    return np.minimum.reduce(np.asfortranarray(x), axis=-1)
 
 
 def d_vector(spec: ProblemSpec, pi: np.ndarray, x: int) -> np.ndarray:
@@ -114,7 +129,10 @@ def update_many(spec: ProblemSpec, pis: np.ndarray, xs: np.ndarray) -> np.ndarra
 
     :param pis: array of shape (n, M+1), one posterior per row.
     :param xs: integer symbols of shape (n,).
-    :return: updated posteriors, shape (n, M+1).
+    :return: updated posteriors, shape (n, M+1).  Below eight coordinates
+        it is the transpose of a C-ordered array: each coordinate's column
+        is contiguous, and numpy sums the rows in one pass along the
+        columns, adding left to right as it adds a row that short.
 
     Raises ValueError if a symbol is not an integer in 0..alphabet_size-1,
     and ImpossibleObservation if any row degenerates; either message names
@@ -125,9 +143,14 @@ def update_many(spec: ProblemSpec, pis: np.ndarray, xs: np.ndarray) -> np.ndarra
         row = int(np.argmax((xs < 0) | (xs >= A))) if xs.dtype.kind in "iu" else 0
         raise ValueError(f"symbol {xs[row]} outside alphabet 0..{A - 1} (row {row})")
     num = _step_weights(spec, pis)
-    num *= spec.f.T[xs]
+    # num is the transpose of a C-ordered array, so cols holds its columns
+    cols = num.T
+    cols *= spec.f.take(xs, axis=1)
+    if num.shape[1] >= 8:
+        # numpy adds rows of eight or more pairwise, but only contiguous ones
+        num = np.ascontiguousarray(num)
     totals = np.add.reduce(num, axis=1, keepdims=True)
-    dead = totals <= 0.0
+    dead = totals[:, 0] <= 0.0
     if dead.any():
         row = int(np.argmax(dead))
         raise ImpossibleObservation(

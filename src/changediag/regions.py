@@ -23,7 +23,9 @@ import numpy as np
 
 from .model import ProblemSpec, _fmt
 from .posterior import h_values_many
-from .solver import SimplexGrid, ValueTable, _labels, _rank, build_grid, transition_matrix
+from .solver import (
+    SimplexGrid, ValueTable, _labels, _rank, _rank_shifts, build_grid, transition_matrix
+)
 
 __all__ = [
     "StoppingRegion",
@@ -117,17 +119,28 @@ def _neighbor_ids(grid: SimplexGrid, ids: np.ndarray | None = None) -> np.ndarra
     Returns an int32 array with a row per node of ``ids`` (every node when
     it is None) and a column per (a, b) in lexicographic order, with -1
     where the step leaves the simplex.
+
+    The step moves the tail sums R_i, min(a, b) < i <= max(a, b), by one,
+    up if a > b, so the neighbor's id is the node's own id plus the
+    difference of two rows of ``_rank_shifts``.
     """
-    lattice = grid.lattice if ids is None else grid.lattice[ids]
-    sums = _tail_sums(lattice)
-    out = np.empty((lattice.shape[0], grid.M * (grid.M + 1)), dtype=np.int32)
+    if ids is None:
+        lattice, ids = grid.lattice, np.arange(grid.n_nodes, dtype=np.int32)
+    else:
+        lattice, ids = grid.lattice[ids], np.asarray(ids, dtype=np.int32)
+    up, down = _rank_shifts(grid, _tail_sums(lattice))
+    empty = np.equal(lattice.T, 0, order="C")
+    out = np.empty((ids.size, grid.M * (grid.M + 1)), dtype=np.int32)
+    line = np.empty(ids.size, dtype=np.int32)
     for col, (a, b) in enumerate(itertools.permutations(range(grid.M + 1), 2)):
-        # the step moves the tail sums R_i, min(a, b) < i <= max(a, b), by
-        # one, up if a > b (in place, and back); it leaves where k_b = 0
-        moved, shift = sums[min(a, b) : max(a, b)], 1 if a > b else -1
-        moved += shift
-        out[:, col] = np.where(lattice[:, b] == 0, -1, _rank(grid, sums))
-        moved -= shift
+        moved = up if a > b else down
+        lo, hi = min(a, b), max(a, b)
+        np.add(ids, moved[hi - 1], out=line)
+        if lo:
+            line -= moved[lo - 1]
+        # a step off the lattice has k_b = 0; its shift rows are meaningless
+        np.copyto(line, -1, where=empty[b])
+        out[:, col] = line
     return out
 
 

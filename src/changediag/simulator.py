@@ -17,10 +17,12 @@ uniform 1+k the k-th symbol.  Philox is counter-based (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11): each block of four
 64-bit words is a pure function of the key and the block counter.
 ``estimate_risk`` evaluates that function for all runs of a batch at
-once, 64 symbol uniforms per run at a time, so run k of seed s sees the
-same stream, bit for bit, in any batch and in any worker thread.  The
-single-run ``Environment`` reads the same stream through numpy's
-generator; it serves the library tour and the benchmark's online replay.
+once, in windows of ``CHUNK // 4`` symbol uniforms per run, each
+window after the first drawn for the runs still going.  Run k of seed s
+therefore sees the same stream, bit for bit, in any batch and in any
+worker thread.  The single-run ``Environment`` reads the same stream
+through numpy's generator; it serves the library tour and the
+benchmark's online replay.
 The independent check of the batch is ``tests/oracles.ground_truth``,
 which draws the stream with scalar numpy calls and none of this module.
 
@@ -41,7 +43,7 @@ import numpy as np
 from . import DEFAULT_N_MAX
 from .boundary import SplineBoundary, fast_member, fast_member_many
 from .model import ProblemSpec, _check_int
-from .posterior import _announce, h_values_many, initial_posterior, update_many
+from .posterior import _announce, _row_min, h_values_many, initial_posterior, update_many
 from .solver import ValueTable, interpolate_many
 
 __all__ = [
@@ -55,7 +57,9 @@ __all__ = [
     "estimate_risk",
 ]
 
-#: Symbol uniforms are drawn from each run's stream in blocks of this size.
+#: Symbol uniforms of one run that ``Environment`` draws at a time.  A
+#: window of the batch holds a quarter as many, which most short runs never
+#: exhaust.
 CHUNK = 64
 
 # Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox.
@@ -80,8 +84,9 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _philox4x64(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Philox4x64-10 of key (seed, keys[i]) and counter (counters[j], 0, 0, 0).
 
-    ``keys`` is a (rows, 1) and ``counters`` a (1, blocks) uint64 array;
-    the result holds each block's four output words, shape (rows, blocks, 4).
+    ``keys`` is a (1, rows) and ``counters`` a (blocks, 1) uint64 array;
+    the result holds each block's four output words, shape (blocks, 4,
+    rows), so that every word of a run's stream is a line along the runs.
     Broadcasting keeps the first rounds, whose words depend on the key or
     the counter alone, cheap.
     """
@@ -94,8 +99,8 @@ def _philox4x64(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndarray
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
         k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-    shape = (keys.shape[0], counters.shape[1])
-    return np.stack([np.broadcast_to(c, shape) for c in (c0, c1, c2, c3)], axis=-1)
+    shape = (counters.shape[0], keys.shape[1])
+    return np.stack([np.broadcast_to(c, shape) for c in (c0, c1, c2, c3)], axis=1)
 
 
 def _philox_uniforms(
@@ -108,18 +113,19 @@ def _philox_uniforms(
     of the stream is Philox4x64-10 of the counter b+1, and a double is
     the top 53 bits of a word times 2**-53.  Every block of a row range is
     one array computation; rows go _PHILOX_ROWS at a time so the working
-    arrays stay in cache.
+    arrays stay in cache.  The result is the transpose of a C-ordered
+    (count, rows) array: each uniform's column is contiguous.
     """
-    keys = np.asarray(run_indices, dtype=np.uint64)[:, None]
+    keys = np.asarray(run_indices, dtype=np.uint64)[None, :]
     first, last = start // 4, (start + count - 1) // 4
-    counters = np.arange(first + 1, last + 2, dtype=np.uint64)[None, :]
-    out = np.empty((keys.shape[0], count))
-    for lo in range(0, keys.shape[0], _PHILOX_ROWS):
+    counters = np.arange(first + 1, last + 2, dtype=np.uint64)[:, None]
+    out = np.empty((count, keys.shape[1]))
+    for lo in range(0, keys.shape[1], _PHILOX_ROWS):
         rows = slice(lo, lo + _PHILOX_ROWS)
-        words = _philox4x64(seed, keys[rows], counters)
-        words = words.reshape(words.shape[0], -1)[:, start % 4 : start % 4 + count]
-        out[rows] = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return out
+        words = _philox4x64(seed, keys[:, rows], counters)
+        words = words.reshape(-1, words.shape[2])[start % 4 : start % 4 + count]
+        out[:, rows] = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return out.T
 
 
 def _draw_truth(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +147,13 @@ def _draw_truth(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _draw_symbols(cum_f: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Symbol i inverts the cumulative density ``cum_f[rows[i]]`` at ``u[i]``."""
-    return np.minimum((cum_f[rows] <= u[:, None]).sum(axis=1), cum_f.shape[1] - 1)
+    """Symbol i inverts the cumulative density ``cum_f[rows[i]]`` at ``u[i]``:
+    it is the number of the row's first A-1 cumulative values that are at
+    most ``u[i]``, counted down the (A-1, n) table of those values.  The
+    last value is left out, so a row whose sum rounds below ``u[i]`` still
+    draws a symbol of the alphabet."""
+    below = cum_f.T[:-1].take(rows, axis=1) <= u
+    return np.add.reduce(below, axis=0, dtype=np.intp)
 
 
 class Environment:
@@ -220,7 +231,7 @@ class TableStrategy(Strategy):
     def decide_many(self, spec, pis, n):
         values = interpolate_many(self.table.grid, self.table.values, pis)
         h_all = h_values_many(spec, pis)
-        return _announce(h_all, np.minimum.reduce(h_all, axis=1) - values <= self.table.stop_tol)
+        return _announce(h_all, _row_min(h_all) - values <= self.table.stop_tol)
 
 
 class SplineStrategy(Strategy):
@@ -329,8 +340,15 @@ def _simulate_block(
     n_max: int,
     run_offset: int,
 ) -> tuple[np.ndarray, ...]:
-    """Vectorized lockstep simulation of runs [offset, offset+runs)."""
-    window = _philox_uniforms(seed, run_offset + np.arange(runs), 0, 2 + CHUNK)
+    """Vectorized lockstep simulation of runs [offset, offset+runs).
+
+    Step n reads symbol uniform n % size of the current window.  The
+    posteriors lie in columns, one per coordinate, so that a step's
+    operations run along the runs still going rather than along a short
+    row.
+    """
+    size = CHUNK // 4
+    window = _philox_uniforms(seed, run_offset + np.arange(runs), 0, 2 + size)
     theta, mu = _draw_truth(spec, window)
     window = window[:, 2:]
     cum_f = np.cumsum(spec.f, axis=1)
@@ -343,7 +361,7 @@ def _simulate_block(
     # The state of the runs still going, row k for run ``active[k]``; rows
     # leave together when their runs stop.
     active = np.arange(runs)
-    pis = np.tile(initial_posterior(spec), (runs, 1))
+    pis = initial_posterior(spec)[:, None].repeat(runs, axis=1).T
     running = np.zeros(runs)
     change, kind = theta, mu
     window_row = np.arange(runs)
@@ -356,25 +374,25 @@ def _simulate_block(
             dec = np.where(dec == 0, _announce(h_values_many(spec, pis), True), dec)
         stopping = dec > 0
         if stopping.any():
-            done = active[stopping]
-            tau[done] = n
-            d[done] = dec[stopping]
-            h_done = h_values_many(spec, pis[stopping])
-            post_form[done] = running[stopping] + h_done[
-                np.arange(done.size), d[done] - 1
-            ]
-            go_on = ~stopping
-            active, pis, running = active[go_on], pis[go_on], running[go_on]
-            change, kind, window_row = change[go_on], kind[go_on], window_row[go_on]
+            # rows by index and coordinates by column: no boolean row masks
+            out, keep = stopping.nonzero()[0], (~stopping).nonzero()[0]
+            done, dec = active.take(out), dec.take(out)
+            tau[done], d[done] = n, dec
+            h_done = h_values_many(spec, pis.T.take(out, axis=1).T)
+            post_form[done] = running.take(out) + h_done[np.arange(out.size), dec - 1]
+            active, running, change, kind, window_row = (
+                a.take(keep) for a in (active, running, change, kind, window_row)
+            )
+            pis = pis.T.take(keep, axis=1).T
         if active.size == 0:
             break
 
         running += spec.c * (1.0 - pis[:, 0])
 
-        if n and n % CHUNK == 0:
-            window = _philox_uniforms(seed, run_offset + active, 2 + n, CHUNK)
+        if n and n % size == 0:
+            window = _philox_uniforms(seed, run_offset + active, 2 + n, size)
             window_row = np.arange(active.size)
-        us = window[window_row, n % CHUNK]
+        us = window[:, n % size].take(window_row)
         rows = np.where(change <= n + 1, kind, 0)
         pis = update_many(spec, pis, _draw_symbols(cum_f, rows, us))
         n += 1

@@ -39,7 +39,7 @@ from .model import (
     ProblemSpec, _check_int, _dump_json, _flag, _integer, _load_json, _read_doc, _real,
     _text, spec_from_dict, spec_to_dict
 )
-from .posterior import _announce, _step_weights, h_values_many
+from .posterior import _announce, _row_min, _step_weights, h_values_many
 
 __all__ = [
     "GridSizeError",
@@ -113,23 +113,23 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     """Nonnegative integer vectors of length ``parts`` summing to ``total``,
     in ascending lexicographic order.
 
-    Stars and bars: each vector is a choice of ``parts - 1`` bar positions
-    among ``total + parts - 1`` slots, its entries the star counts between
-    consecutive bars.  Bar positions enumerated in lexicographic order give
-    the vectors in lexicographic order.
+    Built one coordinate at a time: each vector so far, with r of the total
+    left, is followed by the values 0..r of the next coordinate in
+    ascending order, and the last coordinate takes what is left.
     """
-    bars = parts - 1
-    slots = total + bars
-    count = math.comb(slots, bars)
-    edges = np.empty((count, parts + 1), dtype=np.int32)
-    edges[:, 0] = -1
-    edges[:, -1] = slots
-    edges[:, 1:-1] = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), bars)),
-        dtype=np.int32,
-        count=count * bars,
-    ).reshape(count, bars)
-    return np.diff(edges, axis=1) - 1
+    columns = []
+    rest = np.array([total], dtype=np.int32)
+    for _ in range(parts - 1):
+        counts = rest + 1
+        starts = np.cumsum(counts) - counts
+        # the next coordinate counts up from 0 within each vector's group
+        nxt = np.arange(starts[-1] + counts[-1], dtype=np.int32)
+        nxt -= starts.repeat(counts).astype(np.int32)
+        columns = [c.repeat(counts) for c in columns]
+        columns.append(nxt)
+        rest = rest.repeat(counts) - nxt
+    columns.append(rest)
+    return np.stack(columns, axis=1)
 
 
 def build_grid(M: int, Q: int, max_nodes: int = DEFAULT_MAX_NODES) -> SimplexGrid:
@@ -192,6 +192,32 @@ def _rank(grid: SimplexGrid, sums: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _rank_shifts(grid: SimplexGrid, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Id changes of lattice points whose first tail sums move by one.
+
+    ``sums`` holds the points' tail sums as ``_rank`` reads them, shape
+    (M, n).  Row j of ``up`` (``down``) is the change of each point's id
+    when R_1, ..., R_{j+1} all move up (down) by one, so moving only
+    R_{lo+1}, ..., R_hi changes it by row hi-1 minus row lo-1 (row -1 being
+    zero).  Both are int32.  A move of a sum of Q up, or of 0 down, leaves
+    the lattice; its row entries are meaningless, and the caller masks them.
+    """
+    # rise[i, s]: the change of R_{i+1}'s rank-table entry from s to s + 1
+    rise = np.diff(_kuhn_steps(grid.M, grid.Q)[0], axis=1).astype(np.int32)
+    up = np.empty(sums.shape, dtype=np.int32)
+    down = np.empty_like(up)
+    for i in range(grid.M):
+        rise[i].take(sums[i], out=up[i], mode="clip")
+        rise[i].take(sums[i] - 1, out=down[i], mode="clip")
+    np.negative(down, out=down)
+    # running totals line by line: a cumulative sum down axis 0 would run
+    # its inner loop along each point's M sums
+    for i in range(1, grid.M):
+        up[i] += up[i - 1]
+        down[i] += down[i - 1]
+    return up, down
+
+
 def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation stencils for a batch of simplex points.
 
@@ -221,7 +247,9 @@ def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     v.clip(0.0, Q, out=v)
     for i in range(1, M):
         np.minimum(v[i - 1], v[i], out=v[i])
-    neg_frac, base = np.modf(v)
+    # v lies in [0, Q], so v - int(v) is its fractional part, exactly
+    base = v.astype(np.intp)
+    neg_frac = v - base
     np.negative(neg_frac, out=neg_frac)
 
     # Column k of ``framed`` becomes (-1, -frac sorted up, -0.0): point k's
@@ -242,7 +270,7 @@ def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     # are tail sums, laid out (coordinate, corner, point).
     steps = neg_frac[:, None] < framed[1:]
     steps &= weights.T > 0.0
-    ids = _rank(grid, steps + base.astype(np.intp)[:, None]).T
+    ids = _rank(grid, steps + base[:, None]).T
     if ids.min(initial=0) < 0:
         raise RuntimeError("interpolation stencil left the simplex lattice")
     return ids, weights
@@ -409,7 +437,12 @@ def _row_entries(
     """
     n, A, k = points.shape[0], spec.alphabet_size, grid.M + 1
     num = _step_weights(spec, points)[:, None, :] * spec.f.T
-    total = num.sum(axis=2)
+    # each symbol's predictive probability adds its row from left to right
+    # at every width, the order T's pinned bytes hold (np.add.reduce adds
+    # contiguous rows of eight or more pairwise)
+    total = num[..., 0].copy()
+    for j in range(1, k):
+        total += num[..., j]
     live = total > 0.0
     # a symbol of zero predictive probability gets the stencil of the zero
     # vector, whose columns then become _DEAD
@@ -511,7 +544,7 @@ class ValueTable:
 
 def _labels(h_all: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
     """The Bellman stop rule: stop where h <= cont + ``stop_tol``."""
-    return _announce(h_all, h_all.min(axis=1) <= cont + stop_tol)
+    return _announce(h_all, _row_min(h_all) <= cont + stop_tol)
 
 
 def value_iterate(

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import changediag as cd
-from changediag.posterior import ImpossibleObservation, _announce, h_values_many
+from changediag.posterior import (
+    ImpossibleObservation, _announce, _row_min, h_values_many
+)
 
 import instances
 import oracles
@@ -254,6 +256,66 @@ def test_update_many_matches_scalar():
             want /= want.sum()
             assert np.array_equal(cd.update(spec, pi, int(x)), want)
             assert np.array_equal(out, want)
+
+
+def test_update_many_matches_scalar_on_eight_coordinates():
+    """Rows of eight coordinates are summed pairwise by numpy, in the
+    scalar update and in the batch alike: seven types, C- and F-ordered."""
+    spec = instances.sa_three_component()
+    rng = np.random.default_rng(8)
+    pis = rng.dirichlet(np.full(8, 0.5), size=200)
+    xs = rng.integers(0, spec.alphabet_size, size=200)
+    for batch in (cd.update_many(spec, pis, xs), cd.update_many(spec, np.asfortranarray(pis), xs)):
+        for out, pi, x in zip(batch, pis, xs):
+            assert out.tobytes() == cd.update(spec, pi, int(x)).tobytes()
+
+
+def signed_rows(rng, n, width):
+    """Rows of small integers at several scales, with ties, +0.0 and -0.0,
+    and rows of only +0.0 and of only -0.0."""
+    x = rng.integers(-3, 4, (n, width)) * 10.0 ** rng.integers(-12, 12, (n, width))
+    x[rng.random(x.shape) < 0.3] = -0.0
+    x[0], x[1] = 0.0, -0.0
+    return x
+
+
+@pytest.mark.parametrize("width", list(range(2, 18)) + [71])
+def test_update_many_is_the_row_major_update_bit_for_bit(width):
+    """The batch update equals the form that reduces each C-ordered row
+    with one numpy call (pairwise from eight coordinates up), for batches
+    laid out by rows or by columns."""
+    M = width - 1
+    rng = np.random.default_rng(width)
+    a = np.ones((width, M))
+    a[np.arange(1, width), np.arange(M)] = 0.0
+    spec = cd.ProblemSpec(
+        alphabet_size=5, num_types=M, p0=0.1, p=0.2, nu=np.full(M, 1.0 / M),
+        f=rng.dirichlet(np.ones(5), size=width), c=1.0, a=a,
+    )
+    pis = rng.dirichlet(np.full(width, 0.5), size=500)
+    xs = rng.integers(0, 5, size=500)
+    want = pis * np.r_[1.0 - spec.p, np.ones(M)]
+    want[:, 1:] += pis[:, :1] * spec.p * spec.nu
+    want *= spec.f.T[xs]
+    want /= np.add.reduce(want, axis=1, keepdims=True)
+    want /= np.add.reduce(want, axis=1, keepdims=True)
+    for batch in (pis, np.asfortranarray(pis)):
+        assert cd.update_many(spec, batch, xs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_row_min_is_numpy_minimum_reduce(width):
+    """Bit for bit up to eight columns; beyond, numpy's vectorized
+    reduction may pick the other zero of a +0.0/-0.0 tie, so the values
+    are compared."""
+    rng = np.random.default_rng(100 + width)
+    x = signed_rows(rng, 3000, width)
+    want = np.minimum.reduce(x, axis=1)
+    for rows in (x, np.asfortranarray(x)):
+        got = _row_min(rows)
+        if width <= 8:
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, want)
 
 
 def test_recursion_matches_joint_law_oracle():

@@ -409,7 +409,7 @@ def reference_neighbors(grid):
     return np.array(table)
 
 
-@pytest.mark.parametrize("M,Q", [(1, 6), (2, 5), (2, 9), (3, 4), (5, 4)])
+@pytest.mark.parametrize("M,Q", [(1, 6), (2, 5), (2, 9), (3, 4), (4, 3), (5, 4)])
 def test_neighbor_ids_match_explicit_shifts(M, Q):
     grid = cd.build_grid(M, Q)
     got = _neighbor_ids(grid)

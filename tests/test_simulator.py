@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -14,6 +15,7 @@ from changediag.simulator import (
     StopAfter,
     TableStrategy,
     _PHILOX_ROWS,
+    _draw_symbols,
     _philox_uniforms,
 )
 
@@ -173,6 +175,25 @@ def test_philox_kernel_matches_numpy_streams():
                 assert np.array_equal(got[row], numpy_stream(seed, r, start, count))
 
 
+def test_symbol_draw_counts_the_cumulative_row_it_replaced():
+    """The column count equals min(#{j: cum_f[row, j] <= u}, A-1), ties
+    with the cumulative values and a row whose sum rounds below 1
+    included."""
+    f = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]])
+    f[2] = np.nextafter(f[2], 0.0)  # the last cumulative value rounds below 1
+    cum_f = np.cumsum(f, axis=1)
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 3, 5000)
+    u = rng.random(5000)
+    u[:12] = cum_f.ravel()  # exactly on a cumulative value
+    rows[:12] = np.repeat(np.arange(3), 4)
+    u[12:15], rows[12:15] = np.nextafter(1.0, 0.0), [0, 1, 2]
+    want = np.minimum((cum_f[rows] <= u[:, None]).sum(axis=1), 3)
+    got = _draw_symbols(cum_f, rows, u)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got[14] == 3
+
+
 def test_philox_kernel_rows_span_several_passes():
     runs = np.arange(2 * _PHILOX_ROWS + 5)
     got = _philox_uniforms(77, runs, 5, 70)
@@ -204,20 +225,104 @@ def test_single_runs_reproduce_batch_rows(solve200):
 
 
 def test_long_runs_reproduce_batch_rows_across_windows():
-    """Runs past 64 and 128 symbols read their second and third uniform
-    windows from the batch kernel; single runs read them from numpy."""
+    """Runs past 16, 48 and 112 symbols read their second, fourth and
+    eighth uniform windows from the batch kernel; single runs read them
+    from numpy."""
     spec = instances.two_type(10, 10, 3, 3, 0.05)
     strategy = TableStrategy(cd.value_iterate(spec, cd.build_grid(2, 100)))
     one = cd.estimate_risk(spec, strategy, runs=1000, seed=42, threads=1)
     two = cd.estimate_risk(spec, strategy, runs=1000, seed=42, threads=2)
     for name in ("theta", "mu", "tau", "d", "realized", "posterior_form", "capped"):
         assert np.array_equal(getattr(one, name), getattr(two, name))
-    second = np.flatnonzero((one.tau > 64) & (one.tau <= 128))
-    third = np.flatnonzero(one.tau > 128)
+    later = [np.flatnonzero((one.tau > lo) & (one.tau <= hi))
+             for lo, hi in ((16, 48), (48, 112), (112, np.inf))]
+    rows = {0, 999}.union(*({window[0], window[-1]} for window in later))
     # rows in both halves, so the threads=2 block with run_offset > 0 is covered
-    rows = {0, 999, second[0], second[-1], third[0], third[-1]}
-    assert min(rows) < 500 and max(third) >= 500
+    assert min(rows) < 500 and max(later[-1]) >= 500
     assert_rows_match_single_runs(spec, strategy, one, sorted(rows))
+
+
+def test_batch_prices_announcements_of_seventy_types():
+    """The lockstep batch takes any number of types: on a 70-type model,
+    runs that announce types past 32 and past 64 equal their scalar replays."""
+    M = 70
+    rng = np.random.default_rng(70)
+    # the later types cost a little less to announce, so most runs pick one
+    a = rng.uniform(1.0, 2.0, size=(M + 1, M)) + 0.02 * (M - np.arange(M))
+    a[np.arange(1, M + 1), np.arange(M)] = 0.0
+    spec = cd.ProblemSpec(
+        alphabet_size=6, num_types=M, p0=0.2, p=0.3, nu=np.full(M, 1.0 / M),
+        f=rng.dirichlet(0.5 * np.ones(6), size=M + 1), c=0.1, a=a,
+    )
+    strategy = StopAfter(3)
+    est = cd.estimate_risk(spec, strategy, runs=200, seed=9)
+    assert np.all(est.tau == 3)
+    rows = [int(np.flatnonzero(est.d == d)[0]) for d in np.unique(est.d)]
+    assert est.d[rows].min() <= 64 < est.d[rows].max()
+    for k in rows:
+        run = replay(spec, strategy, est.seed, k)
+        assert (run.theta, run.mu, run.d, run.cost, run.capped) == (
+            est.theta[k], est.mu[k], est.d[k], est.realized[k], est.capped[k]
+        )
+        # a posterior's 70 costs from a vector product and from a batch's
+        # matrix product may round differently in the last bit
+        assert run.posterior_cost == pytest.approx(est.posterior_form[k], rel=1e-14)
+
+
+#: sha256 of the seven per-run arrays of estimate_risk (runs=300, seed=2024)
+#: per (instance, strategy).  StopAfter(k) runs cross the edges of the
+#: uniform windows: symbols 16, 48 and 112.
+RISK_DIGESTS = {
+    ("merged", "table"): "503c009212b0836172e451958fbd23dfeef557290837492bfbdd84ff27d5ee70",
+    ("merged", "spline"): "089ee6fbff325f5bcba1af0653337742cd67c3ac67e1bdc63a7380c2675187a6",
+    ("merged", "stop15"): "415c99b98a4cb3cbb5d3586ca723a77bed74e80e7e1d8049b42a972f0da77220",
+    ("merged", "stop16"): "8c713de3fda36179acd62d6ed0fb9566677a80d342b66419b99c8cc3f48ea22a",
+    ("merged", "stop17"): "2783f614d54bfd92edbf2aabe9b31d0d70fcc057003db7c0059c15d5bd74efa6",
+    ("merged", "stop47"): "a30a7d7c31ad9620d5779b84bc501b78441b92f76f5b7de1cd2a54eda2927516",
+    ("merged", "stop48"): "b63cdeed0c79b6dd75d8fb6c3f9b5fa5b37ffff623744d0bf653fafb8472e01a",
+    ("merged", "stop49"): "472504f685b139a6fbfe68df8541d85b2277078284f739b2fc1ff9220d6d84b3",
+    ("merged", "stop111"): "94616c53d9b476d4302e0bec99d903bbce1f9527d1f2577b5e62ccfbe52fdec0",
+    ("merged", "stop112"): "b1de1ef8f62b82b122eb6ad524d23dc768dd2bb7d914bc4c9f309bf908186f08",
+    ("merged", "stop113"): "d90c1557094944c073a6b662fc1a6ac8f6f976239c83f20d11f9e53125d4835a",
+    ("long", "table"): "4d91cc670b545eb564b97166f6b42eb561b76d29c9a386996358d85c89e4f05e",
+    ("long", "spline"): "b965aa00ba62db0f9c823e154458606915402710987fe2d6f230126f5fdc6aa9",
+    ("long", "stop15"): "0e8464f48691efc8889454a5a681d2f741592f1310113939862b2015eea0ceb3",
+    ("long", "stop16"): "897a7da9ade87a2121b605d8de8828a09f83717b13f63ecec6c6300cb5b16fd9",
+    ("long", "stop17"): "bc4ebf0545f28f53f742c7db70a11e47a495227fcd5d5dba74dbbe6e8134bb62",
+    ("long", "stop47"): "d2ac5109f74625a518fab1ab61106096b5c7aa6fe50bdf7f1613df22dc426505",
+    ("long", "stop48"): "e77c4e9f9179b014b66113e1bcfc007c30de7d0223c34f03aba6053bf815c569",
+    ("long", "stop49"): "deddacd4195da90b87354e67a7fa618db8b0fe4173b54e1c42a6eb4e8d27b63e",
+    ("long", "stop111"): "1066579ccdccf59ff6f33847cf886d6311a35856237fa5273e1f0cab6373ca9c",
+    ("long", "stop112"): "441e2dc5e19007b8138ddcf785b88e3508dab6bdb33a41a03769d9eccf629f9e",
+    ("long", "stop113"): "824cfa23ce705fc9742eb61602f905cc807cb4d483bf9d4fe1b444660d8386dd",
+}
+
+#: The instances of RISK_DIGESTS: model, lattice resolution, spline segments.
+RISK_INSTANCES = {
+    "merged": (instances.FIGURES["merged"], 60, 6),
+    "long": (instances.two_type(10, 10, 3, 3, 0.05), 100, 4),
+}
+
+
+@pytest.mark.parametrize("name", RISK_INSTANCES)
+def test_risk_arrays_are_pinned(name):
+    """Every per-run array is bit for bit the same as when it was pinned, at
+    one and two threads: a change of the step's arithmetic, of the symbol
+    draw or of the uniform windows shows here."""
+    spec, Q, K = RISK_INSTANCES[name]
+    table = cd.value_iterate(spec, cd.build_grid(2, Q))
+    region = cd.extract_region(spec, table)
+    fits = {j: cd.fit_boundary(region, j, K) for j in (1, 2)}
+    strategies = {"table": TableStrategy(table), "spline": SplineStrategy(fits)}
+    for k in (15, 16, 17, 47, 48, 49, 111, 112, 113):
+        strategies[f"stop{k}"] = StopAfter(k)
+    for key, strategy in strategies.items():
+        for threads in (1, 2):
+            est = cd.estimate_risk(spec, strategy, runs=300, seed=2024, threads=threads)
+            digest = hashlib.sha256()
+            for field in ("theta", "mu", "tau", "d", "realized", "posterior_form", "capped"):
+                digest.update(getattr(est, field).tobytes())
+            assert digest.hexdigest() == RISK_DIGESTS[name, key], (key, threads)
 
 
 @pytest.mark.parametrize("name", ["merged", "asym_split"])

@@ -25,6 +25,20 @@ def shiryaev_table(Q=100, **kw):
     return spec, cd.value_iterate(spec, cd.build_grid(1, Q), **kw)
 
 
+@pytest.mark.parametrize("M", range(1, 8))
+def test_lattice_is_the_stars_and_bars_enumeration(M):
+    """The lattice rows, int32 and in order, are the vectors of star counts
+    between M bars placed at lexicographically ascending positions."""
+    for Q in (1, 2, 5):
+        want = [
+            np.diff((-1, *bars, Q + M)) - 1
+            for bars in itertools.combinations(range(Q + M), M)
+        ]
+        lattice = cd.build_grid(M, Q).lattice
+        assert lattice.dtype == np.int32
+        assert np.array_equal(lattice, np.array(want))
+
+
 def test_grid_node_counts():
     assert cd.build_grid(1, 4).n_nodes == 5
     assert cd.build_grid(2, 200).n_nodes == 20301
@@ -114,11 +128,15 @@ def test_stencil_matches_corner_by_corner_reference(M, Q):
     faces = rng.dirichlet(np.ones(M + 1), size=500)
     faces[rng.random(faces.shape) < 0.4] = 0.0
     faces = faces[faces.sum(axis=1) > 0]
+    faces /= faces.sum(axis=1, keepdims=True)
     points = np.concatenate([
         rng.dirichlet(np.full(M + 1, 0.3), size=1000),
         grid.nodes,
         np.eye(M + 1),
-        faces / faces.sum(axis=1, keepdims=True),
+        faces,
+        # a coordinate of -0.0 is a tie with +0.0 that a sort must keep in order
+        np.where(faces == 0.0, -0.0, faces),
+        np.where(grid.nodes == 0.0, -0.0, grid.nodes),
         # finer lattices put several cumulative coordinates at one fraction
         cd.build_grid(M, 2 * Q).nodes,
         cd.build_grid(M, 3 * Q).nodes,
@@ -136,10 +154,12 @@ def test_stencils_of_single_rows_equal_the_batch(M, Q):
     bit: the one-row call runs the same kernel, not a scalar copy of it."""
     grid = cd.build_grid(M, Q)
     rng = np.random.default_rng(10 + M)
+    finer = cd.build_grid(M, 2 * Q).nodes
     points = np.concatenate([
         rng.dirichlet(np.full(M + 1, 0.3), size=300),
-        cd.build_grid(M, 2 * Q).nodes,
+        finer,
         np.eye(M + 1),
+        np.where(finer == 0.0, -0.0, finer),
     ])
     ids, weights = solver._stencil(grid, points)
     for k, point in enumerate(points):
@@ -725,6 +745,14 @@ TRANSITION_DIGESTS = {
         "eec0a98572f960de5880324f9104414998433e44a1321aef16c81765ebb957ee",
         "eb4a32e01561c1a6e17741a2754228c2fa8a1eb3ac174853e2204a23aea32eb8",
         "9fbb57335bca0b5ea5e76a8fdcfe0412bd929c2635f708c3f9baa994adb1c614",
+    ),
+    # eight coordinates: each predictive sum of _row_entries adds its row
+    # from left to right, where np.add.reduce would add it pairwise
+    "sa-three-component-Q3": (
+        instances.sa_three_component, 3,
+        "ca8cf99e58f69f78c347a6d23ef26cc5a5677cdfe8982bff230de7ca4e0d46cc",
+        "21db5019fa140878874b221bd648c2c1f941f0e84e9dfee76507df44def0ad63",
+        "b9855dca4494084e5dff3403dbf92e9b4ea685444f6dc52d0ed70034917fd66d",
     ),
     # 20,301 rows: more than one block of _transition
     "merged-Q200": (
