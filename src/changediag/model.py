@@ -52,6 +52,10 @@ __all__ = [
 #: Normalization slack for probability vectors (density rows, nu).
 NORM_TOL = 1e-12
 
+#: Most post-change types: a node's or a run's action (0, or the type
+#: announced) is stored in one signed byte.
+MAX_TYPES = 127
+
 
 class SpecValidationError(ValueError):
     """A problem instance, or a JSON document read by the package, is invalid."""
@@ -131,6 +135,8 @@ def validate(spec: ProblemSpec) -> None:
         raise SpecValidationError("alphabet_size must be a positive integer")
     if M < 1:
         raise SpecValidationError("num_types must be a positive integer")
+    if M > MAX_TYPES:
+        raise SpecValidationError(f"num_types={M} is over the limit of {MAX_TYPES} types")
     for name in ("p0", "p", "c", "nu", "f", "a"):
         value = np.asarray(getattr(spec, name))
         if not np.isfinite(value).all():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec, _fmt
-from .posterior import h_values_many
+from .posterior import _row_min, h_values_many
 from .solver import (
     SimplexGrid, ValueTable, _labels, _rank, _rank_shifts, build_grid, transition_matrix
 )
@@ -85,9 +85,9 @@ def extract_region(
     if stop_tol == table.stop_tol:
         labels = table.labels.astype(np.int8)
     else:
-        delay = spec.c * (1.0 - grid.nodes[:, 0])
-        cont = delay + transition_matrix(spec, grid) @ table.values
-        labels = _labels(h_all, cont, stop_tol)
+        cont = transition_matrix(spec, grid) @ table.values
+        cont += spec.c * (1.0 - grid.nodes[:, 0])
+        labels = _labels(h_all, _row_min(h_all), cont, stop_tol)
     return StoppingRegion(
         grid=grid,
         labels=labels,
@@ -144,29 +144,22 @@ def _neighbor_ids(grid: SimplexGrid, ids: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _component_count(grid: SimplexGrid, mask: np.ndarray, neighbors: np.ndarray) -> int:
-    """Number of connected components of the masked node set under lattice
-    adjacency (steps of the form e_a - e_b).
+def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Join the sets of nodes u[i] and v[i] in the forest ``parent``, where
+    every node points at its root, and return the forest in that form.
 
-    Union-find by hooking and pointer jumping (after Shiloach and Vishkin,
-    "An O(log n) parallel connectivity algorithm", 1982): each round hooks
-    the larger root of every edge whose ends still have different roots
-    onto the smaller one, then jumps pointers until every node points at
-    its root.  Every component that still has such an edge merges with
-    another, so the rounds are O(log n).
+    Hooking and pointer jumping (after Shiloach and Vishkin, "An O(log n)
+    parallel connectivity algorithm", 1982): each round hooks the larger
+    root of every edge whose ends still have different roots onto the
+    smaller one, then jumps pointers until every node points at its root.
+    Every component that still has such an edge merges with another, so
+    the rounds are O(log n).
     """
-    ids = np.flatnonzero(mask)
-    nbr = neighbors[ids]
-    ok = nbr > ids[:, None]  # each edge once; -1 (off the simplex) drops too
-    ok[ok] = mask[nbr[ok]]
-    u = np.repeat(ids, ok.sum(axis=1))
-    v = nbr[ok]
-    parent = np.arange(grid.n_nodes)
     while True:
         ru, rv = parent[u], parent[v]
         apart = ru != rv
         if not apart.any():
-            break
+            return parent
         u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
         np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
@@ -174,7 +167,41 @@ def _component_count(grid: SimplexGrid, mask: np.ndarray, neighbors: np.ndarray)
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
-    return int(np.count_nonzero(parent[ids] == ids))
+
+
+def _component_counts(
+    grid: SimplexGrid, labels: np.ndarray, neighbors: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Connected components, under lattice adjacency (steps of the form
+    e_a - e_b), of every label's node set and of the union of the stopping
+    sets (labels above 0).
+
+    ``neighbors`` is the table of ``_neighbor_ids`` for every node.  One
+    union-find runs over the edges whose two ends carry the same label, so
+    its roots, counted by label, are the components of each label; it then
+    goes on over the edges that join two different stopping labels.  Each
+    undirected edge is listed once, along the step e_a - e_b with a < b,
+    and the edges go in one direction at a time.
+
+    Returns the counts indexed by label 0..M and the count of the stopping
+    union.
+    """
+    ids = np.arange(grid.n_nodes, dtype=np.int32)
+    stop = labels > 0
+    parent, crossing = ids.copy(), []
+    for col, (a, b) in enumerate(itertools.permutations(range(grid.M + 1), 2)):
+        if a > b:
+            continue
+        nbr = neighbors[:, col]
+        other = labels[nbr]  # -1 (off the simplex) reads the last label; masked
+        on = nbr >= 0
+        joined = on & (other == labels)
+        parent = _union(parent, ids[joined], nbr[joined])
+        crossing.append((col, on & stop & (other > 0) & ~joined))
+    per_label = np.bincount(labels[parent == ids], minlength=grid.M + 1)
+    for col, mask in crossing:
+        parent = _union(parent, ids[mask], neighbors[mask, col])
+    return per_label, int(np.count_nonzero((parent == ids) & stop))
 
 
 def check_region_properties(
@@ -215,6 +242,7 @@ def check_region_properties(
     # neighbor carries the same label (-1 reads the last node's; masked).
     same = (region.labels[neighbors] == region.labels[:, None]) | (neighbors < 0)
     interior = same.all(axis=1)
+    per_label, stopping = _component_counts(grid, region.labels, neighbors)
 
     for j in range(1, M + 1):
         mask = region.mask(j)
@@ -222,7 +250,7 @@ def check_region_properties(
         entry = {
             "nonempty": bool(ids.size > 0),
             "contains_corner": bool(mask[corner_node(grid, j)]),
-            "num_components": _component_count(grid, mask, neighbors),
+            "num_components": int(per_label[j]),
             "convexity_pairs": 0,
             "convexity_violations": 0,
             "strict_violations": 0,
@@ -251,12 +279,8 @@ def check_region_properties(
             entry["strict_violations"] = int((bad & interior[u] & interior[w]).sum())
         report["labels"][j] = entry
 
-    report["stopping_components"] = _component_count(
-        grid, region.labels > 0, neighbors
-    )
-    report["continuation_components"] = _component_count(
-        grid, region.labels == 0, neighbors
-    )
+    report["stopping_components"] = stopping
+    report["continuation_components"] = int(per_label[0])
 
     if other is not None:
         if other.grid.Q != grid.Q or other.grid.M != M:
@@ -322,7 +346,20 @@ def boundary_nodes(region: StoppingRegion, j: int) -> np.ndarray:
 
 
 #: Rows formatted per write; bounds the text held in memory at once.
-_EXPORT_CHUNK = 4096
+_EXPORT_CHUNK = 1024
+
+
+def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a column, and each node's index into them in
+    the narrowest unsigned dtype that holds it.
+
+    Floats are told apart by bit pattern: 0.0 and -0.0 compare equal but
+    print as "0" and "-0".
+    """
+    floats = col.dtype == np.float64
+    values, inv = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
+    index = inv.astype(np.min_scalar_type(values.size - 1))
+    return (values.view(np.float64) if floats else values), index
 
 
 def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> None:
@@ -342,35 +379,34 @@ def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> N
     if fmt == "embedded" and M not in (2, 3):
         raise ValueError(f"embedded export needs 2 or 3 types, grid has M={M}")
 
-    # (column names, printf format, per-node array)
-    parts = [
-        ([f"k{i}" for i in range(M + 1)], "%d", grid.lattice),
-        ([f"pi{i}" for i in range(M + 1)], "%.17g", grid.nodes),
-    ]
+    # (name, printf format, the column's distinct values, each node's index
+    # into them).  A column fixed by the lattice is a function of one
+    # coordinate k_i, so its values are those at k_i = 0..Q, indexed by k_i.
+    steps = np.arange(grid.Q + 1)
+    fractions = steps / grid.Q
+    columns = [(f"k{i}", "%d", steps, grid.lattice[:, i]) for i in range(M + 1)]
+    columns += [(f"pi{i}", "%.17g", fractions, grid.lattice[:, i]) for i in range(M + 1)]
     if fmt == "embedded":
-        parts.append((["x", "y", "z"][:M], "%.17g", embed(grid.nodes)))
-    parts += [
-        (["label"], "%d", region.labels[:, None]),
-        (["value"], "%.17g", region.values[:, None]),
-        (["h"], "%.17g", region.h_all.min(axis=1)[:, None]),
-        ([f"h{j}" for j in range(1, M + 1)], "%.17g", region.h_all),
+        xyz = embed(grid.nodes)
+        columns += [("xyz"[i], "%.17g", *_distinct(xyz[:, i])) for i in range(M - 1)]
+        # the last coordinate of either embedding is pi_M
+        columns.append(("xyz"[M - 1], "%.17g", fractions, grid.lattice[:, M]))
+    columns += [
+        ("label", "%d", *_distinct(region.labels)),
+        ("value", "%.17g", *_distinct(region.values)),
+        ("h", "%.17g", *_distinct(_row_min(region.h_all))),
     ]
-    header = ",".join(name for names, _, _ in parts for name in names)
+    columns += [(f"h{j}", "%.17g", *_distinct(region.h_all[:, j - 1])) for j in range(1, M + 1)]
+    header = ",".join(name for name, _, _, _ in columns)
 
-    # Most columns repeat few values, so each distinct value is formatted
-    # once, each text already carrying the separator that follows it, and
-    # rows are gathered by index.  Floats are told apart by bit pattern:
-    # 0.0 and -0.0 compare equal but print as "0" and "-0".
-    columns = [(conv, arr[:, i]) for names, conv, arr in parts for i in range(len(names))]
+    # Each distinct value is formatted once, its text already carrying the
+    # separator that follows it, and rows are gathered by index.
     seps = [","] * (len(columns) - 1) + ["\r\n"]
-    texts, index = [], []
-    for (conv, col), sep in zip(columns, seps):
-        floats = col.dtype == np.float64
-        uniq, inv = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
-        if floats:
-            uniq = uniq.view(np.float64)
-        texts.append(np.array([conv % v + sep for v in uniq.tolist()], dtype=object))
-        index.append(inv.astype(np.int32))
+    texts = [
+        np.array([conv % v + sep for v in values.tolist()], dtype=object)
+        for (_, conv, values, _), sep in zip(columns, seps)
+    ]
+    index = [idx for _, _, _, idx in columns]
 
     with open(path, "w", newline="") as fh:
         fh.write(
@@ -422,18 +458,23 @@ def import_region(path: str) -> StoppingRegion:
             f"{path}: {data.shape[0]} data rows, but a grid with M={M}, "
             f"Q={Q} has {grid.n_nodes} nodes"
         )
-    tail = data[:, :M]
-    misplaced = np.flatnonzero((tail != grid.lattice[:, 1:]).any(axis=1))
-    if misplaced.size:
+    # column by column: a reduction along each row would loop over M
+    misplaced = data[:, 0] != grid.lattice[:, 1]
+    for i in range(1, M):
+        misplaced |= data[:, i] != grid.lattice[:, i + 1]
+    if misplaced.any():
         raise ValueError(
-            f"{path}: rows out of node order at line {misplaced[0] + 3}"
+            f"{path}: rows out of node order at line {np.argmax(misplaced) + 3}"
         )
     labels = data[:, M]
-    if not np.isin(labels, np.arange(M + 1)).all():
+    # NaN fails the range test too; after it the cast is safe, and a
+    # fraction does not come through it unchanged
+    codes = labels.astype(np.int8) if ((labels >= 0) & (labels <= M)).all() else None
+    if codes is None or (codes != labels).any():
         raise ValueError(f"{path}: labels outside 0..{M}")
     return StoppingRegion(
         grid=grid,
-        labels=labels.astype(np.int8),
+        labels=codes,
         values=data[:, M + 1].copy(),
         h_all=data[:, M + 2 :].copy(),
         N_used=N_used,

@@ -17,11 +17,11 @@ uniform 1+k the k-th symbol.  Philox is counter-based (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11): each block of four
 64-bit words is a pure function of the key and the block counter.
 ``estimate_risk`` evaluates that function for all runs of a batch at
-once, in windows of ``CHUNK // 4`` symbol uniforms per run, each
-window after the first drawn for the runs still going.  Run k of seed s
-therefore sees the same stream, bit for bit, in any batch and in any
-worker thread.  The single-run ``Environment`` reads the same stream
-through numpy's generator; it serves the library tour and the
+once, in windows of ``CHUNK // 4`` symbol uniforms per run that end on
+block edges, each window after the first drawn for the runs still going.
+Run k of seed s therefore sees the same stream, bit for bit, in any batch
+and in any worker thread.  The single-run ``Environment`` reads the same
+stream through numpy's generator; it serves the library tour and the
 benchmark's online replay.
 The independent check of the batch is ``tests/oracles.ground_truth``,
 which draws the stream with scalar numpy calls and none of this module.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -342,15 +341,19 @@ def _simulate_block(
 ) -> tuple[np.ndarray, ...]:
     """Vectorized lockstep simulation of runs [offset, offset+runs).
 
-    Step n reads symbol uniform n % size of the current window.  The
-    posteriors lie in columns, one per coordinate, so that a step's
-    operations run along the runs still going rather than along a short
-    row.
+    The windows of uniforms end on Philox block edges, so no block is
+    computed twice: the first holds uniforms 0..19, the change time, the
+    type and 18 symbols, and each later one ``CHUNK // 4`` more symbols.
+    Step n reads column n - start of the current window, the window that
+    starts at step ``start``.  The posteriors lie in columns, one per
+    coordinate, so that a step's operations run along the runs still going
+    rather than along a short row.
     """
     size = CHUNK // 4
-    window = _philox_uniforms(seed, run_offset + np.arange(runs), 0, 2 + size)
+    window = _philox_uniforms(seed, run_offset + np.arange(runs), 0, 4 + size)
     theta, mu = _draw_truth(spec, window)
     window = window[:, 2:]
+    start = 0
     cum_f = np.cumsum(spec.f, axis=1)
 
     tau = np.zeros(runs, dtype=np.int64)
@@ -389,10 +392,11 @@ def _simulate_block(
 
         running += spec.c * (1.0 - pis[:, 0])
 
-        if n and n % size == 0:
+        if n - start == window.shape[1]:
             window = _philox_uniforms(seed, run_offset + active, 2 + n, size)
             window_row = np.arange(active.size)
-        us = window[:, n % size].take(window_row)
+            start = n
+        us = window[:, n - start].take(window_row)
         rows = np.where(change <= n + 1, kind, 0)
         pis = update_many(spec, pis, _draw_symbols(cum_f, rows, us))
         n += 1
@@ -427,6 +431,9 @@ def estimate_risk(
     if len(jobs) == 1:
         blocks = [_simulate_block(spec, strategy, runs, seed, n_max, 0)]
     else:
+        # imported here, so that a single-thread process never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
             futures = [
                 pool.submit(

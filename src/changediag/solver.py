@@ -542,9 +542,11 @@ class ValueTable:
     stop_tol: float
 
 
-def _labels(h_all: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
-    """The Bellman stop rule: stop where h <= cont + ``stop_tol``."""
-    return _announce(h_all, _row_min(h_all) <= cont + stop_tol)
+def _labels(h_all: np.ndarray, h: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
+    """The Bellman stop rule: stop where h <= cont + ``stop_tol``, h being
+    the row minima of ``h_all``.  The tolerance is added into ``cont``."""
+    cont += stop_tol
+    return _announce(h_all, h <= cont)
 
 
 def value_iterate(
@@ -573,11 +575,12 @@ def value_iterate(
     if max_iter < 1:
         raise ValueError(f"max_iter={max_iter} must be at least 1")
 
+    # T first: its build's temporaries then meet no node vector
+    T = transition_matrix(spec, grid)
     nodes = grid.nodes
     h_all = h_values_many(spec, nodes)
-    h = h_all.min(axis=1)
+    h = _row_min(h_all)
     delay = spec.c * (1.0 - nodes[:, 0])
-    T = transition_matrix(spec, grid)
 
     sup_h = stopping_cost_sup(spec)
     bound_const = sup_h * sup_h / spec.c + sup_h / spec.p
@@ -605,7 +608,10 @@ def value_iterate(
             break
 
     stop_tol = sup_change if math.isfinite(sup_change) else tol
-    labels = _labels(h_all, delay + T @ V, stop_tol)
+    # the continuation costs go into the spare sweep vector
+    T.matvec(V, out=V_new)
+    V_new += delay
+    labels = _labels(h_all, h, V_new, stop_tol)
 
     return ValueTable(
         grid=grid,

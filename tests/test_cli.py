@@ -320,6 +320,8 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
 
 
 def test_version_and_table_simulation_load_no_scipy(runner, model_path, tmp_path):
+    """Neither loads scipy, and a single-thread simulation starts no thread
+    pool, so it leaves ``concurrent.futures`` unloaded too."""
     table_path = str(tmp_path / "t.cdvt")
     assert solve_to(runner, model_path, table_path, "-Q", "8").exit_code == 0
     args = [["--version"],
@@ -331,6 +333,7 @@ def test_version_and_table_simulation_load_no_scipy(runner, model_path, tmp_path
         "    assert main(args, standalone_mode=False) in (None, 0)\n"
     )
     assert modules_after(code, tmp_path) == []
+    assert modules_after(code, tmp_path, "concurrent.futures") == []
     assert (tmp_path / "sim.json").exists()
 
 
@@ -783,6 +786,18 @@ def artefacts(tmp_path_factory):
     (root / "tc-boolean.json").write_text("[[true, true], [false, true], [true, false]]")
     (root / "sa-list.json").write_text("[1]")
     (root / "bad.json").write_text("{\n")
+    M = 128
+    costs = np.ones((M + 1, M))
+    np.fill_diagonal(costs[1:], 0.0)
+    (root / "model-128-types.json").write_text(json.dumps({
+        **spec_to_dict(spec), "alphabet_size": 2, "num_types": M, "nu": [1.0 / M] * M,
+        "densities": [[0.5, 0.5]] * (M + 1), "terminal_costs": costs.tolist(),
+    }))
+    cd.save_sa_spec(cd.SuspendedAnimationSpec(
+        component_failure_probs=(0.1,) * 8,
+        phi=cd.phi_binary(8),
+        label_densities=np.full((256, 2), 0.5),
+    ), str(root / "sa-255-labels.json"))
     (root / "sa-phi-int.json").write_text(json.dumps({
         "component_failure_probs": [0.1],
         "phi": [1],
@@ -895,6 +910,10 @@ def artefacts(tmp_path_factory):
          "threshold=2.0 must lie in [0, 1]"),
         (["simulate", "model.json", "--table", "t20.cdvt", "--baseline", "stop-at-3"],
          "give exactly one of --table, --boundaries, --baseline"),
+        (["solve", "model-128-types.json", "-Q", "2"],
+         "num_types=128 is over the limit of 127 types"),
+        (["derive-sa", "sa-255-labels.json", *DERIVE_COSTS],
+         "num_types=255 is over the limit of 127 types"),
     ],
     ids=[
         "solve-tol-0",
@@ -952,6 +971,8 @@ def artefacts(tmp_path_factory):
         "simulate-baseline-threshold-abc",
         "simulate-threshold-2",
         "simulate-table-and-baseline",
+        "solve-128-types",
+        "derive-sa-255-labels",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

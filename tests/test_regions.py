@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import changediag as cd
 from changediag.posterior import h_values_many
 from changediag.regions import (
     StoppingRegion,
-    _component_count,
+    _component_counts,
     _neighbor_ids,
     boundary_nodes,
     corner_node,
@@ -366,6 +367,41 @@ def test_import_rejects_extra_and_reordered_rows(exported_csv):
         cd.import_region(str(exported_csv))
 
 
+@pytest.mark.parametrize("label", [b"3", b"-1", b"0.5", b"2.0000001", b"nan", b"inf"])
+def test_import_rejects_labels_that_are_not_types(exported_csv, label):
+    """A label must be one of 0..M: a number past either end, a fraction,
+    NaN and infinity are each refused."""
+    lines = exported_csv.read_bytes().splitlines(keepends=True)
+    column = lines[1].split(b",").index(b"label")
+    row = lines[7].split(b",")
+    row[column] = label
+    lines[7] = b",".join(row)
+    exported_csv.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=r"labels outside 0\.\.2"):
+        cd.import_region(str(exported_csv))
+
+
+def test_check_and_export_peak_memory_is_bounded_per_node(merged_region, tmp_path):
+    """At M=2, Q=200 the traced peak of the region check stays within 120
+    bytes per node and that of the CSV export within 180: the component
+    counts take one union-find over int32 edges, one direction at a time,
+    and the export keeps no index array for the columns the lattice fixes."""
+    _, region = merged_region
+    path = str(tmp_path / "r.csv")
+    for run, per_node in (
+        (lambda: cd.check_region_properties(region), 120),
+        (lambda: cd.export_region(region, path), 180),
+    ):
+        run()  # first-call costs stay outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_node * region.grid.n_nodes
+
+
 @pytest.mark.parametrize("stop_tol", [None, 0.0, 1e-3])
 def test_extract_region_from_loaded_table_matches_recomputation(tmp_path, stop_tol):
     spec = instances.FIGURES["merged"]
@@ -422,8 +458,9 @@ def test_neighbor_ids_match_explicit_shifts(M, Q):
 
 @pytest.mark.parametrize("M,Q", [(1, 40), (2, 12), (3, 7)])
 def test_component_count_matches_a_breadth_first_search(M, Q):
-    """Seeded random masks from sparse to dense: the union-find count equals
-    a plain search, and the masks include split sets."""
+    """Seeded random masks from sparse to dense, labelled 1 and 0: the
+    union-find counts of the mask and of its complement equal a plain
+    search, and the masks include split sets."""
     grid = cd.build_grid(M, Q)
     neighbors = _neighbor_ids(grid)
     rng = np.random.default_rng(100 + M)
@@ -431,20 +468,63 @@ def test_component_count_matches_a_breadth_first_search(M, Q):
     for density in (0.3, 0.5, 0.7, 0.9):
         for _ in range(5):
             mask = rng.random(grid.n_nodes) < density
-            counts.append(_component_count(grid, mask, neighbors))
-            assert counts[-1] == oracles.component_count(grid.lattice, mask)
+            per_label, stopping = _component_counts(grid, mask.astype(np.int8), neighbors)
+            counts.append(stopping)
+            assert per_label[1] == stopping == oracles.component_count(grid.lattice, mask)
+            assert per_label[0] == oracles.component_count(grid.lattice, ~mask)
+            assert not per_label[2:].any()
     assert max(counts) >= 2
+
+
+@pytest.mark.parametrize("M,Q", [(2, 12), (3, 7)])
+def test_one_pass_counts_match_a_search_per_label_and_for_the_union(M, Q):
+    """Seeded random labellings over 0..M, from sparse to dense stopping
+    sets: the count of every label's set and of the union of the stopping
+    sets each equal a plain search.  Different stopping labels touch, so
+    the union merges components across labels."""
+    grid = cd.build_grid(M, Q)
+    neighbors = _neighbor_ids(grid)
+    rng = np.random.default_rng(200 + M)
+    merged = 0
+    for density in (0.3, 0.5, 0.7, 0.9):
+        for _ in range(5):
+            stop = rng.random(grid.n_nodes) < density
+            types = rng.integers(1, M + 1, grid.n_nodes)
+            labels = np.where(stop, types, 0).astype(np.int8)
+            per_label, stopping = _component_counts(grid, labels, neighbors)
+            assert per_label.tolist() == [
+                oracles.component_count(grid.lattice, labels == j) for j in range(M + 1)
+            ]
+            assert stopping == oracles.component_count(grid.lattice, stop)
+            merged += stopping < per_label[1:].sum()
+    assert merged > 0
+
+
+def test_one_pass_counts_join_touching_stopping_sets():
+    """Stop(1) (k_1 > k_2) and Stop(2) (k_2 >= k_1) meet along the middle
+    of the far edge: one component each, and one for their union."""
+    grid = cd.build_grid(2, 10)
+    k = grid.lattice
+    labels = np.where(k[:, 1] > k[:, 2], 1, 2).astype(np.int8)
+    labels[k[:, 0] > 4] = 0
+    per_label, stopping = _component_counts(grid, labels, _neighbor_ids(grid))
+    assert per_label.tolist() == [1, 1, 1]
+    assert stopping == 1
 
 
 @pytest.mark.parametrize("M,Q", [(1, 6), (2, 5), (3, 4)])
 def test_component_count_of_empty_and_isolated_nodes(M, Q):
     grid = cd.build_grid(M, Q)
     neighbors = _neighbor_ids(grid)
-    assert _component_count(grid, np.zeros(grid.n_nodes, dtype=bool), neighbors) == 0
+
+    def count(mask):
+        return _component_counts(grid, mask.astype(np.int8), neighbors)[1]
+
+    assert count(np.zeros(grid.n_nodes, dtype=bool)) == 0
     corners = np.zeros(grid.n_nodes, dtype=bool)
     corners[[corner_node(grid, j) for j in range(M + 1)]] = True
     for mask, want in ((corners, M + 1), (np.eye(grid.n_nodes, dtype=bool)[3], 1)):
-        assert _component_count(grid, mask, neighbors) == want
+        assert count(mask) == want
         assert oracles.component_count(grid.lattice, mask) == want
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import changediag as cd
+from changediag import simulator
 from changediag.simulator import (
     DEFAULT_N_MAX,
     Environment,
@@ -225,7 +226,7 @@ def test_single_runs_reproduce_batch_rows(solve200):
 
 
 def test_long_runs_reproduce_batch_rows_across_windows():
-    """Runs past 16, 48 and 112 symbols read their second, fourth and
+    """Runs past 18, 50 and 114 symbols read their second, fourth and
     eighth uniform windows from the batch kernel; single runs read them
     from numpy."""
     spec = instances.two_type(10, 10, 3, 3, 0.05)
@@ -235,11 +236,32 @@ def test_long_runs_reproduce_batch_rows_across_windows():
     for name in ("theta", "mu", "tau", "d", "realized", "posterior_form", "capped"):
         assert np.array_equal(getattr(one, name), getattr(two, name))
     later = [np.flatnonzero((one.tau > lo) & (one.tau <= hi))
-             for lo, hi in ((16, 48), (48, 112), (112, np.inf))]
+             for lo, hi in ((18, 50), (50, 114), (114, np.inf))]
     rows = {0, 999}.union(*({window[0], window[-1]} for window in later))
     # rows in both halves, so the threads=2 block with run_offset > 0 is covered
     assert min(rows) < 500 and max(later[-1]) >= 500
     assert_rows_match_single_runs(spec, strategy, one, sorted(rows))
+
+
+def test_batch_computes_each_philox_block_of_a_run_once(monkeypatch):
+    """The uniform windows end on block edges: runs that read three
+    windows get each of their block counters 1, 2, 3, ... computed once,
+    with none repeated and none skipped."""
+    computed = {}
+    kernel = simulator._philox4x64
+
+    def spy(seed, keys, counters):
+        for key in keys[0].tolist():
+            computed.setdefault(key, []).extend(counters[:, 0].tolist())
+        return kernel(seed, keys, counters)
+
+    monkeypatch.setattr(simulator, "_philox4x64", spy)
+    cd.estimate_risk(instances.two_type(10, 10, 3, 3, 0.05), StopAfter(40), runs=30, seed=3)
+    assert sorted(computed) == list(range(30))
+    for counters in computed.values():
+        # 40 symbols and two leading uniforms span blocks 0..10, in windows
+        # of blocks 0..4, 5..8 and 9..12
+        assert counters == list(range(1, 14))
 
 
 def test_batch_prices_announcements_of_seventy_types():

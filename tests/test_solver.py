@@ -283,7 +283,7 @@ def backup(spec, pis, TV):
     (T V) there: action 0 continues, j > 0 announces type j; ties stop."""
     h_all = h_values_many(spec, pis)
     cont = spec.c * (1.0 - pis[:, 0]) + TV
-    action = solver._labels(h_all, cont, 0.0)
+    action = solver._labels(h_all, h_all.min(axis=1), cont, 0.0)
     return np.where(action > 0, h_all.min(axis=1), cont), action
 
 
