@@ -73,18 +73,14 @@ _EXPORTS = {
         "import_region",
     ),
     "boundary": (
-        "DegenerateCorner",
         "InsufficientBoundary",
-        "PolarPoint",
         "SplineBoundary",
         "fast_member",
         "fast_member_many",
         "fit_boundary",
-        "from_polar",
         "load_boundaries",
         "save_boundaries",
         "save_boundary",
-        "to_polar",
     ),
     "simulator": (
         "Environment",

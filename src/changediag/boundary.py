@@ -11,10 +11,10 @@ decision exactly when its radius is below the fitted curve, and the online
 check costs one angle, one spline evaluation, and one comparison.
 
 The squared corner distance has a closed form in the simplex coordinates:
-r_i(pi)^2 = c_M * ((1 + sum(pi^2))/2 - pi_i), with c_M = 4/3 for two types
-and 3/2 for three.  Angles are arcsin(pi_j / r_i) for designated
-coordinates j, one per remaining degree of freedom; the designation is a
-fixed convention recorded with every fitted boundary.
+r_i(pi)^2 = 4/3 * ((1 + sum(pi^2))/2 - pi_i).  The angle is
+arcsin(pi_{i-1} / r_i), so a curve about corner 1 is read by the no-change
+mass and one about corner 2 by the type-1 mass; the far corners sit at
+angles 0 and 60 degrees.
 
 Curves are penalized least-squares cubic splines: minimize the sum of
 squared residuals plus lambda times the integrated squared second
@@ -38,13 +38,8 @@ from .posterior import h_values_many
 from .regions import StoppingRegion, boundary_nodes
 
 __all__ = [
-    "DegenerateCorner",
     "InsufficientBoundary",
-    "PolarPoint",
     "SplineBoundary",
-    "corner_radius",
-    "to_polar",
-    "from_polar",
     "boundary_samples",
     "fit_spline",
     "fit_boundary",
@@ -57,104 +52,26 @@ __all__ = [
     "load_boundaries",
 ]
 
-#: Scale constants of the distance form, per simplex dimension M.
-C_M = {2: 4.0 / 3.0, 3: 1.5}
-
 #: Smoothing-parameter grid searched by cross-validation.
 LAMBDA_GRID = np.logspace(-9.0, 1.0, 21)
-
-
-class DegenerateCorner(ValueError):
-    """Polar coordinates requested at the corner itself (radius zero)."""
 
 
 class InsufficientBoundary(ValueError):
     """Too few boundary samples to determine the spline basis."""
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    """A posterior seen from one simplex corner.
-
-    ``beta`` holds arcsin(pi_j / r) for each designated coordinate j; the
-    designation drops the largest non-corner index (for M=2 this leaves
-    the single coordinate (corner+2) mod 3).
-    """
-
-    corner: int
-    r: float
-    beta: tuple[float, ...]
-
-
-def _designated(M: int, corner: int) -> tuple[list[int], int]:
-    """Coordinates encoded as angles, and the coordinate left implicit."""
-    if M == 2:
-        keep = [(corner + 2) % 3]
-        dropped = 3 - corner - keep[0]
-    elif M == 3:
-        others = sorted(set(range(4)) - {corner})
-        keep, dropped = others[:2], others[2]
-    else:
-        raise ValueError(f"polar coordinates defined for 2 or 3 types, not M={M}")
-    return keep, dropped
-
-
-def corner_radius(pi: np.ndarray, corner: int) -> float:
-    """Embedded Euclidean distance from ``pi`` to the corner."""
-    pi = np.asarray(pi, dtype=np.float64)
-    sq = (1.0 + np.add.reduce(pi * pi, axis=-1)) / 2.0 - pi[..., corner]
-    return np.sqrt(C_M[pi.shape[-1] - 1] * np.maximum(sq, 0.0))
-
-
 def _polar(pis: np.ndarray, corner: int) -> tuple[np.ndarray, np.ndarray]:
-    """Corner radius r, shape (n,), and angles beta, shape (n, M-1), of each
-    row of ``pis``; rows with r = 0 sit at the corner and get angle 0,
-    which is of no use."""
-    keep, _ = _designated(pis.shape[1] - 1, corner)
-    r = corner_radius(pis, corner)
-    # one line per angle, left at angle 0 where r = 0
-    beta = np.zeros((len(keep), pis.shape[0]))
-    np.divide(pis.T.take(keep, axis=0), r, out=beta, where=r > 0.0)
+    """Corner radius r and angle beta, both of shape (n,), of each row of
+    the (n, 3) array ``pis`` seen from corner 1 or 2; rows with r = 0 sit
+    at the corner and get angle 0, which is of no use."""
+    pis = np.asarray(pis, dtype=np.float64)
+    sq = (1.0 + np.add.reduce(pis * pis, axis=-1)) / 2.0 - pis[:, corner]
+    r = np.sqrt(4.0 / 3.0 * np.maximum(sq, 0.0))
+    # left at angle 0 where r = 0
+    beta = np.zeros(pis.shape[0])
+    np.divide(pis[:, corner - 1], r, out=beta, where=r > 0.0)
     beta.clip(0.0, 1.0, out=beta)
-    return r, np.arcsin(beta, out=beta).T
-
-
-def to_polar(pi: np.ndarray, corner: int) -> PolarPoint:
-    """Express a posterior as (radius, angles) at one corner.
-
-    Raises:
-        DegenerateCorner: at the corner itself, where angles are undefined.
-    """
-    r, beta = _polar(np.asarray(pi, dtype=np.float64)[None, :], corner)
-    if r[0] <= 0.0:
-        raise DegenerateCorner(f"posterior sits at corner {corner}")
-    return PolarPoint(corner=corner, r=float(r[0]), beta=tuple(beta[0].tolist()))
-
-
-def from_polar(point: PolarPoint) -> np.ndarray:
-    """Invert to_polar.
-
-    The designated coordinates come straight from the angles; the corner
-    coordinate solves a quadratic whose smaller root is the only one inside
-    the simplex, and the dropped coordinate takes the remaining mass.
-    """
-    M = len(point.beta) + 1
-    keep, dropped = _designated(M, point.corner)
-    pi = np.zeros(M + 1)
-    if point.r <= 0.0:
-        pi[point.corner] = 1.0
-        return pi
-    known = point.r * np.sin(np.asarray(point.beta))
-    t = 1.0 - float(known.sum())
-    q = float(np.dot(known, known))
-    const = (t * t + 1.0 + q - 2.0 * point.r * point.r / C_M[M]) / 2.0
-    disc = (t + 1.0) ** 2 - 4.0 * const
-    u = ((t + 1.0) - np.sqrt(max(disc, 0.0))) / 2.0
-    pi[keep] = known
-    pi[point.corner] = u
-    pi[dropped] = t - u
-    np.clip(pi, 0.0, None, out=pi)
-    return pi / pi.sum()
+    return r, np.arcsin(beta, out=beta)
 
 
 def boundary_samples(
@@ -175,7 +92,7 @@ def boundary_samples(
         node_ids = boundary_nodes(region, j)
     r, beta = _polar(region.grid.nodes[node_ids], j)
     live = r > 0.0
-    r, beta = r[live], beta[live, 0]
+    r, beta = r[live], beta[live]
     order = np.argsort(beta, kind="stable")
     return beta[order], r[order]
 
@@ -461,7 +378,7 @@ def fast_member_many(
         if rows.size:
             r, beta = _polar(pis.T.take(rows, axis=1).T, corner)
             # r >= 0, and r = 0 (the corner) stops whatever the curve says
-            stop[rows] = r <= np.maximum(boundaries[corner](beta[:, 0]), 0.0)
+            stop[rows] = r <= np.maximum(boundaries[corner](beta), 0.0)
     return np.multiply(1 + second, stop, dtype=np.int8, casting="unsafe")
 
 

@@ -242,6 +242,15 @@ def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: st
         click.echo("note: fitted curve is not concave at the knots", err=True)
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an integer only if it is ASCII decimal digits after an
+    optional sign: int() alone also reads "1_0" as 10 and "٣" as 3."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def _strategy_from_options(spec, **options):
     """The strategy of the one option given, refused unless built for ``spec``.
 
@@ -266,7 +275,7 @@ def _strategy_from_options(spec, **options):
         except ValueError as exc:
             raise ValueError(f"{value}: {exc}") from None
     for prefix, parse, make in (
-        ("stop-at-", int, StopAfter),
+        ("stop-at-", _decimal, StopAfter),
         ("threshold-", float, PosteriorThreshold),
     ):
         if value.startswith(prefix):
@@ -403,7 +412,7 @@ def diagnose(
             if not line:
                 continue
             try:
-                x = int(line)
+                x = _decimal(line)
             except ValueError:
                 click.echo(f"step {n + 1}: not a symbol: {line!r}", err=True)
                 sys.exit(3)

@@ -668,7 +668,7 @@ def _record(d) -> dict:
         raise ValueError(f"magic {d['magic']!r} is not {_MAGIC!r}")
     if _integer(d["version"]) != _VERSION:
         raise ValueError(f"unsupported version {d['version']}")
-    return dict(
+    record = dict(
         Q=_check_int("Q", _integer(d["Q"]), 1),
         iterations=_integer(d["iterations"]),
         tol=_real(d["tol"], "tol"),
@@ -680,6 +680,10 @@ def _record(d) -> dict:
         crc32=_integer(d["crc32"]),
         spec=spec_from_dict(d["model"]),
     )
+    if not math.isfinite(record["stop_tol"]):
+        # extract_region's rule: a NaN or infinite tolerance stops everywhere or nowhere
+        raise ValueError(f"stop_tol={record['stop_tol']} must be finite")
+    return record
 
 
 def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
@@ -688,9 +692,10 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
 
     Raises:
         GridSizeError: the sidecar's grid is over the node cap.
-        ValueError: on a missing or malformed sidecar, node data of the
-            wrong size or with another crc32 than the sidecar's, a
-            non-finite value, or a label outside 0..M.
+        ValueError: on a missing or malformed sidecar (a non-finite
+            ``stop_tol`` included), node data of the wrong size or with
+            another crc32 than the sidecar's, a non-finite value, or a
+            label outside 0..M.
     """
     sidecar = path + ".json"
     if not os.path.exists(sidecar):

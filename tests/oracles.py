@@ -3,10 +3,11 @@
 Everything here works directly from the generative model: explicit sums
 over the change time, the change type, and complete observation paths,
 and scalar draws from numpy's own Philox generator, plus scipy's linear
-programming for the largest stopping cost and a breadth-first search for
-connected components of lattice node sets.  Nothing calls the package's
-posterior recursion, solver, region checks or simulator, so agreement
-between these oracles and the library is a real cross-check.
+programming for the largest stopping cost, a breadth-first search for
+connected components of lattice node sets, and plane geometry for the
+polar coordinates of boundary curves.  Nothing calls the package's
+posterior recursion, solver, region checks, boundary code or simulator,
+so agreement between these oracles and the library is a real cross-check.
 """
 
 from __future__ import annotations
@@ -148,6 +149,43 @@ def stopping_cost_sup_lp(a: np.ndarray) -> float:
     )
     assert res.success, res.message
     return float(-res.fun)
+
+
+#: The 2-type simplex as the equilateral triangle of unit height, one
+#: vertex per row: a posterior's coordinate pi_k is its distance to the
+#: side opposite vertex k.
+TRIANGLE = np.array([[0.0, 0.0], [2.0 / math.sqrt(3.0), 0.0], [1.0 / math.sqrt(3.0), 1.0]])
+
+
+def _polar_frame(corner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors at vertex ``corner`` (1 or 2): along its side to the
+    vertex that is neither it nor corner - 1, and normal to that side
+    towards vertex corner - 1.  The side is where pi_{corner-1} = 0, so
+    the polar angle is the angle from the first vector."""
+    origin = TRIANGLE[corner]
+    along = TRIANGLE[3 - corner - (corner - 1)] - origin
+    along /= np.linalg.norm(along)
+    normal = TRIANGLE[corner - 1] - origin
+    normal -= (normal @ along) * along
+    return along, normal / np.linalg.norm(normal)
+
+
+def polar_point(pi: np.ndarray, corner: int) -> tuple[float, float]:
+    """Radius and angle of the 2-type posterior ``pi`` seen from vertex
+    ``corner``: the length of the ray to it, and the ray's angle from the
+    side the vertex shares with the third vertex."""
+    ray = np.asarray(pi, dtype=np.float64) @ TRIANGLE - TRIANGLE[corner]
+    along, normal = _polar_frame(corner)
+    return float(np.hypot(*ray)), math.atan2(float(ray @ normal), float(ray @ along))
+
+
+def polar_inverse(r: float, beta: float, corner: int) -> np.ndarray:
+    """The 2-type posterior at radius ``r`` and angle ``beta`` from vertex
+    ``corner``: the point reached along the ray, in barycentric
+    coordinates by one linear solve."""
+    along, normal = _polar_frame(corner)
+    point = TRIANGLE[corner] + r * (math.cos(beta) * along + math.sin(beta) * normal)
+    return np.linalg.solve(np.vstack([TRIANGLE.T, np.ones(3)]), np.r_[point, 1.0])
 
 
 def lattice_index(lattice: np.ndarray) -> dict[tuple[int, ...], int]:

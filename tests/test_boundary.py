@@ -10,6 +10,7 @@ from changediag import boundary as B
 from changediag.posterior import _announce, h_values_many
 
 import instances
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -21,47 +22,41 @@ def split_boundaries(solve200):
 
 
 def test_corner_distances_from_polar():
-    e0 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 0.0, 1.0])
-    pp0 = cd.to_polar(e0, 1)
-    pp2 = cd.to_polar(e2, 1)
-    assert pp0.r == pytest.approx(2 / math.sqrt(3), abs=1e-15)
-    assert pp2.r == pytest.approx(2 / math.sqrt(3), abs=1e-15)
-    # the two far corners bracket the 60-degree wedge seen from corner 1
-    assert pp2.beta[0] == 0.0
-    assert pp0.beta[0] == pytest.approx(math.pi / 3, abs=1e-12)
+    """Both far corners sit 2/sqrt(3) from either stopping corner, at the
+    two ends of its 60-degree wedge: the one with pi_{corner-1} = 1 at
+    angle pi/3, the other at angle 0."""
+    for corner, (top, side) in ((1, (0, 2)), (2, (1, 0))):
+        r, beta = B._polar(np.eye(3)[[top, side]], corner)
+        assert r == pytest.approx(np.full(2, 2 / math.sqrt(3)), abs=1e-15)
+        assert beta[1] == 0.0
+        assert beta[0] == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 def test_radius_equals_embedded_distance():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        pi = rng.dirichlet(np.ones(3))
-        for corner in (1, 2):
-            want = np.linalg.norm(cd.embed(pi) - cd.embed(np.eye(3)[corner]))
-            assert B.corner_radius(pi, corner) == pytest.approx(want, abs=1e-12)
+    pis = np.random.default_rng(23).dirichlet(np.ones(3), 50)
+    for corner in (1, 2):
+        want = np.linalg.norm(cd.embed(pis) - cd.embed(np.eye(3)[corner]), axis=1)
+        r, _ = B._polar(pis, corner)
+        assert r == pytest.approx(want, abs=1e-12)
 
 
 def test_polar_round_trip_two_types():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        pi = rng.dirichlet(np.ones(3))
-        for corner in (1, 2):
-            back = cd.from_polar(cd.to_polar(pi, corner))
-            assert back == pytest.approx(pi, abs=1e-12)
+    """The plane-geometry inverse takes each row's (r, beta) back to it."""
+    pis = np.random.default_rng(6).dirichlet(np.ones(3), 200)
+    for corner in (1, 2):
+        r, beta = B._polar(pis, corner)
+        assert r.shape == beta.shape == (200,)
+        for pi, rk, bk in zip(pis, r, beta):
+            assert oracles.polar_inverse(rk, bk, corner) == pytest.approx(pi, abs=1e-12)
 
 
-def test_polar_round_trip_three_types():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        pi = rng.dirichlet(np.ones(4))
-        for corner in (1, 2, 3):
-            back = cd.from_polar(cd.to_polar(pi, corner))
-            assert back == pytest.approx(pi, abs=1e-12)
-
-
-def test_polar_at_corner_raises():
-    with pytest.raises(cd.DegenerateCorner):
-        cd.to_polar(np.array([0.0, 1.0, 0.0]), 1)
+def test_polar_at_corner_is_radius_zero_angle_zero():
+    pis = np.array([[0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    r, beta = B._polar(pis, 1)
+    assert r[1] == 0.0 and beta[1] == 0.0
+    assert r[0] > 0.0 and beta[0] > 0.0
+    r, beta = B._polar(pis, 2)
+    assert r[2] == 0.0 and beta[2] == 0.0
 
 
 def test_fit_constant_radius_is_exact():
@@ -165,10 +160,23 @@ def test_boundary_samples_reject_a_corner_outside_the_model(solve200):
             cd.boundary.boundary_samples(region, j)
 
 
+def test_polar_entry_points_refuse_more_than_two_types(split_boundaries):
+    """_polar knows only the 2-type distance form, so a 3-type input must
+    stop at these guards rather than get wrong radii."""
+    spec3 = instances.three_type()
+    region3 = cd.extract_region(spec3, cd.value_iterate(spec3, cd.build_grid(3, 4)))
+    with pytest.raises(ValueError, match="^boundary curves are defined for the 2-type problem$"):
+        B.boundary_samples(region3, 1)
+    spec, _, fitted = split_boundaries
+    with pytest.raises(ValueError, match="^fast membership is built for the 2-type problem$"):
+        cd.fast_member_many(spec, fitted, np.full((5, 4), 0.25))
+
+
 def test_scalar_and_batched_polar_paths_agree_bitwise(split_boundaries):
     """On every node of a Q=40 grid, scalar fast_member equals the batched
-    fast_member_many, and to_polar equals the samples boundary_samples
-    takes at the same nodes."""
+    fast_member_many, and boundary_samples of all nodes equals its one-node
+    calls in angle order, each of which is the node's polar coordinates by
+    plane geometry."""
     spec, _, fitted = split_boundaries
     region = cd.extract_region(spec, cd.value_iterate(spec, cd.build_grid(2, 40)))
     nodes = region.grid.nodes
@@ -179,10 +187,13 @@ def test_scalar_and_batched_polar_paths_agree_bitwise(split_boundaries):
     all_ids = np.arange(region.grid.n_nodes)
     for j in (1, 2):
         beta, r = B.boundary_samples(region, j, all_ids)
-        points = [cd.to_polar(node, j) for node in nodes if node[j] < 1.0]
-        order = np.argsort([p.beta[0] for p in points], kind="stable")
-        assert np.array_equal(beta, np.array([points[k].beta[0] for k in order]))
-        assert np.array_equal(r, np.array([points[k].r for k in order]))
+        off_corner = all_ids[nodes[:, j] < 1.0]
+        ones = np.array([B.boundary_samples(region, j, [k]) for k in off_corner])[:, :, 0]
+        for (b1, r1), k in zip(ones, off_corner):
+            assert (r1, b1) == pytest.approx(oracles.polar_point(nodes[k], j), abs=1e-12)
+        order = np.argsort(ones[:, 0], kind="stable")
+        assert np.array_equal(beta, ones[order, 0])
+        assert np.array_equal(r, ones[order, 1])
 
 
 def test_fit_boundary_describes_the_region(split_boundaries):
@@ -407,10 +418,9 @@ def test_decisions_match_a_fresh_spline_rule(reference_curves, grid200):
         stop = np.zeros(pis.shape[0], dtype=bool)
         for sb in curves.values():
             rows = cheapest == sb.corner
-            r, beta = B._polar(pis[rows], sb.corner)
+            r, x = B._polar(pis[rows], sb.corner)
             spl = BSpline(B._full_knots(sb.knots), sb.coefficients, 3)
             lo, hi = sb.knots[0], sb.knots[-1]
-            x = beta[:, 0]
             g = spl(np.clip(x, lo, hi))
             g = np.where(x < lo, spl(lo) + spl.derivative(1)(lo) * (x - lo), g)
             g = np.where(x > hi, spl(hi) + spl.derivative(1)(hi) * (x - hi), g)

@@ -491,13 +491,15 @@ def test_diagnose_rejects_bad_symbols(runner, model_path, tmp_path):
     assert result.exit_code == 3
     assert "outside alphabet" in result.output
     not_a_number = tmp_path / "worse.txt"
-    not_a_number.write_text("frog\n")
-    result = runner.invoke(
-        main,
-        ["diagnose", model_path, "--table", table_path, "--stream", str(not_a_number)],
-    )
-    assert result.exit_code == 3
-    assert "not a symbol" in result.output
+    # int() would read "1_0" as 10 and "٣" as 3
+    for line in ("frog", "1_0", "\u0663"):
+        not_a_number.write_text(f"{line}\n")
+        result = runner.invoke(
+            main,
+            ["diagnose", model_path, "--table", table_path, "--stream", str(not_a_number)],
+        )
+        assert result.exit_code == 3
+        assert f"step 1: not a symbol: {line!r}" in result.output
 
 
 def test_diagnose_eof_reports_last_posterior(runner, model_path, tmp_path):
@@ -714,7 +716,7 @@ def artefacts(tmp_path_factory):
     for one corner, a model with a fractional type count or a list for p0,
     models and a cost matrix holding booleans, Q=20 tables with NaN values,
     with a label byte of 200, without a sidecar, as a version-1 pair, with a
-    string for a flag, with Q=0 or a Q over the grid cap, with node data one
+    string for a flag, with a NaN stop_tol, with Q=0 or a Q over the grid cap, with node data one
     byte short or long, and with the node data of the Q=20 table of another
     model, and a file that is not JSON."""
     root = tmp_path_factory.mktemp("artefacts")
@@ -751,6 +753,7 @@ def artefacts(tmp_path_factory):
         ("no-sidecar", data, None),
         ("v1", b"CDVT" + bytes(61) + data, {"version": 1}),
         ("converged-yes", data, {"converged": "yes"}),
+        ("stop-tol-nan", data, {"stop_tol": math.nan}),
         ("Q-0", data, {"Q": 0}),
         ("Q-5000", data, {"Q": 5000}),
         ("short", data[:-1], {}),
@@ -887,6 +890,8 @@ def artefacts(tmp_path_factory):
          "malformed t20-v1.cdvt.json: table sidecar: unsupported version 1"),
         (["regions", "t20-converged-yes.cdvt"],
          "malformed t20-converged-yes.cdvt.json: table sidecar: 'yes' is not true or false"),
+        (["simulate", "model.json", "--table", "t20-stop-tol-nan.cdvt", "--runs", "5"],
+         "malformed t20-stop-tol-nan.cdvt.json: table sidecar: stop_tol=nan must be finite"),
         (["regions", "t20-Q-0.cdvt"],
          "malformed t20-Q-0.cdvt.json: table sidecar: Q=0 must be at least 1"),
         (["regions", "t20-Q-5000.cdvt"],
@@ -904,6 +909,8 @@ def artefacts(tmp_path_factory):
          "unknown baseline 'stop-at-x' (use stop-at-<k> or threshold-<t>)"),
         (["simulate", "model.json", "--baseline", "stop-at-1.5", "--runs", "5"],
          "unknown baseline 'stop-at-1.5' (use stop-at-<k> or threshold-<t>)"),
+        (["simulate", "model.json", "--baseline", "stop-at-1_0", "--runs", "5"],
+         "unknown baseline 'stop-at-1_0' (use stop-at-<k> or threshold-<t>)"),
         (["simulate", "model.json", "--baseline", "threshold-abc", "--runs", "5"],
          "unknown baseline 'threshold-abc' (use stop-at-<k> or threshold-<t>)"),
         (["simulate", "model.json", "--baseline", "threshold-2", "--runs", "5"],
@@ -958,6 +965,7 @@ def artefacts(tmp_path_factory):
         "regions-no-sidecar",
         "simulate-version-1-table",
         "regions-sidecar-flag-string",
+        "simulate-sidecar-stop-tol-nan",
         "regions-sidecar-Q-0",
         "regions-sidecar-Q-over-the-cap",
         "regions-short-node-data",
@@ -968,6 +976,7 @@ def artefacts(tmp_path_factory):
         "derive-sa-terminal-costs-bad-json",
         "simulate-baseline-stop-at-x",
         "simulate-baseline-stop-at-1.5",
+        "simulate-baseline-stop-at-1_0",
         "simulate-baseline-threshold-abc",
         "simulate-threshold-2",
         "simulate-table-and-baseline",

@@ -4,6 +4,7 @@ a malformed document with one ValueError that names it."""
 import functools
 import hashlib
 import json
+import math
 import operator
 
 import numpy as np
@@ -166,6 +167,20 @@ def test_reader_reads_an_integral_float_as_an_integer(tmp_path, reader):
         assert got == want
         integers = [got.num_types, got.alphabet_size]
     assert all(type(value) is int for value in integers)
+
+
+@pytest.mark.parametrize("stop_tol", [math.nan, math.inf, -math.inf])
+def test_sidecar_refuses_a_non_finite_stop_tol(tmp_path, stop_tol):
+    """A NaN stop_tol used to load, and a table strategy on it never
+    stopped a run; the sidecar is refused by extract_region's rule."""
+    doc = {**_sidecar_doc(tmp_path), "stop_tol": stop_tol}
+    (tmp_path / "t.cdvt.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        cd.load_table(str(tmp_path / "t.cdvt"))
+    assert str(info.value) == (
+        f"malformed {tmp_path / 't.cdvt.json'}: table sidecar: "
+        f"stop_tol={stop_tol} must be finite"
+    )
 
 
 def test_two_curves_for_one_corner_are_refused(tmp_path):
