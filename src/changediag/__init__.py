@@ -25,6 +25,18 @@ __version__ = "0.1.0"
 #: run.  Defined here so the CLI can show it without loading numpy.
 DEFAULT_N_MAX = 100_000
 
+
+def _decimal(text: str, number: type = int):
+    """``text`` as an int, or a float, only if it is ASCII with no
+    underscore and no surrounding space: int() and float() alone also read
+    "1_0" as 10 and "٣" as 3.  What is left they read only as decimal text
+    (float() also as inf or nan).  Defined here so the CLI reads numbers
+    without loading numpy."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"{text!r} is not a decimal {number.__name__}")
+    return number(text)
+
+
 #: The names the package exports, by home module.
 _EXPORTS = {
     "model": (

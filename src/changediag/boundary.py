@@ -34,7 +34,7 @@ import numpy as np
 from .model import (
     ProblemSpec, _dump_json, _integer, _load_json, _read_doc, _real, _reals
 )
-from .posterior import h_values_many
+from .posterior import _check_finite, h_values_many
 from .regions import StoppingRegion, boundary_nodes
 
 __all__ = [
@@ -55,6 +55,9 @@ __all__ = [
 #: Smoothing-parameter grid searched by cross-validation.
 LAMBDA_GRID = np.logspace(-9.0, 1.0, 21)
 
+#: Largest second difference at the knots that ``is_concave`` accepts.
+_CONCAVE_EPS = 1e-6
+
 
 class InsufficientBoundary(ValueError):
     """Too few boundary samples to determine the spline basis."""
@@ -74,23 +77,18 @@ def _polar(pis: np.ndarray, corner: int) -> tuple[np.ndarray, np.ndarray]:
     return r, np.arcsin(beta, out=beta)
 
 
-def boundary_samples(
-    region: StoppingRegion, j: int, node_ids: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def boundary_samples(region: StoppingRegion, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Polar samples (beta, r) of the type-j stopping boundary, beta-sorted.
 
-    Samples are the Stop(j) nodes adjacent to the continuation set (or an
-    explicit node subset, for held-out evaluation), seen from corner j.
-    The corner node itself, should it ever surface as a boundary node, has
-    no angle and is dropped.
+    Samples are the Stop(j) nodes adjacent to the continuation set, seen
+    from corner j.  The corner node itself, should it ever surface as a
+    boundary node, has no angle and is dropped.
     """
     if region.grid.M != 2:
         raise ValueError("boundary curves are defined for the 2-type problem")
     if j not in (1, 2):
         raise ValueError(f"corner j={j} is not a type of the 2-type model")
-    if node_ids is None:
-        node_ids = boundary_nodes(region, j)
-    r, beta = _polar(region.grid.nodes[node_ids], j)
+    r, beta = _polar(region.grid.nodes[boundary_nodes(region, j)], j)
     live = r > 0.0
     r, beta = r[live], beta[live]
     order = np.argsort(beta, kind="stable")
@@ -159,14 +157,6 @@ class SplineBoundary:
         pieces = np.vstack([knots, *taylor])[:, np.r_[0, : knots.size]]
         pieces[3:, [0, -1]] = 0.0
         object.__setattr__(self, "_pieces", pieces)
-
-    def __call__(self, beta):
-        return evaluate_boundary(self, beta)
-
-    @property
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Value and slope at each end knot, as the end lines hold them."""
-        return self._pieces[1, [0, -1]], self._pieces[2, [0, -1]]
 
 
 def _full_knots(breaks: np.ndarray) -> np.ndarray:
@@ -316,20 +306,15 @@ def fit_spline(
     return breaks, coef, float(lam), rms, cv_score
 
 
-def fit_boundary(
-    region: StoppingRegion,
-    j: int,
-    K: int,
-    lam: float | None = None,
-    node_ids: np.ndarray | None = None,
-) -> SplineBoundary:
-    """Extract boundary samples for type ``j`` and fit their polar curve.
+def fit_boundary(region: StoppingRegion, j: int, K: int) -> SplineBoundary:
+    """Extract boundary samples for type ``j`` and fit their polar curve,
+    with the smoothing parameter picked by cross-validation.
 
     Raises:
         InsufficientBoundary: fewer than K+4 usable boundary samples.
     """
-    beta, r = boundary_samples(region, j, node_ids)
-    breaks, coef, lam_used, rms, _ = fit_spline(beta, r, K, lam)
+    beta, r = boundary_samples(region, j)
+    breaks, coef, lam_used, rms, _ = fit_spline(beta, r, K)
     return SplineBoundary(
         corner=j, knots=breaks, coefficients=coef, lam=lam_used, rms=rms
     )
@@ -345,12 +330,13 @@ def evaluate_boundary(sb: SplineBoundary, beta) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def is_concave(sb: SplineBoundary, eps: float = 1e-6) -> bool:
+def is_concave(sb: SplineBoundary) -> bool:
     """Whether the fitted curve's second differences at the knots stay
-    below ``eps`` (the knots are uniform, so this is a shape check)."""
+    below ``_CONCAVE_EPS`` (the knots are uniform, so this is a shape
+    check)."""
     g = sb._pieces[1, 1:]
     d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
-    return bool(np.all(d2 <= eps))
+    return bool(np.all(d2 <= _CONCAVE_EPS))
 
 
 def fast_member_many(
@@ -365,9 +351,12 @@ def fast_member_many(
     immediate since every stopping set contains its own corner.
 
     :return: int8 array, the announced type per row or 0 to continue.
+    :raises ValueError: for rows that are not 3 long, or a row with a
+        coordinate that is not finite.
     """
     if pis.shape[1] != 3:
         raise ValueError("fast membership is built for the 2-type problem")
+    _check_finite(pis)
     h_all = h_values_many(spec, pis)
     # the cheapest type is 2 where strictly cheaper, else 1: the first on
     # ties, as ``posterior._announce`` picks
@@ -378,7 +367,7 @@ def fast_member_many(
         if rows.size:
             r, beta = _polar(pis.T.take(rows, axis=1).T, corner)
             # r >= 0, and r = 0 (the corner) stops whatever the curve says
-            stop[rows] = r <= np.maximum(boundaries[corner](beta), 0.0)
+            stop[rows] = r <= np.maximum(evaluate_boundary(boundaries[corner], beta), 0.0)
     return np.multiply(1 + second, stop, dtype=np.int8, casting="unsafe")
 
 

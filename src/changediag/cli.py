@@ -34,7 +34,7 @@ import time
 
 import click
 
-from . import DEFAULT_N_MAX, __version__
+from . import DEFAULT_N_MAX, __version__, _decimal
 
 
 def _write_manifest(
@@ -89,6 +89,20 @@ def _load_solved_table(path: str, spec=None):
     return table, table_spec
 
 
+class _Decimal(click.ParamType):
+    """An int or float option read by ``_decimal``; other text is a usage
+    error, worded as click's own number types word it."""
+
+    def __init__(self, number: type):
+        self.number, self.name = number, {int: "integer", float: "float"}[number]
+
+    def convert(self, value, param, ctx):
+        try:  # a default is already a number
+            return _decimal(value, self.number) if isinstance(value, str) else value
+        except ValueError:
+            self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
+
+
 class _Main(click.Group):
     """The one error boundary: bad input or I/O becomes exit 1, one line."""
 
@@ -108,9 +122,9 @@ def main() -> None:
 
 @main.command()
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
-@click.option("-Q", "--resolution", "Q", type=int, default=200, show_default=True)
-@click.option("--tol", type=float, default=1e-4, show_default=True)
-@click.option("--max-iter", type=int, default=100_000, show_default=True)
+@click.option("-Q", "--resolution", "Q", type=_Decimal(int), default=200, show_default=True)
+@click.option("--tol", type=_Decimal(float), default=1e-4, show_default=True)
+@click.option("--max-iter", type=_Decimal(int), default=100_000, show_default=True)
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 def solve(model: str, Q: int, tol: float, max_iter: int, out: str) -> None:
     """Value-iterate MODEL on a resolution-Q grid and write the table."""
@@ -154,7 +168,7 @@ def solve(model: str, Q: int, tol: float, max_iter: int, out: str) -> None:
 
 @main.command()
 @click.argument("table_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--stop-tol", type=float, default=None, help="Stop/continue slack; defaults to the table's final sweep change.")
+@click.option("--stop-tol", type=_Decimal(float), default=None, help="Stop/continue slack; defaults to the table's final sweep change.")
 @click.option("--format", "fmt", type=click.Choice(["embedded", "raw"]), default=None, help="Defaults to embedded when M is 2 or 3.")
 @click.option("--compare-table", type=click.Path(exists=True, dir_okay=False), default=None, help="Second table (shorter horizon) for the nestedness check.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
@@ -210,9 +224,9 @@ def regions(
 
 @main.command("fit-boundary")
 @click.argument("region_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("-j", "--corner", "j", type=int, required=True, help="1-based type whose boundary to fit.")
-@click.option("-K", "--segments", "K", type=int, default=12, show_default=True)
-@click.option("--lam", type=float, default=None, help="Smoothing parameter; omitted means 5-fold cross-validation.")
+@click.option("-j", "--corner", "j", type=_Decimal(int), required=True, help="1-based type whose boundary to fit.")
+@click.option("-K", "--segments", "K", type=_Decimal(int), default=12, show_default=True)
+@click.option("--lam", type=_Decimal(float), default=None, help="Smoothing parameter; omitted means 5-fold cross-validation.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: str) -> None:
     """Fit the polar spline of one stopping boundary from a region CSV."""
@@ -242,15 +256,6 @@ def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: st
         click.echo("note: fitted curve is not concave at the knots", err=True)
 
 
-def _decimal(text: str) -> int:
-    """``text`` as an integer only if it is ASCII decimal digits after an
-    optional sign: int() alone also reads "1_0" as 10 and "٣" as 3."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not a decimal integer")
-    return int(text)
-
-
 def _strategy_from_options(spec, **options):
     """The strategy of the one option given, refused unless built for ``spec``.
 
@@ -274,13 +279,13 @@ def _strategy_from_options(spec, **options):
             return SplineStrategy(fits)
         except ValueError as exc:
             raise ValueError(f"{value}: {exc}") from None
-    for prefix, parse, make in (
-        ("stop-at-", _decimal, StopAfter),
+    for prefix, number, make in (
+        ("stop-at-", int, StopAfter),
         ("threshold-", float, PosteriorThreshold),
     ):
         if value.startswith(prefix):
             try:
-                arg = parse(value[len(prefix) :])
+                arg = _decimal(value[len(prefix) :], number)
             except ValueError:
                 break
             return make(arg)
@@ -292,10 +297,10 @@ def _strategy_from_options(spec, **options):
 @click.option("--table", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--boundaries", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--baseline", type=str, default=None, help="stop-at-<k> or threshold-<t>.")
-@click.option("--runs", type=int, default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-max", type=int, default=DEFAULT_N_MAX, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads; the output does not depend on it.")
+@click.option("--runs", type=_Decimal(int), default=10_000, show_default=True)
+@click.option("--seed", type=_Decimal(int), default=0, show_default=True)
+@click.option("--n-max", type=_Decimal(int), default=DEFAULT_N_MAX, show_default=True)
+@click.option("--threads", type=_Decimal(int), default=1, show_default=True, help="Worker threads; the output does not depend on it.")
 @click.option("--trace", type=click.Path(dir_okay=False), default=None, help="Optional per-run CSV (theta, mu, tau, d, cost).")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 def simulate(
@@ -432,9 +437,9 @@ def diagnose(
 
 @main.command("derive-sa")
 @click.argument("system", type=click.Path(exists=True, dir_okay=False))
-@click.option("--delay-cost", type=float, required=True)
-@click.option("--false-alarm", type=float, default=None, help="Uniform cost of stopping before any failure.")
-@click.option("--misdiagnosis", type=float, default=None, help="Uniform cost of announcing the wrong label.")
+@click.option("--delay-cost", type=_Decimal(float), required=True)
+@click.option("--false-alarm", type=_Decimal(float), default=None, help="Uniform cost of stopping before any failure.")
+@click.option("--misdiagnosis", type=_Decimal(float), default=None, help="Uniform cost of announcing the wrong label.")
 @click.option("--terminal-costs", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON file with the full (M+1) x M cost matrix.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 def derive_sa(

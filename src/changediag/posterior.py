@@ -88,6 +88,14 @@ def _row_min(x: np.ndarray) -> np.ndarray:
     return np.minimum.reduce(np.asfortranarray(x), axis=-1)
 
 
+def _check_finite(points: np.ndarray) -> None:
+    """Refuse a 2-D batch of points if a coordinate is not finite."""
+    finite = np.isfinite(points)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"point {row} has a non-finite coordinate: {points[row].tolist()}")
+
+
 def d_vector(spec: ProblemSpec, pi: np.ndarray, x: int) -> np.ndarray:
     """Unnormalized posterior numerators for observing symbol ``x``.
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _decimal
 from .model import ProblemSpec, _fmt
 from .posterior import _row_min, h_values_many
 from .solver import (
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 _SQRT3 = math.sqrt(3.0)
+
+#: Node pairs per stopping set that the convexity check tests: all pairs up
+#: to this many, else this many drawn from a PCG64 stream seeded with 0.
+_CONVEXITY_PAIRS = 2000
 
 
 @dataclass
@@ -85,7 +90,7 @@ def extract_region(
     if stop_tol == table.stop_tol:
         labels = table.labels.astype(np.int8)
     else:
-        cont = transition_matrix(spec, grid) @ table.values
+        cont = transition_matrix(spec, grid).matvec(table.values)
         cont += spec.c * (1.0 - grid.nodes[:, 0])
         labels = _labels(h_all, _row_min(h_all), cont, stop_tol)
     return StoppingRegion(
@@ -207,30 +212,29 @@ def _component_counts(
 def check_region_properties(
     region: StoppingRegion,
     other: StoppingRegion | None = None,
-    max_pairs: int = 2000,
-    seed: int = 0,
 ) -> dict:
     """Verify the structural claims about the stopping sets on the grid.
 
     Checks, per announceable type j: non-emptiness, containment of the
     corner node, connected-component count, and discrete convexity (lattice
     points on segments between sampled same-label node pairs carry the same
-    label).  Convexity violations are split into strict ones, whose segment
-    endpoints both lie strictly inside the stopping set, and boundary ones,
-    which one lattice cell of labeling noise can explain.  Component counts
-    are also reported for the union of all stopping sets and for the
-    continuation set, since a figure may show the individual sets merging or
-    pinching off a pocket of continuation nodes.  All of these describe
-    ``region``.  When ``other`` is given, also checks nestedness: every
-    stopping node of the region with the longer horizon (more sweeps;
-    ``region`` on a tie) stops in the other one.
+    label; ``_CONVEXITY_PAIRS`` bounds the pairs).  Convexity violations
+    are split into strict ones, whose segment endpoints both lie strictly
+    inside the stopping set, and boundary ones, which one lattice cell of
+    labeling noise can explain.  Component counts are also reported for
+    the union of all stopping sets and for the continuation set, since a
+    figure may show the individual sets merging or pinching off a pocket of
+    continuation nodes.  All of these describe ``region``.  When ``other``
+    is given, also checks nestedness: every stopping node of the region
+    with the longer horizon (more sweeps; ``region`` on a tie) stops in the
+    other one.
 
     Returns a plain dict (JSON-ready); it reports rather than raises.
     """
     grid = region.grid
     M = grid.M
     neighbors = _neighbor_ids(grid)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     report: dict = {
         "labels": {},
         "stopping_components": None,
@@ -256,10 +260,10 @@ def check_region_properties(
             "strict_violations": 0,
         }
         if ids.size >= 2:
-            if ids.size * (ids.size - 1) // 2 <= max_pairs:
+            if ids.size * (ids.size - 1) // 2 <= _CONVEXITY_PAIRS:
                 u, w = ids[np.array(np.triu_indices(ids.size, k=1))]
             else:
-                pick = rng.integers(0, ids.size, size=(max_pairs, 2))
+                pick = rng.integers(0, ids.size, size=(_CONVEXITY_PAIRS, 2))
                 u, w = ids[pick[pick[:, 0] != pick[:, 1]].T]
             # the lattice points strictly inside segment u-w are
             # u + m * diff / g for m = 1..g-1, g the gcd of the entries of
@@ -436,10 +440,10 @@ def import_region(path: str) -> StoppingRegion:
             raise ValueError(f"{path}: not a region export")
         try:
             meta = dict(part.split("=", 1) for part in head[2:].split()[1:])
-            M = int(meta["M"])
-            Q = int(meta["Q"])
-            N_used = int(meta["N"])
-            stop_tol = float(meta["stop_tol"])
+            M = _decimal(meta["M"])
+            Q = _decimal(meta["Q"])
+            N_used = _decimal(meta["N"])
+            stop_tol = _decimal(meta["stop_tol"], float)
             col = {name: i for i, name in enumerate(fh.readline().strip().split(","))}
             tail_cols = [col[f"k{i}"] for i in range(1, M + 1)]
             h_cols = [col[f"h{j}"] for j in range(1, M + 1)]

@@ -39,7 +39,7 @@ from .model import (
     ProblemSpec, _check_int, _dump_json, _flag, _integer, _load_json, _read_doc, _real,
     _text, spec_from_dict, spec_to_dict
 )
-from .posterior import _announce, _row_min, _step_weights, h_values_many
+from .posterior import _announce, _check_finite, _row_min, _step_weights, h_values_many
 
 __all__ = [
     "GridSizeError",
@@ -132,18 +132,18 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-def build_grid(M: int, Q: int, max_nodes: int = DEFAULT_MAX_NODES) -> SimplexGrid:
+def build_grid(M: int, Q: int) -> SimplexGrid:
     """Enumerate the lattice {k/Q} on the M-simplex.
 
     Raises:
         ValueError: if M or Q is not an integer of at least 1.
-        GridSizeError: if C(Q+M, M) exceeds ``max_nodes``.
+        GridSizeError: if C(Q+M, M) exceeds ``DEFAULT_MAX_NODES``.
     """
     M, Q = _check_int("M", M, 1), _check_int("Q", Q, 1)
     count = math.comb(Q + M, M)
-    if count > max_nodes:
+    if count > DEFAULT_MAX_NODES:
         raise GridSizeError(
-            f"grid M={M}, Q={Q} has {count} nodes, over the cap {max_nodes}"
+            f"grid M={M}, Q={Q} has {count} nodes, over the cap {DEFAULT_MAX_NODES}"
         )
     lattice = _compositions(Q, M + 1)
     nodes = lattice.astype(np.float64) / Q
@@ -291,10 +291,7 @@ def interpolate_many(
             f"points have {points.shape[-1]} coordinates, the grid's simplex "
             f"has {grid.M + 1}"
         )
-    finite = np.isfinite(points)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        raise ValueError(f"point {row} has a non-finite coordinate: {points[row].tolist()}")
+    _check_finite(points)
     ids, weights = _stencil(grid, points)
     return np.einsum("nk,nk->n", values[ids], weights)
 
@@ -306,12 +303,12 @@ def interpolate(table: "ValueTable", pi: np.ndarray) -> float:
 
 class TransitionOperator:
     """The one-step expectation operator T of the posterior chain; apply it
-    as ``T @ values``.
+    with ``matvec``.
 
     The rows are stored in blocks of ``_TRANSITION_ROWS``.  A block is a
     (width, rows) array of column ids and one of weights: column r of the
     block lists row r's distinct columns in ascending order, padded to the
-    block's width with column 0 at weight 0.  ``T @ values`` gathers a
+    block's width with column 0 at weight 0.  ``matvec`` gathers a
     block's values into one buffer, scales it by the weights and adds its
     lines up one after another, so every row is summed from left to right
     from 0.0, as a CSR product sums it.  A padding entry adds a zero, which
@@ -360,11 +357,8 @@ class TransitionOperator:
     def data(self) -> np.ndarray:
         return self._csr(1)
 
-    def __matmul__(self, values: np.ndarray) -> np.ndarray:
-        return self.matvec(values)
-
     def matvec(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``T @ values``, written into ``out`` when one is given."""
+        """T times ``values``, written into ``out`` when one is given."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.shape[1],):
             raise ValueError(f"T has shape {self.shape}, got values of shape {values.shape}")

@@ -281,16 +281,17 @@ def test_spline_boundaries_reproduce_grid_decisions(solve400, grid400):
     for name in ("split", "asym_split"):
         spec, table = solve400(name)
         region = cd.extract_region(spec, table)
-        fits, kept = {}, []
+        fits, kept = {}, np.zeros(grid400.n_nodes, dtype=bool)
         for j in (1, 2):
-            ids = cd.boundary_nodes(region, j)
-            mask = np.ones(ids.size, dtype=bool)
+            beta, r = B.boundary_samples(region, j)
+            mask = np.ones(beta.size, dtype=bool)
             mask[::7] = False
-            fits[j] = cd.fit_boundary(region, j, K=12, node_ids=ids[mask])
-            kept.append(ids[mask])
-        held_out = np.setdiff1d(
-            np.arange(grid400.nodes.shape[0]), np.concatenate(kept)
-        )
+            fits[j] = B.SplineBoundary(j, *B.fit_spline(beta[mask], r[mask], 12)[:4])
+            # a node was fitted on when its polar coordinates are a kept sample
+            fitted = set(zip(beta[mask].tolist(), r[mask].tolist()))
+            r_all, beta_all = B._polar(grid400.nodes, j)
+            kept |= [pair in fitted for pair in zip(beta_all.tolist(), r_all.tolist())]
+        held_out = np.flatnonzero(~kept)
         got = cd.fast_member_many(spec, fits, grid400.nodes[held_out])
         agree = np.count_nonzero(got == region.labels[held_out])
         assert agree / held_out.size >= 0.99, name
@@ -302,8 +303,9 @@ def test_spline_boundaries_reproduce_grid_decisions(solve400, grid400):
         if name == "asym_split":
             # the larger of the two asymmetric stopping sets has a concave
             # radius profile once smoothing irons out lattice-scale scatter
-            smoothed = cd.fit_boundary(region, 1, K=12, lam=10.0)
-            assert B.is_concave(smoothed, eps=1e-6)
+            beta, r = B.boundary_samples(region, 1)
+            smoothed = B.SplineBoundary(1, *B.fit_spline(beta, r, 12, lam=10.0)[:4])
+            assert B.is_concave(smoothed)
 
 
 def test_polar_embedding_round_trip():

@@ -1,19 +1,25 @@
 """The benchmark calls the package by name, and its traced run wraps library
 functions by name; a rename in the package would break only a benchmark run,
-so check the names here, along with every name a module exports."""
+so check the names here, along with every name a module exports, the
+arguments the benchmark passes, and the command lines it runs."""
 
+import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import json
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
+import click
 import pytest
 
 import changediag
 from changediag import solver
+from changediag.cli import main
 
 import instances
 from test_cli import fresh_python
@@ -22,11 +28,16 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
 
 
-def load_targets():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look themselves up
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def load_targets():
+    return load_bench_module("spans").TARGETS
 
 
 @pytest.mark.parametrize("target", load_targets(), ids=lambda t: f"{t[0]}.{t[1]}")
@@ -94,6 +105,69 @@ def bench_names():
 @pytest.mark.parametrize("name", bench_names())
 def test_bench_name_resolves(name):
     functools.reduce(getattr, name.split("."), changediag)
+
+
+def dotted(node):
+    """``a.b.c`` for an attribute chain on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def bench_calls():
+    """Every ``cd.<name>(...)`` call in the benchmark sources, as (where,
+    name, positional count or None when one is starred, keyword names)."""
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = dotted(node.func) if isinstance(node, ast.Call) else None
+            if name is None or not name.startswith("cd."):
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield (
+                f"{path.name}:{node.lineno}",
+                name[3:],
+                None if starred else len(node.args),
+                [k.arg for k in node.keywords],
+            )
+
+
+@pytest.mark.parametrize("call", list(bench_calls()), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_bench_call_binds_to_the_signature(call):
+    """Deleting or renaming a parameter the benchmark passes breaks the
+    call; this shows it without running the benchmark."""
+    _, name, positional, keywords = call
+    target = functools.reduce(getattr, name.split("."), changediag)
+    signature = inspect.signature(target)
+    if positional is None or None in keywords:  # *args or **kwargs at the call
+        params = signature.parameters
+        assert [k for k in keywords if k is not None and k not in params] == []
+    else:
+        signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_pipeline_command_lines_parse(tmp_path, monkeypatch, capsys):
+    """Each command line of the CLI chain the benchmark times parses with
+    its command's options and arguments, in a directory holding the files
+    it names; nothing runs."""
+    workloads = load_bench_module("workloads")
+    sizes = workloads.FULL["pipeline_q400"]
+    commands = workloads.Pipeline(0, sizes, tmp_path).commands(0)
+    monkeypatch.chdir(tmp_path)
+    for _, args in commands:
+        for arg in args:
+            if re.fullmatch(r"[\w-]+\.(json|cdvt|csv)", arg):
+                (tmp_path / arg).touch()
+    for name, args in commands:
+        if args[0] in main.commands:
+            main.commands[args[0]].make_context(args[0], args[1:])
+        else:
+            # a group option: --version prints and exits before any command
+            with pytest.raises(click.exceptions.Exit) as stop:
+                main.make_context("changediag", args)
+            assert stop.value.exit_code == 0, name
+    assert changediag.__version__ in capsys.readouterr().out
 
 
 MODULES = ["changediag"] + [

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,11 +173,34 @@ def test_polar_entry_points_refuse_more_than_two_types(split_boundaries):
         cd.fast_member_many(spec, fitted, np.full((5, 4), 0.25))
 
 
+@pytest.mark.parametrize(
+    "row", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], [0.5, -math.inf, 0.5]],
+    ids=["nan", "inf", "minus-inf"],
+)
+def test_table_and_spline_rules_refuse_non_finite_posteriors(split_boundaries, solve200, row):
+    """Neither rule answers for a point it cannot place: NaN fails every
+    comparison, so the spline rule would read it as continue."""
+    spec, _, fitted = split_boundaries
+    table = solve200("split")[1]
+    bad = np.array(row)
+    pis = np.vstack([np.full(3, 1.0 / 3.0), bad])
+    refusal = re.escape(f"has a non-finite coordinate: {row}") + "$"
+    with pytest.raises(ValueError, match="^point 1 " + refusal):
+        cd.fast_member_many(spec, fitted, pis)
+    with pytest.raises(ValueError, match="^point 0 " + refusal):
+        cd.fast_member(spec, fitted, bad)
+    for rule in (cd.TableStrategy(table), cd.SplineStrategy(fitted)):
+        with pytest.raises(ValueError, match="^point 1 " + refusal):
+            rule.decide_many(spec, pis, 0)
+        with pytest.raises(ValueError, match="^point 0 " + refusal):
+            rule.decide(spec, bad, 0)
+
+
 def test_scalar_and_batched_polar_paths_agree_bitwise(split_boundaries):
     """On every node of a Q=40 grid, scalar fast_member equals the batched
-    fast_member_many, and boundary_samples of all nodes equals its one-node
-    calls in angle order, each of which is the node's polar coordinates by
-    plane geometry."""
+    fast_member_many, and _polar of all nodes off the corner equals its
+    one-node calls, each of which is the node's polar coordinates by plane
+    geometry."""
     spec, _, fitted = split_boundaries
     region = cd.extract_region(spec, cd.value_iterate(spec, cd.build_grid(2, 40)))
     nodes = region.grid.nodes
@@ -184,16 +208,13 @@ def test_scalar_and_batched_polar_paths_agree_bitwise(split_boundaries):
     assert batch.dtype == np.int8 and set(np.unique(batch)) == {0, 1, 2}
     for node, want in zip(nodes, batch):
         assert (cd.fast_member(spec, fitted, node) or 0) == want
-    all_ids = np.arange(region.grid.n_nodes)
     for j in (1, 2):
-        beta, r = B.boundary_samples(region, j, all_ids)
-        off_corner = all_ids[nodes[:, j] < 1.0]
-        ones = np.array([B.boundary_samples(region, j, [k]) for k in off_corner])[:, :, 0]
-        for (b1, r1), k in zip(ones, off_corner):
-            assert (r1, b1) == pytest.approx(oracles.polar_point(nodes[k], j), abs=1e-12)
-        order = np.argsort(ones[:, 0], kind="stable")
-        assert np.array_equal(beta, ones[order, 0])
-        assert np.array_equal(r, ones[order, 1])
+        off_corner = nodes[nodes[:, j] < 1.0]
+        r, beta = B._polar(off_corner, j)
+        for node, r1, b1 in zip(off_corner, r, beta):
+            one = B._polar(node[None, :], j)
+            assert (one[0][0], one[1][0]) == (r1, b1)
+            assert (r1, b1) == pytest.approx(oracles.polar_point(node, j), abs=1e-12)
 
 
 def test_fit_boundary_describes_the_region(split_boundaries):
@@ -445,12 +466,12 @@ def test_end_values_and_slopes_match_a_fresh_spline(reference_curves):
     for sb, _ in reference_curves:
         spl = BSpline(B._full_knots(sb.knots), sb.coefficients, 3)
         ends = sb.knots[[0, -1]]
-        values, slopes = sb._ends
+        values, slopes = sb._pieces[1:3, [0, -1]]
         assert _same_bits(values, spl(ends))
         assert _same_bits(slopes, spl.derivative(1)(ends))
 
 
-def test_is_concave_takes_second_differences_of_the_evaluated_curve(reference_curves):
+def test_is_concave_takes_second_differences_of_the_evaluated_curve(reference_curves, monkeypatch):
     """is_concave sees the curve's values at the knots exactly as
     evaluate_boundary gives them: it flips at the largest second difference
     of those values and not an ulp away."""
@@ -459,5 +480,7 @@ def test_is_concave_takes_second_differences_of_the_evaluated_curve(reference_cu
         t = B._full_knots(sb.knots)
         assert _same_bits(B._bspline(t, sb.coefficients, 3, sb.knots), g)
         top = (g[2:] - 2.0 * g[1:-1] + g[:-2]).max()
-        assert B.is_concave(sb, eps=top) is True
-        assert B.is_concave(sb, eps=np.nextafter(top, -np.inf)) is False
+        monkeypatch.setattr(B, "_CONCAVE_EPS", top)
+        assert B.is_concave(sb) is True
+        monkeypatch.setattr(B, "_CONCAVE_EPS", np.nextafter(top, -np.inf))
+        assert B.is_concave(sb) is False

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -913,6 +914,10 @@ def artefacts(tmp_path_factory):
          "unknown baseline 'stop-at-1_0' (use stop-at-<k> or threshold-<t>)"),
         (["simulate", "model.json", "--baseline", "threshold-abc", "--runs", "5"],
          "unknown baseline 'threshold-abc' (use stop-at-<k> or threshold-<t>)"),
+        (["simulate", "model.json", "--baseline", "threshold-0.5_0", "--runs", "5"],
+         "unknown baseline 'threshold-0.5_0' (use stop-at-<k> or threshold-<t>)"),
+        (["simulate", "model.json", "--baseline", "threshold-٠.٥", "--runs", "5"],
+         "unknown baseline 'threshold-٠.٥' (use stop-at-<k> or threshold-<t>)"),
         (["simulate", "model.json", "--baseline", "threshold-2", "--runs", "5"],
          "threshold=2.0 must lie in [0, 1]"),
         (["simulate", "model.json", "--table", "t20.cdvt", "--baseline", "stop-at-3"],
@@ -978,6 +983,8 @@ def artefacts(tmp_path_factory):
         "simulate-baseline-stop-at-1.5",
         "simulate-baseline-stop-at-1_0",
         "simulate-baseline-threshold-abc",
+        "simulate-baseline-threshold-0.5_0",
+        "simulate-baseline-threshold-arabic-digits",
         "simulate-threshold-2",
         "simulate-table-and-baseline",
         "solve-128-types",
@@ -997,6 +1004,48 @@ def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message)
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert message in lines[0]
     assert not (artefacts / "out").exists()
+
+
+SIMULATE_STOP_AT_1 = ["simulate", "model.json", "--baseline", "stop-at-1"]
+
+
+@pytest.mark.parametrize(
+    "args,refusal",
+    [
+        ([*SIMULATE_STOP_AT_1, "--runs", "abc"], "'abc' is not a valid integer."),
+        ([*SIMULATE_STOP_AT_1, "--runs", "1_0"], "'1_0' is not a valid integer."),
+        ([*SIMULATE_STOP_AT_1, "--runs", "١٠"], "'١٠' is not a valid integer."),
+        ([*SIMULATE_STOP_AT_1, "--seed", " 1"], "' 1' is not a valid integer."),
+        (["solve", "model.json", "-Q", "1_0"], "'1_0' is not a valid integer."),
+        (["solve", "model.json", "--tol", "1_0e-4"], "'1_0e-4' is not a valid float."),
+        (["solve", "model.json", "--tol", "١e-4"], "'١e-4' is not a valid float."),
+        (["fit-boundary", "r.csv", "-j", "١"], "'١' is not a valid integer."),
+        (["regions", "t20.cdvt", "--stop-tol", "1e-0_3"], "'1e-0_3' is not a valid float."),
+        (["derive-sa", "sa.json", "--delay-cost", "0x1", *DERIVE_COSTS[2:]],
+         "'0x1' is not a valid float."),
+    ],
+    ids=["runs-abc", "runs-underscore", "runs-arabic-digits", "seed-space",
+         "solve-Q-underscore", "solve-tol-underscore", "solve-tol-arabic-digit",
+         "fit-j-arabic-digit", "regions-stop-tol-underscore", "derive-sa-hex-cost"],
+)
+def test_numeric_options_read_ascii_decimal_text_only(artefacts, monkeypatch, args, refusal):
+    """int() and float() also read underscores, other scripts' digits and
+    surrounding space; every numeric option refuses them as click refuses
+    "abc": a usage error, exit 2, and no output file."""
+    monkeypatch.chdir(artefacts)
+    result = CliRunner().invoke(main, [*args, "-o", "out"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.endswith(refusal + "\n"), result.stderr
+    assert not (artefacts / "out").exists()
+
+
+def test_no_option_keeps_a_plain_number_type():
+    """Every int and float option goes through the decimal-text type."""
+    plain = (click.types.IntParamType, click.types.FloatParamType)
+    for command in main.commands.values():
+        for param in command.params:
+            assert not isinstance(param.type, plain), (command.name, param.name)
 
 
 @pytest.mark.parametrize(

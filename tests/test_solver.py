@@ -212,8 +212,6 @@ def test_interpolation_refuses_non_finite_points(bad):
 
 def test_grid_size_cap():
     with pytest.raises(cd.GridSizeError):
-        cd.build_grid(2, 4, max_nodes=10)
-    with pytest.raises(cd.GridSizeError):
         cd.build_grid(3, 2000)
     for M, Q, message in [(2, True, "^Q=True must be an integer$"),
                           (2, 2.5, "^Q=2.5 must be an integer$"),
@@ -267,7 +265,7 @@ def test_interpolate_many_matches_scalar():
 
 def expect(spec, table, pis):
     """(T V)(pi) at each row of ``pis``: one batched operator off the nodes."""
-    return solver._transition(spec, table.grid, pis) @ table.values
+    return solver._transition(spec, table.grid, pis).matvec(table.values)
 
 
 def expect_at_nodes(spec, table, pis):
@@ -275,7 +273,7 @@ def expect_at_nodes(spec, table, pis):
     grid = table.grid
     index = oracles.lattice_index(grid.lattice)
     ids = [index[tuple(k)] for k in np.rint(pis * grid.Q).astype(int).tolist()]
-    return (solver.transition_matrix(spec, grid) @ table.values)[ids]
+    return solver.transition_matrix(spec, grid).matvec(table.values)[ids]
 
 
 def backup(spec, pis, TV):
@@ -436,7 +434,7 @@ def test_apply_T_at_nodes_is_the_grid_operator(make_spec, M, Q):
     spec = make_spec()
     grid = cd.build_grid(M, Q)
     table = cd.value_iterate(spec, grid, tol=1e-300, max_iter=5)
-    swept = solver.transition_matrix(spec, grid) @ table.values
+    swept = solver.transition_matrix(spec, grid).matvec(table.values)
     for node_id in range(grid.n_nodes):
         [value] = expect(spec, table, grid.nodes[node_id : node_id + 1])
         assert value == swept[node_id]
@@ -823,7 +821,7 @@ def test_transition_rows_sum_entries_in_symbol_and_corner_order(make_spec, Q):
 @pytest.mark.parametrize("make_spec", [wide_spec, lambda: instances.FIGURES["merged"]],
                          ids=["wide", "merged"])
 def test_product_sums_each_row_from_left_to_right(make_spec):
-    """T @ v adds each row's CSR entries in order, from 0.0, as a CSR
+    """T.matvec(v) adds each row's CSR entries in order, from 0.0, as a CSR
     product does; the points span two blocks, the last of one row."""
     spec = make_spec()
     grid = cd.build_grid(spec.num_types, 12)
@@ -837,7 +835,7 @@ def test_product_sums_each_row_from_left_to_right(make_spec):
         for col, weight in zip(indices[lo:hi], data[lo:hi]):
             acc += weight * v[col]
         expect.append(acc)
-    assert (T @ v).tobytes() == np.array(expect).tobytes()
+    assert T.matvec(v).tobytes() == np.array(expect).tobytes()
 
 
 def test_value_iterate_peak_memory_is_the_operator_and_a_few_node_vectors():
@@ -871,4 +869,4 @@ def test_transition_operator_refuses_a_vector_of_another_length():
     spec = instances.FIGURES["merged"]
     T = solver.transition_matrix(spec, cd.build_grid(2, 10))
     with pytest.raises(ValueError, match="shape"):
-        T @ np.ones(T.shape[1] - 1)
+        T.matvec(np.ones(T.shape[1] - 1))
