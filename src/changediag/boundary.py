@@ -32,7 +32,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .model import (
-    ProblemSpec, _dump_json, _integer, _load_json, _read_doc, _real, _reals
+    ProblemSpec, _check_int, _dump_json, _integer, _load_json, _read_doc, _real, _reals
 )
 from .posterior import _check_finite, h_values_many
 from .regions import StoppingRegion, boundary_nodes
@@ -86,7 +86,7 @@ def boundary_samples(region: StoppingRegion, j: int) -> tuple[np.ndarray, np.nda
     """
     if region.grid.M != 2:
         raise ValueError("boundary curves are defined for the 2-type problem")
-    if j not in (1, 2):
+    if _check_int("j", j, None) not in (1, 2):
         raise ValueError(f"corner j={j} is not a type of the 2-type model")
     r, beta = _polar(region.grid.nodes[boundary_nodes(region, j)], j)
     live = r > 0.0
@@ -256,9 +256,10 @@ def fit_spline(
     :param K: number of uniform spline segments over the sample range.
     :return: (breakpoints, coefficients, lam, rms of fitted residuals,
         cross-validation SSE of the chosen lam, or None when lam was given).
-    :raises ValueError: for K < 1 or a negative or non-finite ``lam``.
+    :raises ValueError: for K not an integer of at least 1, or a negative or
+        non-finite ``lam``.
     """
-    if K < 1:
+    if _check_int("K", K, None) < 1:
         raise ValueError(f"K={K} spline segments must be at least 1")
     if lam is not None and not 0.0 <= lam < np.inf:
         raise ValueError(f"lam={lam} must be finite and nonnegative")

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import IO, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class ProblemSpec:
     """Immutable description of one change-diagnosis problem.
 
     Attributes:
-        alphabet_size: number of observable symbols.
-        num_types: number M of post-change alternatives.
         p0: prior mass of an immediate change (change time equal to 0).
         p: success probability of the geometric tail of the change time.
         nu: prior over the M change types, shape (M,).
@@ -83,23 +81,29 @@ class ProblemSpec:
         a: terminal costs, shape (M+1, M); ``a[i][j]`` is the cost of
             terminal decision j when the truth is i, with row 0 holding the
             false-alarm costs (no change has happened yet).
+        alphabet_size: number of observable symbols, the columns of ``f``.
+        num_types: number M of post-change alternatives, the rows of ``f``
+            after the first.
 
+    The two sizes are read off ``f`` and are not constructor arguments.
     Construction runs ``validate``, so a spec that exists is valid.
     """
 
-    alphabet_size: int
-    num_types: int
     p0: float
     p: float
     nu: np.ndarray
     f: np.ndarray
     c: float
     a: np.ndarray
+    alphabet_size: int = field(init=False)
+    num_types: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu", _freeze(np.atleast_1d(self.nu)))
         object.__setattr__(self, "f", _freeze(np.atleast_2d(self.f)))
         object.__setattr__(self, "a", _freeze(np.atleast_2d(self.a)))
+        object.__setattr__(self, "num_types", self.f.shape[0] - 1)
+        object.__setattr__(self, "alphabet_size", self.f.shape[1])
         validate(self)
 
     def _key(self) -> tuple:
@@ -131,10 +135,11 @@ def validate(spec: ProblemSpec) -> None:
             row and constraint.  Returns silently when the spec is valid.
     """
     M = spec.num_types
-    if spec.alphabet_size < 1:
-        raise SpecValidationError("alphabet_size must be a positive integer")
-    if M < 1:
-        raise SpecValidationError("num_types must be a positive integer")
+    if spec.f.ndim != 2 or M < 1 or spec.alphabet_size < 1:
+        raise SpecValidationError(
+            f"f has shape {spec.f.shape}, expected (M+1, alphabet_size) with M >= 1 "
+            "types and at least one symbol"
+        )
     if M > MAX_TYPES:
         raise SpecValidationError(f"num_types={M} is over the limit of {MAX_TYPES} types")
     for name in ("p0", "p", "c", "nu", "f", "a"):
@@ -159,15 +164,10 @@ def validate(spec: ProblemSpec) -> None:
         raise SpecValidationError(
             f"nu[{bad}]={spec.nu[bad]} must be strictly positive"
         )
-    if abs(float(spec.nu.sum()) - 1.0) > NORM_TOL:
-        raise SpecValidationError(
-            f"nu sums to {spec.nu.sum()!r}, not 1 within {NORM_TOL}"
-        )
+    total = float(spec.nu.sum())
+    if abs(total - 1.0) > NORM_TOL:
+        raise SpecValidationError(f"nu sums to {total!r}, not 1 within {NORM_TOL}")
 
-    if spec.f.shape != (M + 1, spec.alphabet_size):
-        raise SpecValidationError(
-            f"f has shape {spec.f.shape}, expected ({M + 1}, {spec.alphabet_size})"
-        )
     if np.any(spec.f < 0.0):
         row, col = np.unravel_index(int(np.argmin(spec.f)), spec.f.shape)
         raise SpecValidationError(f"f[{row}][{col}]={spec.f[row, col]} is negative")
@@ -208,8 +208,8 @@ def theta_prior(spec: ProblemSpec, t: int) -> float:
 def make_shiryaev(
     p0: float,
     p: float,
-    nu: Iterable[float],
-    f: Iterable[Iterable[float]],
+    nu: np.ndarray,
+    f: np.ndarray,
     c: float,
 ) -> ProblemSpec:
     """Pure quickest-detection instance: unit false-alarm cost, free isolation.
@@ -225,37 +225,27 @@ def make_shiryaev(
         f: density rows f0, f1, ..., fM.
         c: delay cost per period.
     """
-    f = np.atleast_2d(np.asarray(f, dtype=np.float64))
-    M = f.shape[0] - 1
+    M = len(f) - 1
     a = np.zeros((M + 1, M))
     a[0, :] = 1.0
-    return ProblemSpec(
-        alphabet_size=f.shape[1],
-        num_types=M,
-        p0=p0,
-        p=p,
-        nu=np.asarray(list(nu), dtype=np.float64),
-        f=f,
-        c=c,
-        a=a,
-    )
+    return ProblemSpec(p0=p0, p=p, nu=nu, f=f, c=c, a=a)
 
 
 def make_hypothesis_testing(
-    nu: Iterable[float],
-    f: Iterable[Iterable[float]],
+    nu: np.ndarray,
+    f: np.ndarray,
     c: float,
-    a: Iterable[Iterable[float]],
-    p: float = 0.5,
+    a: np.ndarray,
 ) -> ProblemSpec:
     """Sequential multi-hypothesis test: the change has already happened.
 
     Sets the prior mass of an immediate change to one, so the posterior
     stays on the face pi_0 = 0 and the problem reduces to paying ``c`` per
-    observation until a terminal decision is made.  ``p`` is not inert: the
-    solver covers the whole simplex, and its truncation bound has a term
-    |h|/p.  On the 3-type instance of ``tests/test_posterior.py``, p = 0.5
-    and p = 0.9 give ``error_bound`` 1.5 and 1.056 at Q = 10; at Q = 30 both
+    observation until a terminal decision is made.  The geometric
+    parameter p is fixed at 0.5.  It is not inert off the face: the solver
+    covers the whole simplex, and its truncation bound has a term |h|/p.
+    On the 3-type instance of ``tests/test_posterior.py``, p = 0.5 and
+    p = 0.9 give ``error_bound`` 1.5 and 1.056 at Q = 10; at Q = 30 both
     give the value 0.6667 at the prior and equal values at every node of
     the face, while the labels off the face differ.
 
@@ -264,19 +254,8 @@ def make_hypothesis_testing(
         f: density rows f0, f1, ..., fM (f0 matters only off the face).
         c: cost per observation.
         a: terminal cost matrix of shape (M+1, M).
-        p: geometric change parameter, any value in (0, 1).
     """
-    f = np.atleast_2d(np.asarray(f, dtype=np.float64))
-    return ProblemSpec(
-        alphabet_size=f.shape[1],
-        num_types=f.shape[0] - 1,
-        p0=1.0,
-        p=p,
-        nu=np.asarray(list(nu), dtype=np.float64),
-        f=f,
-        c=c,
-        a=np.atleast_2d(np.asarray(a, dtype=np.float64)),
-    )
+    return ProblemSpec(p0=1.0, p=0.5, nu=nu, f=f, c=c, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +375,7 @@ def phi_binary(K: int) -> dict[frozenset[int], int]:
 def derive_suspended_animation(
     sa: SuspendedAnimationSpec,
     c: float,
-    a: Iterable[Iterable[float]],
+    a: np.ndarray,
 ) -> ProblemSpec:
     """Reduce a suspended-animation system to a change-diagnosis instance.
 
@@ -432,16 +411,7 @@ def derive_suspended_animation(
             f"derived type weight for label {bad} is zero (label unreachable)"
         )
 
-    return ProblemSpec(
-        alphabet_size=sa.label_densities.shape[1],
-        num_types=M,
-        p0=0.0,
-        p=p,
-        nu=nu,
-        f=sa.label_densities,
-        c=c,
-        a=np.atleast_2d(np.asarray(a, dtype=np.float64)),
-    )
+    return ProblemSpec(p0=0.0, p=p, nu=nu, f=sa.label_densities, c=c, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +456,22 @@ def _integer(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
-def _check_int(name: str, value: int, low: int, key: bool = False) -> int:
+def _check_int(name: str, value: int, low: int | None, key: bool = False) -> int:
     """``value`` as a Python int, refused unless an integer of at least ``low``.
 
     Python and numpy integers pass; bools and floats do not, so a seed of
     1.5 cannot run the stream of seed 1.  A ``key`` is a Philox key word
-    and must also fit in 64 unsigned bits.
+    and must also fit in 64 unsigned bits.  With ``low`` None the range is
+    left to the caller, whose message can then name what the integer counts.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name}={value!r} must be an integer")
     if key and not 0 <= value < 2**64:
         raise ValueError(f"{name}={value} must be in [0, 2**64)")
-    if value < low:
+    if low is not None and value < low:
         rule = "nonnegative" if low == 0 else f"at least {low}"
         raise ValueError(f"{name}={value} must be {rule}")
     return int(value)
-
-
-def _text(x) -> str:
-    """A string field of a JSON document; anything else is refused."""
-    if not isinstance(x, str):
-        raise ValueError(f"{x!r} is not a string")
-    return x
 
 
 def _flag(x) -> bool:
@@ -567,9 +531,10 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
 
 
 def spec_from_dict(doc: Mapping) -> ProblemSpec:
+    """The problem instance a model document describes; the document's
+    ``alphabet_size`` and ``num_types`` must be those of its densities."""
     args = _read_doc("model document", doc, lambda d: dict(
-        alphabet_size=_integer(d["alphabet_size"]),
-        num_types=_integer(d["num_types"]),
+        sizes={key: _integer(d[key]) for key in ("alphabet_size", "num_types")},
         p0=_real(d["p0"], "p0"),
         p=_real(d["p"], "p"),
         nu=_reals(d["nu"], "nu"),
@@ -577,7 +542,14 @@ def spec_from_dict(doc: Mapping) -> ProblemSpec:
         c=_real(d["delay_cost"], "delay_cost"),
         a=_reals(d["terminal_costs"], "terminal_costs"),
     ))
-    return ProblemSpec(**args)
+    sizes = args.pop("sizes")
+    spec = ProblemSpec(**args)
+    for key, given in sizes.items():
+        if given != getattr(spec, key):
+            raise SpecValidationError(
+                f"model document has {key}={given}, but its densities give {getattr(spec, key)}"
+            )
+    return spec
 
 
 def save_spec(spec: ProblemSpec, fp: IO[str] | str) -> None:

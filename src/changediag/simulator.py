@@ -286,7 +286,6 @@ class RiskEstimate:
     """Per-run outcomes of a Monte Carlo batch plus summary accessors."""
 
     spec: ProblemSpec = field(repr=False)
-    runs: int
     seed: int
     theta: np.ndarray
     mu: np.ndarray
@@ -295,6 +294,10 @@ class RiskEstimate:
     realized: np.ndarray
     posterior_form: np.ndarray
     capped: np.ndarray
+
+    @property
+    def runs(self) -> int:
+        return self.realized.size
 
     @property
     def mean(self) -> float:
@@ -448,7 +451,6 @@ def estimate_risk(
     )
     return RiskEstimate(
         spec=spec,
-        runs=runs,
         seed=seed,
         theta=theta,
         mu=mu,

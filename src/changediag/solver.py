@@ -37,7 +37,7 @@ import numpy as np
 
 from .model import (
     ProblemSpec, _check_int, _dump_json, _flag, _integer, _load_json, _read_doc, _real,
-    _text, spec_from_dict, spec_to_dict
+    spec_from_dict, spec_to_dict
 )
 from .posterior import _announce, _check_finite, _row_min, _step_weights, h_values_many
 
@@ -81,6 +81,10 @@ _DEAD = np.iinfo(np.int32).max
 #: The magic and format version that a table sidecar records.
 _MAGIC = "CDVT"
 _VERSION = 2
+
+#: The stops that can end value iteration: the sweep change, the a-priori
+#: truncation bound, the sweep cap.
+_CRITERIA = ("delta", "bound", "max_iter")
 
 
 class GridSizeError(ValueError):
@@ -521,7 +525,8 @@ class ValueTable:
 
     ``values`` approximates the optimal cost-to-go at the nodes; ``labels``
     holds the induced action per node (0 = continue, j = stop and announce
-    type j, 1-based), computed at ``stop_tol``.
+    type j, 1-based), computed at ``stop_tol``.  ``criterion`` names the
+    stop that ended the sweeps: "delta", "bound" or "max_iter".
     """
 
     grid: SimplexGrid
@@ -532,8 +537,12 @@ class ValueTable:
     error_bound: float
     tol: float
     criterion: str
-    converged: bool
     stop_tol: float
+
+    @property
+    def converged(self) -> bool:
+        """Whether a tolerance test, not the sweep cap, ended the sweeps."""
+        return self.criterion != "max_iter"
 
 
 def _labels(h_all: np.ndarray, h: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
@@ -566,8 +575,7 @@ def value_iterate(
         raise ValueError(f"tol={tol} must be finite")
     if tol <= 0.0:
         raise ValueError(f"tol={tol} must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter={max_iter} must be at least 1")
+    max_iter = _check_int("max_iter", max_iter, 1)
 
     # T first: its build's temporaries then meet no node vector
     T = transition_matrix(spec, grid)
@@ -582,7 +590,6 @@ def value_iterate(
     V, V_new = h.copy(), np.empty_like(h)
     sup_change = math.inf
     criterion = "max_iter"
-    converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         T.matvec(V, out=V_new)
@@ -594,11 +601,9 @@ def value_iterate(
         V, V_new = V_new, V
         if sup_change < tol:
             criterion = "delta"
-            converged = True
             break
         if bound_const / sweeps < tol:
             criterion = "bound"
-            converged = True
             break
 
     stop_tol = sup_change if math.isfinite(sup_change) else tol
@@ -616,7 +621,6 @@ def value_iterate(
         error_bound=bound_const / max(sweeps, 1),
         tol=tol,
         criterion=criterion,
-        converged=converged,
         stop_tol=stop_tol,
     )
 
@@ -666,7 +670,7 @@ def _record(d) -> dict:
         Q=_check_int("Q", _integer(d["Q"]), 1),
         iterations=_integer(d["iterations"]),
         tol=_real(d["tol"], "tol"),
-        criterion=_text(d["criterion"]),
+        criterion=d["criterion"],
         sup_change=_real(d["sup_change"], "sup_change"),
         error_bound=_real(d["error_bound"], "error_bound"),
         stop_tol=_real(d["stop_tol"], "stop_tol"),
@@ -674,6 +678,12 @@ def _record(d) -> dict:
         crc32=_integer(d["crc32"]),
         spec=spec_from_dict(d["model"]),
     )
+    # converged is derived from the criterion, which must be one the solver writes
+    converged, criterion = record.pop("converged"), record["criterion"]
+    if criterion not in _CRITERIA:
+        raise ValueError(f"criterion {criterion!r} is not one of {', '.join(_CRITERIA)}")
+    if converged != (criterion != "max_iter"):
+        raise ValueError(f"converged={str(converged).lower()} contradicts criterion {criterion!r}")
     if not math.isfinite(record["stop_tol"]):
         # extract_region's rule: a NaN or infinite tolerance stops everywhere or nowhere
         raise ValueError(f"stop_tol={record['stop_tol']} must be finite")
@@ -687,7 +697,8 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
     Raises:
         GridSizeError: the sidecar's grid is over the node cap.
         ValueError: on a missing or malformed sidecar (a non-finite
-            ``stop_tol`` included), node data of the wrong size or with
+            ``stop_tol``, an unknown ``criterion`` and a ``converged``
+            flag against it included), node data of the wrong size or with
             another crc32 than the sidecar's, a non-finite value, or a
             label outside 0..M.
     """

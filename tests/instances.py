@@ -24,8 +24,6 @@ TWO_TYPE_F = np.array(
 
 def two_type(a01: float, a02: float, a12: float, a21: float, c: float) -> ProblemSpec:
     return ProblemSpec(
-        alphabet_size=4,
-        num_types=2,
         p0=1 / 50,
         p=1 / 20,
         nu=np.array([0.5, 0.5]),
@@ -53,8 +51,6 @@ def three_type() -> ProblemSpec:
     a[0, :] = 10.0
     np.fill_diagonal(a[1:], 0.0)
     return ProblemSpec(
-        alphabet_size=4,
-        num_types=3,
         p0=1 / 50,
         p=1 / 20,
         nu=np.full(3, 1 / 3),
@@ -67,8 +63,6 @@ def three_type() -> ProblemSpec:
 def shiryaev_binary(c: float = 1.0) -> ProblemSpec:
     """Pure change detection, one post-change alternative, two symbols."""
     return ProblemSpec(
-        alphabet_size=2,
-        num_types=1,
         p0=0.02,
         p=0.05,
         nu=np.array([1.0]),
@@ -81,8 +75,6 @@ def shiryaev_binary(c: float = 1.0) -> ProblemSpec:
 def hypothesis_testing_two_type() -> ProblemSpec:
     """Sequential two-hypothesis testing: the change is over before data."""
     return ProblemSpec(
-        alphabet_size=4,
-        num_types=2,
         p0=1.0,
         p=0.5,
         nu=np.array([0.5, 0.5]),

@@ -33,8 +33,6 @@ def random_problem(rng: np.random.Generator) -> cd.ProblemSpec:
     for j in range(M):
         a[j + 1, j] = 0.0
     return cd.ProblemSpec(
-        alphabet_size=alphabet,
-        num_types=M,
         p0=float(rng.uniform(0.0, 0.9)),
         p=float(rng.uniform(0.01, 0.99)),
         nu=rng.dirichlet(np.ones(M)),

@@ -147,6 +147,75 @@ def test_bench_call_binds_to_the_signature(call):
         signature.bind(*[None] * positional, **dict.fromkeys(keywords))
 
 
+#: The package record that a name in the benchmark sources holds, as the
+#: name itself or as the last part of a dotted chain such as ``p.spec``.
+#: The count hooks of ``spans.py`` read the records that traced functions
+#: return, which ``test_every_count_hook_runs_on_real_results`` covers.
+RECORD_NAMES = {"spec": "spec", "table": "table", "est": "est", "again": "est"}
+
+
+def bench_record_reads():
+    """Every ``<record>.<attribute>`` in the benchmark sources, as sorted
+    (where, record, attribute) triples."""
+    found = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            owner = dotted(node.value) if isinstance(node, ast.Attribute) else None
+            if owner is not None and owner.split(".")[-1] in RECORD_NAMES:
+                found.add((f"{path.name}:{node.lineno}", RECORD_NAMES[owner.split(".")[-1]],
+                           node.attr))
+    return sorted(found)
+
+
+@pytest.fixture(scope="module")
+def records():
+    """A ProblemSpec, the ValueTable of a small solve of it and the
+    RiskEstimate of that table's rule."""
+    spec = instances.FIGURES["merged"]
+    table = changediag.value_iterate(spec, changediag.build_grid(2, 20))
+    est = changediag.estimate_risk(spec, changediag.TableStrategy(table), runs=20, seed=0)
+    return {"spec": spec, "table": table, "est": est}
+
+
+def test_bench_reads_the_record_fields_it_depends_on():
+    """The scan below sees the reads a derived field would break."""
+    reads = {(record, attr) for _, record, attr in bench_record_reads()}
+    assert {("spec", "alphabet_size"), ("spec", "num_types"), ("est", "runs"),
+            ("table", "tol")} <= reads
+
+
+@pytest.mark.parametrize("read", bench_record_reads(), ids=lambda r: f"{r[0]}-{r[1]}.{r[2]}")
+def test_bench_record_attribute_resolves(records, read):
+    """A record field the benchmark reads that turns into a derived value,
+    or goes, breaks only a benchmark run; this shows it on real records."""
+    _, record, attr = read
+    assert hasattr(records[record], attr)
+
+
+def test_every_count_hook_runs_on_real_results(tmp_path):
+    """Each traced count hook reads its function's real arguments and result:
+    a ValueTable, a TransitionOperator, a RiskEstimate, the samples and the
+    files written."""
+    spec = instances.FIGURES["merged"]
+    grid = changediag.build_grid(2, 20)
+    table = changediag.value_iterate(spec, grid)
+    region = changediag.extract_region(spec, table)
+    calls = {
+        "solver.transition_matrix": (spec, grid),
+        "solver.value_iterate": (spec, grid),
+        "solver.save_table": (table, spec, str(tmp_path / "t.cdvt")),
+        "regions.export_region": (region, str(tmp_path / "r.csv")),
+        "boundary.boundary_samples": (region, 1),
+        "simulator.estimate_risk": (spec, changediag.TableStrategy(table), 20, 0),
+    }
+    hooked = [t for t in load_targets() if t[3] is not None]
+    assert sorted(name for _, _, name, _ in hooked) == sorted(calls)
+    for mod_name, attr, name, hook in hooked:
+        args = calls[name]
+        counts = hook(args, getattr(importlib.import_module(f"changediag.{mod_name}"), attr)(*args))
+        assert counts and all(isinstance(v, (int, str)) for v in counts.values()), name
+
+
 def test_pipeline_command_lines_parse(tmp_path, monkeypatch, capsys):
     """Each command line of the CLI chain the benchmark times parses with
     its command's options and arguments, in a directory holding the files

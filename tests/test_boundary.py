@@ -123,6 +123,31 @@ def test_fit_spline_rejects_bad_segment_counts_and_smoothing():
             B.fit_spline(beta, r, K=4, lam=lam)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda region: B.fit_spline(*B.boundary_samples(region, 1), K=True),
+         "K=True must be an integer"),
+        (lambda region: B.fit_spline(*B.boundary_samples(region, 1), K=2.5),
+         "K=2.5 must be an integer"),
+        (lambda region: cd.fit_boundary(region, 1, 0), "K=0 spline segments must be at least 1"),
+        (lambda region: B.boundary_samples(region, True), "j=True must be an integer"),
+        (lambda region: B.boundary_samples(region, 1.0), "j=1.0 must be an integer"),
+        (lambda region: cd.fit_boundary(region, 2.5, 4), "j=2.5 must be an integer"),
+        (lambda region: B.boundary_samples(region, 0),
+         "corner j=0 is not a type of the 2-type model"),
+    ],
+    ids=["K-true", "K-fraction", "K-0", "j-true", "j-float", "j-fraction", "j-0"],
+)
+def test_counts_and_corners_must_be_integers(split_boundaries, call, message):
+    """A bool would count as 1 segment or read corner 1, and a fraction
+    would end in a TypeError inside numpy; each is refused in one line."""
+    _, region, _ = split_boundaries
+    with pytest.raises(ValueError) as info:
+        call(region)
+    assert str(info.value) == message
+
+
 def test_extrapolation_is_linear():
     beta = np.linspace(0.1, 0.5, 30)
     r = 0.7 - 0.2 * beta + 0.3 * beta**2

@@ -399,7 +399,7 @@ def test_regions_and_fit_boundary_load_no_scipy(runner, model_path, tmp_path):
 def test_simulate_stop_at_zero_uniform_cost(runner, tmp_path):
     base = instances.FIGURES["merged"]
     spec = cd.ProblemSpec(
-        alphabet_size=4, num_types=2, p0=0.0, p=0.05,
+        p0=0.0, p=0.05,
         nu=base.nu, f=base.f, c=1.0,
         a=np.array([[7.0, 7.0], [0.0, 3.0], [3.0, 0.0]]),
     )
@@ -714,12 +714,14 @@ def artefacts(tmp_path_factory):
     two extra coefficients, system files for derive-sa, and the malformed
     documents the one JSON reader refuses: a table sidecar that is an array,
     curves with an ill-typed corner or knots or a list for lambda, two curves
-    for one corner, a model with a fractional type count or a list for p0,
-    models and a cost matrix holding booleans, Q=20 tables with NaN values,
-    with a label byte of 200, without a sidecar, as a version-1 pair, with a
-    string for a flag, with a NaN stop_tol, with Q=0 or a Q over the grid cap, with node data one
-    byte short or long, and with the node data of the Q=20 table of another
-    model, and a file that is not JSON."""
+    for one corner, a model with a fractional type count, with a type count
+    its densities do not have or with a list for p0, models and cost
+    matrices holding booleans or of one dimension, Q=20 tables with NaN
+    values, with a label byte of 200, without a sidecar, as a version-1
+    pair, with a string for a flag, with converged against the criterion,
+    with an unknown criterion, with a NaN stop_tol, with Q=0 or a Q over the
+    grid cap, with node data one byte short or long, and with the node data
+    of the Q=20 table of another model, and a file that is not JSON."""
     root = tmp_path_factory.mktemp("artefacts")
     spec = instances.FIGURES["merged"]
     cd.save_spec(spec, str(root / "model.json"))
@@ -728,6 +730,8 @@ def artefacts(tmp_path_factory):
     (root / "model-nan-density.json").write_text(json.dumps(doc))
     doc = {**spec_to_dict(spec), "num_types": 2.9}
     (root / "model-fractional-types.json").write_text(json.dumps(doc))
+    doc = {**spec_to_dict(spec), "num_types": 3}
+    (root / "model-three-types-two-rows.json").write_text(json.dumps(doc))
     doc = {**spec_to_dict(spec), "p0": True}
     (root / "model-p0-true.json").write_text(json.dumps(doc))
     doc = {**spec_to_dict(spec), "p0": [0.5]}
@@ -754,6 +758,8 @@ def artefacts(tmp_path_factory):
         ("no-sidecar", data, None),
         ("v1", b"CDVT" + bytes(61) + data, {"version": 1}),
         ("converged-yes", data, {"converged": "yes"}),
+        ("converged-false", data, {"converged": False}),
+        ("criterion-gap", data, {"criterion": "gap"}),
         ("stop-tol-nan", data, {"stop_tol": math.nan}),
         ("Q-0", data, {"Q": 0}),
         ("Q-5000", data, {"Q": 5000}),
@@ -788,6 +794,7 @@ def artefacts(tmp_path_factory):
     cd.save_sa_spec(instances.sa_two_component(cd.phi_min_index(2)), str(root / "sa.json"))
     (root / "tc-object.json").write_text('{"a": 1}')
     (root / "tc-boolean.json").write_text("[[true, true], [false, true], [true, false]]")
+    (root / "tc-vector.json").write_text("[1, 2, 3]")
     (root / "sa-list.json").write_text("[1]")
     (root / "bad.json").write_text("{\n")
     M = 128
@@ -926,6 +933,18 @@ def artefacts(tmp_path_factory):
          "num_types=128 is over the limit of 127 types"),
         (["derive-sa", "sa-255-labels.json", *DERIVE_COSTS],
          "num_types=255 is over the limit of 127 types"),
+        (["solve", "model-three-types-two-rows.json", "-Q", "10"],
+         "model document has num_types=3, but its densities give 2"),
+        (["regions", "t20-converged-false.cdvt"],
+         "malformed t20-converged-false.cdvt.json: table sidecar: "
+         "converged=false contradicts criterion 'delta'"),
+        (["simulate", "model.json", "--table", "t20-criterion-gap.cdvt", "--runs", "5"],
+         "malformed t20-criterion-gap.cdvt.json: table sidecar: "
+         "criterion 'gap' is not one of delta, bound, max_iter"),
+        (["derive-sa", "sa.json", "--delay-cost", "1", "--terminal-costs", "tc-vector.json"],
+         "tc-vector.json: terminal costs must be a numeric matrix (it has shape (3,))"),
+        (["derive-sa", "sa.json", "--delay-cost", "1"],
+         "give --false-alarm and --misdiagnosis, or --terminal-costs"),
     ],
     ids=[
         "solve-tol-0",
@@ -989,6 +1008,11 @@ def artefacts(tmp_path_factory):
         "simulate-table-and-baseline",
         "solve-128-types",
         "derive-sa-255-labels",
+        "solve-num-types-against-densities",
+        "regions-sidecar-converged-against-criterion",
+        "simulate-sidecar-unknown-criterion",
+        "derive-sa-terminal-costs-vector",
+        "derive-sa-no-cost-form",
     ],
 )
 def test_bad_input_ends_in_one_error_line(artefacts, monkeypatch, args, message):

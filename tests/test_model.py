@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import io
 import json
 import math
@@ -23,8 +25,7 @@ def test_diagonal_cost_rejected():
     a = spec.a.copy()
     a[1, 0] = 5.0
     with pytest.raises(SpecValidationError, match="diagonal isolation cost"):
-        cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
-                       spec.nu, spec.f, spec.c, a)
+        cd.ProblemSpec(spec.p0, spec.p, spec.nu, spec.f, spec.c, a)
 
 
 def test_unnormalized_density_rejected():
@@ -32,8 +33,7 @@ def test_unnormalized_density_rejected():
     f = spec.f.copy()
     f[1] *= 0.9
     with pytest.raises(SpecValidationError, match="row 1 not normalized"):
-        cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
-                       spec.nu, f, spec.c, spec.a)
+        cd.ProblemSpec(spec.p0, spec.p, spec.nu, f, spec.c, spec.a)
 
 
 @pytest.mark.parametrize(
@@ -47,8 +47,7 @@ def test_unnormalized_density_rejected():
 )
 def test_scalar_bounds_rejected(field, value, match):
     spec = instances.FIGURES["merged"]
-    kwargs = dict(alphabet_size=spec.alphabet_size, num_types=spec.num_types,
-                  p0=spec.p0, p=spec.p, nu=spec.nu, f=spec.f, c=spec.c, a=spec.a)
+    kwargs = dict(p0=spec.p0, p=spec.p, nu=spec.nu, f=spec.f, c=spec.c, a=spec.a)
     kwargs[field] = value
     with pytest.raises(SpecValidationError, match=match):
         cd.ProblemSpec(**kwargs)
@@ -88,8 +87,7 @@ def test_non_finite_field_rejected(field, index, value, message):
 def test_zero_nu_entry_rejected():
     spec = instances.FIGURES["merged"]
     with pytest.raises(SpecValidationError):
-        cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
-                       np.array([1.0, 0.0]), spec.f, spec.c, spec.a)
+        cd.ProblemSpec(spec.p0, spec.p, np.array([1.0, 0.0]), spec.f, spec.c, spec.a)
 
 
 def test_spec_with_a_density_row_summing_past_one_cannot_be_built():
@@ -100,8 +98,7 @@ def test_spec_with_a_density_row_summing_past_one_cannot_be_built():
     f = spec.f.copy()
     f[2] *= 1.5
     with pytest.raises(SpecValidationError, match="row 2 not normalized: sums to 1.5"):
-        cd.ProblemSpec(spec.alphabet_size, spec.num_types, spec.p0, spec.p,
-                       spec.nu, f, spec.c, spec.a)
+        cd.ProblemSpec(spec.p0, spec.p, spec.nu, f, spec.c, spec.a)
     doc = {**spec_to_dict(spec), "densities": f.tolist()}
     with pytest.raises(SpecValidationError) as info:
         spec_from_dict(doc)
@@ -333,3 +330,87 @@ def test_json_writers_give_handles_the_bytes_of_a_path(tmp_path):
         text = path.read_text()
         assert buf.getvalue() == text, save.__name__
         assert text == json.dumps(json.loads(text), indent=2) + "\n", save.__name__
+
+
+def test_sizes_are_read_off_the_densities():
+    """``alphabet_size`` and ``num_types`` are the shape of ``f``, not
+    constructor arguments; replacing ``f`` reads them again."""
+    expected = {
+        "merged": (instances.FIGURES["merged"], 4, 2),
+        "three_type": (instances.three_type(), 4, 3),
+        "shiryaev_binary": (instances.shiryaev_binary(), 2, 1),
+        "hypothesis_testing": (instances.hypothesis_testing_two_type(), 4, 2),
+        "sa_three_component": (instances.sa_three_component(), 4, 7),
+    }
+    for name, (spec, A, M) in expected.items():
+        assert (spec.alphabet_size, spec.num_types) == (A, M), name
+    wider = dataclasses.replace(instances.shiryaev_binary(),
+                                f=[[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]])
+    assert (wider.alphabet_size, wider.num_types) == (3, 1)
+    assert list(inspect.signature(cd.ProblemSpec).parameters) == ["p0", "p", "nu", "f", "c", "a"]
+    with pytest.raises(ValueError, match="num_types"):
+        dataclasses.replace(instances.shiryaev_binary(), num_types=1)
+
+
+def test_make_hypothesis_testing_fixes_p():
+    spec = cd.make_hypothesis_testing([0.5, 0.5], instances.TWO_TYPE_F, 1.0,
+                                      [[10, 10], [0, 3], [3, 0]])
+    assert spec == instances.hypothesis_testing_two_type()
+
+
+def _merged(**fields):
+    return dataclasses.replace(instances.FIGURES["merged"], **fields)
+
+
+def _sa(probs, phi, rows=3):
+    return cd.SuspendedAnimationSpec(probs, phi, np.full((rows, 4), 0.25))
+
+
+_ONE, _TWO, _BOTH = frozenset({1}), frozenset({2}), frozenset({1, 2})
+_SEVEN_TYPE_COSTS = np.ones((8, 7)) - np.eye(8, 7, -1)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: _merged(f=[0.25] * 4),
+         "f has shape (1, 4), expected (M+1, alphabet_size) with M >= 1 types and at "
+         "least one symbol"),
+        (lambda: _merged(f=np.zeros((3, 0))),
+         "f has shape (3, 0), expected (M+1, alphabet_size) with M >= 1 types and at "
+         "least one symbol"),
+        (lambda: _merged(f=np.full((3, 2, 2), 0.25)),
+         "f has shape (3, 2, 2), expected (M+1, alphabet_size) with M >= 1 types and at "
+         "least one symbol"),
+        (lambda: _merged(nu=[0.2, 0.3, 0.5]), "nu has shape (3,), expected (2,)"),
+        (lambda: _merged(nu=[1.5, -0.5]), "nu[1]=-0.5 must be strictly positive"),
+        (lambda: _merged(nu=[0.5, 0.6]), "nu sums to 1.1, not 1 within 1e-12"),
+        (lambda: _merged(f=[[0.25] * 4, [0.5, 0.6, -0.2, 0.1], [0.25] * 4]),
+         "f[1][2]=-0.2 is negative"),
+        (lambda: _merged(a=[[10, 10], [0, 3]]), "a has shape (2, 2), expected (3, 2)"),
+        (lambda: _merged(a=[[10, -1], [0, 3], [3, 0]]), "a[0][1]=-1.0 is negative"),
+        (lambda: spec_from_dict({**spec_to_dict(_merged()), "num_types": 3}),
+         "model document has num_types=3, but its densities give 2"),
+        (lambda: spec_from_dict({**spec_to_dict(_merged()), "alphabet_size": 5}),
+         "model document has alphabet_size=5, but its densities give 4"),
+        (lambda: cd.theta_prior(_merged(), -1), "change time t=-1 must be nonnegative"),
+        (lambda: _sa((), {}), "at least one component required"),
+        (lambda: _sa((0.1,), {_ONE: 1, _TWO: 1}), "phi labels 1 subsets outside 1..1, e.g. [2]"),
+        (lambda: _sa((0.1, 0.1), {_ONE: 1, _TWO: 3, _BOTH: 3}),
+         "labels must cover 1..3 with every label used; unused: [2]"),
+        (lambda: _sa((0.1, 0.1), cd.phi_min_index(2), rows=2),
+         "label_densities has 2 rows, expected 3 (pre-failure row plus one per label)"),
+        # the joint failure of the two rare components underflows to weight 0
+        (lambda: cd.derive_suspended_animation(
+            _sa((1e-200, 1e-200, 0.5), cd.phi_binary(3), rows=8), 1.0, _SEVEN_TYPE_COSTS),
+         "derived type weight for label 3 is zero (label unreachable)"),
+    ],
+    ids=["f-one-row", "f-no-symbol", "f-3-d", "nu-shape", "nu-negative", "nu-sum",
+         "f-negative", "a-shape", "a-negative", "document-num-types",
+         "document-alphabet-size", "theta-prior-negative-t", "sa-no-component",
+         "sa-phi-outside", "sa-label-unused", "sa-density-rows", "sa-unreachable-label"],
+)
+def test_model_refusals_are_one_line(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -27,7 +27,7 @@ def small_table():
     return cd.ValueTable(grid=grid, values=np.linspace(0.0, 1.0, grid.n_nodes),
                          labels=(np.arange(grid.n_nodes) % 3).astype(np.int8),
                          iterations=21, sup_change=5e-5, error_bound=0.25, tol=1e-4,
-                         criterion="delta", converged=True, stop_tol=5e-5)
+                         criterion="delta", stop_tol=5e-5)
 
 
 def three_component_system():

@@ -88,12 +88,35 @@ def test_update_keeps_pi0_at_zero():
 
 def test_impossible_observation():
     spec = cd.ProblemSpec(
-        alphabet_size=2, num_types=1, p0=0.0, p=0.1,
+        p0=0.0, p=0.1,
         nu=np.array([1.0]), f=np.array([[0.5, 0.5], [1.0, 0.0]]),
         c=1.0, a=np.array([[1.0], [0.0]]),
     )
     with pytest.raises(ImpossibleObservation):
         cd.update(spec, np.array([0.0, 1.0]), 1)
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [
+        (lambda spec: cd.update(spec, np.array([0.0, 1.0]), 1),
+         "symbol 1 has zero likelihood at posterior [0.0, 1.0]"),
+        (lambda spec: cd.update_many(spec, np.array([[0.5, 0.5], [0.0, 1.0]]), np.array([1, 1])),
+         "symbol 1 has zero likelihood at posterior [0.0, 1.0] (row 1)"),
+    ],
+    ids=["update", "update-many"],
+)
+def test_impossible_observation_is_one_line(step, message):
+    """Symbol 1 cannot follow a change of the one type, whose density never
+    emits it; the batch names the first row where it arrives."""
+    spec = cd.ProblemSpec(
+        p0=0.0, p=0.1,
+        nu=np.array([1.0]), f=np.array([[0.5, 0.5], [1.0, 0.0]]),
+        c=1.0, a=np.array([[1.0], [0.0]]),
+    )
+    with pytest.raises(ImpossibleObservation) as info:
+        step(spec)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("x", [-1, 4, 1.0, True, np.int64(-2)])
@@ -289,7 +312,7 @@ def test_update_many_is_the_row_major_update_bit_for_bit(width):
     a = np.ones((width, M))
     a[np.arange(1, width), np.arange(M)] = 0.0
     spec = cd.ProblemSpec(
-        alphabet_size=5, num_types=M, p0=0.1, p=0.2, nu=np.full(M, 1.0 / M),
+        p0=0.1, p=0.2, nu=np.full(M, 1.0 / M),
         f=rng.dirichlet(np.ones(5), size=width), c=1.0, a=a,
     )
     pis = rng.dirichlet(np.full(width, 0.5), size=500)

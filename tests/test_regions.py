@@ -370,6 +370,29 @@ def test_import_reads_header_numbers_as_ascii_decimal_text(exported_csv, old, ne
         cd.import_region(str(exported_csv))
 
 
+@pytest.mark.parametrize(
+    "act,message",
+    [
+        (lambda path: cd.import_region(str(path.with_suffix(".cdvt.json"))),
+         "{path}.cdvt.json: not a region export"),
+        (lambda path: cd.export_region(small_region(instances.FIGURES["merged"], 6),
+                                       str(path), "xml"),
+         "unknown export format 'xml'"),
+        (lambda path: cd.export_region(small_region(instances.shiryaev_binary(), 6), str(path)),
+         "embedded export needs 2 or 3 types, grid has M=1"),
+    ],
+    ids=["import-a-table-sidecar", "export-unknown-format", "export-embedded-one-type"],
+)
+def test_region_file_refusals_are_one_line(tmp_path, act, message):
+    spec = instances.FIGURES["merged"]
+    path = tmp_path / "r"
+    cd.save_table(cd.value_iterate(spec, cd.build_grid(2, 6)), spec, str(path) + ".cdvt")
+    with pytest.raises(ValueError) as info:
+        act(path)
+    assert str(info.value) == message.format(path=path)
+    assert not path.exists()
+
+
 def test_import_rejects_extra_and_reordered_rows(exported_csv):
     lines = exported_csv.read_bytes().splitlines(keepends=True)
     exported_csv.write_bytes(b"".join(lines + lines[-1:]))

@@ -83,7 +83,7 @@ def test_post_change_symbols_match_type_density():
 
 def test_pre_change_symbols_match_baseline_density():
     spec = cd.ProblemSpec(
-        alphabet_size=4, num_types=2, p0=0.0, p=1e-6,
+        p0=0.0, p=1e-6,
         nu=np.array([0.5, 0.5]), f=instances.TWO_TYPE_F,
         c=1.0, a=instances.FIGURES["merged"].a,
     )
@@ -101,7 +101,7 @@ GROUND_TRUTH_SPECS = {
     "merged": instances.FIGURES["merged"],
     "p0-one": instances.hypothesis_testing_two_type(),
     "p0-zero": cd.ProblemSpec(
-        alphabet_size=4, num_types=2, p0=0.0, p=0.05,
+        p0=0.0, p=0.05,
         nu=np.array([0.3, 0.7]), f=instances.TWO_TYPE_F,
         c=1.0, a=instances.FIGURES["merged"].a,
     ),
@@ -138,7 +138,7 @@ def test_stop_immediately_record():
 
 def test_free_stopping_cost_stops_at_zero():
     spec = cd.ProblemSpec(
-        alphabet_size=2, num_types=1, p0=0.02, p=0.05,
+        p0=0.02, p=0.05,
         nu=np.array([1.0]), f=np.array([[0.75, 0.25], [0.25, 0.75]]),
         c=1.0, a=np.array([[0.0], [0.0]]),
     )
@@ -273,7 +273,7 @@ def test_batch_prices_announcements_of_seventy_types():
     a = rng.uniform(1.0, 2.0, size=(M + 1, M)) + 0.02 * (M - np.arange(M))
     a[np.arange(1, M + 1), np.arange(M)] = 0.0
     spec = cd.ProblemSpec(
-        alphabet_size=6, num_types=M, p0=0.2, p=0.3, nu=np.full(M, 1.0 / M),
+        p0=0.2, p=0.3, nu=np.full(M, 1.0 / M),
         f=rng.dirichlet(0.5 * np.ones(6), size=M + 1), c=0.1, a=a,
     )
     strategy = StopAfter(3)
@@ -411,7 +411,7 @@ def test_worker_count_does_not_change_results(solve200):
 def test_uniform_false_alarm_cost_is_exact():
     base = instances.FIGURES["merged"]
     spec = cd.ProblemSpec(
-        alphabet_size=4, num_types=2, p0=0.0, p=0.05,
+        p0=0.0, p=0.05,
         nu=base.nu, f=base.f, c=1.0,
         a=np.array([[7.0, 7.0], [0.0, 3.0], [3.0, 0.0]]),
     )
@@ -524,6 +524,17 @@ def test_risk_json_shape(solve200):
     assert sorted(doc["breakdown"]) == ["delay", "false_alarm", "false_isolation"]
     total = sum(doc["breakdown"].values())
     assert total == pytest.approx(doc["mean"], rel=1e-12)
+
+
+def test_run_count_is_read_off_the_run_arrays():
+    """``runs`` is the length of the per-run arrays; one run has no spread,
+    so its standard error is 0."""
+    spec = instances.FIGURES["merged"]
+    for runs in (1, 7):
+        est = cd.estimate_risk(spec, StopAfter(2), runs=runs, seed=4)
+        assert est.runs == runs == est.realized.size == est.tau.size
+        assert est.to_json()["runs"] == runs
+        assert (est.std_error > 0.0) == (runs > 1)
 
 
 def test_spline_strategy_matches_table_strategy_often(solve200):

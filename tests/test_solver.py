@@ -362,7 +362,7 @@ def test_apply_M_bounded_by_h(solve200):
 
 def test_value_iterate_degenerate_costs():
     spec = cd.ProblemSpec(
-        alphabet_size=2, num_types=1, p0=0.02, p=0.05,
+        p0=0.02, p=0.05,
         nu=np.array([1.0]), f=np.array([[0.75, 0.25], [0.25, 0.75]]),
         c=1.0, a=np.array([[0.0], [0.0]]),
     )
@@ -389,14 +389,34 @@ def test_value_iterate_rejects_non_finite_tol(tol):
         cd.value_iterate(spec, cd.build_grid(1, 10), tol=tol, max_iter=5)
 
 
-def test_value_iterate_bound_criterion_is_reachable():
-    spec = instances.shiryaev_binary()
-    table = cd.value_iterate(spec, cd.build_grid(1, 20), tol=0.5)
-    # (1 + 20)/N < 0.5 needs N = 43; the sup change plateaus above zero
-    # much later than that only for far tighter tolerances, so either
-    # criterion is legitimate here; the bound must hold regardless.
-    assert table.criterion in ("delta", "bound")
-    assert table.error_bound == pytest.approx(21 / table.iterations, rel=1e-12)
+def test_value_iterate_bound_criterion_is_reachable(monkeypatch, tmp_path):
+    """With a stopping cost this small the a-priori bound is under ``tol``
+    after the first sweep, while the sweep change is not; the sidecar
+    records the stop, and ``converged`` follows from it."""
+    spec = instances.FIGURES["merged"]
+    monkeypatch.setattr(solver, "stopping_cost_sup", lambda spec: 1e-9)
+    table = cd.value_iterate(spec, cd.build_grid(2, 20))
+    assert (table.criterion, table.converged, table.iterations) == ("bound", True, 1)
+    assert table.sup_change >= table.tol
+    assert table.error_bound == 1e-9 * 1e-9 / spec.c + 1e-9 / spec.p
+    path = str(tmp_path / "t.cdvt")
+    cd.save_table(table, spec, path)
+    sidecar = json.loads(pathlib.Path(path + ".json").read_text())
+    assert (sidecar["criterion"], sidecar["converged"]) == ("bound", True)
+    loaded, _ = cd.load_table(path)
+    assert (loaded.criterion, loaded.converged, loaded.error_bound) == (
+        "bound", True, table.error_bound)
+
+
+@pytest.mark.parametrize(
+    "max_iter,message",
+    [(True, "max_iter=True must be an integer"), (2.5, "max_iter=2.5 must be an integer"),
+     (0, "max_iter=0 must be at least 1")],
+)
+def test_value_iterate_refuses_a_sweep_cap_that_is_not_a_count(max_iter, message):
+    with pytest.raises(ValueError) as info:
+        cd.value_iterate(instances.shiryaev_binary(), cd.build_grid(1, 10), max_iter=max_iter)
+    assert str(info.value) == message
 
 
 def test_value_iterate_sweep_cap_flagged():
@@ -551,6 +571,28 @@ def test_load_table_rejects_sidecar_header_mismatch(saved_table, key, wrong):
         cd.load_table(saved_table)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"magic": "CDVX"}, "magic 'CDVX' is not 'CDVT'"),
+        ({"criterion": "gap"}, "criterion 'gap' is not one of delta, bound, max_iter"),
+        ({"criterion": 3}, "criterion 3 is not one of delta, bound, max_iter"),
+        ({"converged": False}, "converged=false contradicts criterion 'delta'"),
+        ({"criterion": "max_iter"}, "converged=true contradicts criterion 'max_iter'"),
+        ({"model": {**spec_to_dict(instances.FIGURES["merged"]), "num_types": 3}},
+         "model document has num_types=3, but its densities give 2"),
+    ],
+    ids=["magic", "criterion-unknown", "criterion-number", "converged-false",
+         "converged-true", "model-sizes"],
+)
+def test_load_table_refuses_a_sidecar_record_in_one_line(saved_table, fields, message):
+    assert json.loads(pathlib.Path(saved_table + ".json").read_text())["criterion"] == "delta"
+    _edit_sidecar(saved_table, **fields)
+    with pytest.raises(ValueError) as info:
+        cd.load_table(saved_table)
+    assert str(info.value) == f"malformed {saved_table}.json: table sidecar: {message}"
+
+
 def test_load_table_names_the_sidecar_of_a_grid_over_the_cap(saved_table):
     _edit_sidecar(saved_table, Q=5000)
     with pytest.raises(cd.GridSizeError) as info:
@@ -621,7 +663,7 @@ def test_load_table_refuses_the_node_data_of_another_table(tmp_path):
 
 def test_stopping_cost_sup_interior_peak():
     spec = cd.ProblemSpec(
-        alphabet_size=4, num_types=2, p0=0.02, p=0.05,
+        p0=0.02, p=0.05,
         nu=np.array([0.5, 0.5]), f=instances.TWO_TYPE_F,
         c=1.0, a=np.array([[0.0, 10.0], [0.0, 5.0], [5.0, 0.0]]),
     )
@@ -640,7 +682,7 @@ def random_costs(rng, M: int) -> np.ndarray:
 def spec_with_costs(a: np.ndarray) -> cd.ProblemSpec:
     M = a.shape[1]
     return cd.ProblemSpec(
-        alphabet_size=2, num_types=M, p0=0.02, p=0.05, nu=np.full(M, 1.0 / M),
+        p0=0.02, p=0.05, nu=np.full(M, 1.0 / M),
         f=np.full((M + 1, 2), 0.5), c=1.0, a=a,
     )
 
@@ -686,7 +728,7 @@ def test_value_iterate_above_the_enumeration_cap_uses_the_upper_bound():
     a = random_costs(np.random.default_rng(1309), M)
     f = np.full((M + 1, M + 1), 0.5 / M)
     np.fill_diagonal(f, 0.5)
-    spec = dataclasses.replace(spec_with_costs(a), alphabet_size=M + 1, f=f)
+    spec = dataclasses.replace(spec_with_costs(a), f=f)
     table = cd.value_iterate(spec, cd.build_grid(M, 3))
     assert table.converged and table.criterion == "delta"
     sup_h = a.max(axis=0).min()
@@ -712,7 +754,6 @@ def wide_spec() -> cd.ProblemSpec:
     ramp = np.arange(1.0, 11.0) / 55.0
     return dataclasses.replace(
         instances.FIGURES["merged"],
-        alphabet_size=10,
         f=np.array([np.full(10, 0.1), ramp, ramp[::-1]]),
     )
 
