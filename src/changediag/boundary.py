@@ -27,7 +27,7 @@ piecewise-quadratic integrand exactly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -352,11 +352,11 @@ def fast_member_many(
     immediate since every stopping set contains its own corner.
 
     :return: int8 array, the announced type per row or 0 to continue.
-    :raises ValueError: for rows that are not 3 long, or a row with a
-        coordinate that is not finite.
+    :raises ValueError: for ``pis`` that is not 2-D with rows 3 long, or a
+        row with a coordinate that is not finite.
     """
-    if pis.shape[1] != 3:
-        raise ValueError("fast membership is built for the 2-type problem")
+    if pis.ndim != 2 or pis.shape[1] != 3:
+        raise ValueError(f"fast membership needs 2-type posteriors, shape (n, 3), not {pis.shape}")
     _check_finite(pis)
     h_all = h_values_many(spec, pis)
     # the cheapest type is 2 where strictly cheaper, else 1: the first on
@@ -405,18 +405,18 @@ def _sb_from_dict(doc: Mapping) -> SplineBoundary:
     return SplineBoundary(**args)
 
 
-def save_boundary(sb: SplineBoundary, fp: IO[str] | str) -> None:
-    _dump_json(_sb_to_dict(sb), fp)
+def save_boundary(sb: SplineBoundary, path: str) -> None:
+    _dump_json(_sb_to_dict(sb), path)
 
 
-def save_boundaries(boundaries: Iterable[SplineBoundary], fp: IO[str] | str) -> None:
+def save_boundaries(boundaries: Iterable[SplineBoundary], path: str) -> None:
     """Write several fitted curves as one JSON array (one per corner)."""
-    _dump_json([_sb_to_dict(sb) for sb in boundaries], fp)
+    _dump_json([_sb_to_dict(sb) for sb in boundaries], path)
 
 
-def load_boundaries(fp: IO[str] | str) -> dict[int, SplineBoundary]:
+def load_boundaries(path: str) -> dict[int, SplineBoundary]:
     """Read one curve or an array of curves with distinct corners, keyed by corner."""
-    doc = _load_json(fp)
+    doc = _load_json(path)
     out = {}
     for entry in doc if isinstance(doc, list) else [doc]:
         sb = _sb_from_dict(entry)

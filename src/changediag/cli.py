@@ -169,13 +169,11 @@ def solve(model: str, Q: int, tol: float, max_iter: int, out: str) -> None:
 @main.command()
 @click.argument("table_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--stop-tol", type=_Decimal(float), default=None, help="Stop/continue slack; defaults to the table's final sweep change.")
-@click.option("--format", "fmt", type=click.Choice(["embedded", "raw"]), default=None, help="Defaults to embedded when M is 2 or 3.")
 @click.option("--compare-table", type=click.Path(exists=True, dir_okay=False), default=None, help="Second table (shorter horizon) for the nestedness check.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 def regions(
     table_path: str,
     stop_tol: float | None,
-    fmt: str | None,
     compare_table: str | None,
     out: str,
 ) -> None:
@@ -190,12 +188,10 @@ def regions(
     other = None
     if compare_table is not None:
         other = extract_region(spec, _load_solved_table(compare_table, spec)[0])
-    if fmt is None:
-        fmt = "embedded" if table.grid.M in (2, 3) else "raw"
     phases.done("load")
     report = check_region_properties(region, other)
     phases.done("check")
-    export_region(region, out, fmt)
+    export_region(region, out)
     phases.done("export")
     report_path = out + ".report.json"
     _dump_json(report, report_path)
@@ -203,7 +199,7 @@ def regions(
         out,
         "regions",
         {"table": table_path, "compare_table": compare_table},
-        {"stop_tol": region.stop_tol, "format": fmt},
+        {"stop_tol": region.stop_tol},
         [out, report_path],
         started,
         report=report,

@@ -25,7 +25,7 @@ import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -197,8 +197,11 @@ def theta_prior(spec: ProblemSpec, t: int) -> float:
 
     The change time has an atom ``p0`` at zero; conditioned on being
     positive it is geometric with success probability ``p``.
+
+    Raises:
+        ValueError: if ``t`` is not an integer, or is negative.
     """
-    if t < 0:
+    if _check_int("t", t, None) < 0:
         raise ValueError(f"change time t={t} must be nonnegative")
     if t == 0:
         return spec.p0
@@ -340,9 +343,14 @@ def _validate_sa(sa: SuspendedAnimationSpec) -> None:
             f"phi labels {len(extra)} subsets outside 1..{K}, e.g. "
             f"{sorted(next(iter(extra)))}"
         )
+    for subset in sorted(sa.phi, key=sorted):
+        if sa.phi[subset] < 1:
+            raise SpecValidationError(
+                f"phi labels subset {sorted(subset)} with {sa.phi[subset]}; labels start at 1"
+            )
     labels = set(sa.phi.values())
     M = max(labels)
-    if min(labels) < 1 or labels != set(range(1, M + 1)):
+    if labels != set(range(1, M + 1)):
         unused = sorted(set(range(1, M + 1)) - labels)
         raise SpecValidationError(
             f"labels must cover 1..{M} with every label used; unused: {unused}"
@@ -419,14 +427,11 @@ def derive_suspended_animation(
 # ---------------------------------------------------------------------------
 
 
-def _dump_json(doc, fp: IO[str] | str) -> None:
-    """Write ``doc`` as indented JSON and a newline to a path or an open handle."""
-    if isinstance(fp, str):
-        with open(fp, "w") as handle:
-            _dump_json(doc, handle)
-        return
-    json.dump(doc, fp, indent=2)
-    fp.write("\n")
+def _dump_json(doc, path: str) -> None:
+    """Write ``doc`` as indented JSON and a newline to the file ``path``."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _fmt(x: float) -> str:
@@ -434,16 +439,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_json(fp: IO[str] | str):
-    """Parse one JSON document from a path or an open handle; text read from
-    a path that is not JSON is refused with a message naming the path."""
-    if isinstance(fp, str):
-        with open(fp) as handle:
-            try:
-                return json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{fp}: not valid JSON: {exc}") from None
-    return json.load(fp)
+def _load_json(path: str):
+    """Parse the JSON document in the file ``path``; text that is not JSON
+    is refused with a message naming the path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _integer(x) -> int:
@@ -552,13 +555,13 @@ def spec_from_dict(doc: Mapping) -> ProblemSpec:
     return spec
 
 
-def save_spec(spec: ProblemSpec, fp: IO[str] | str) -> None:
-    _dump_json(spec_to_dict(spec), fp)
+def save_spec(spec: ProblemSpec, path: str) -> None:
+    _dump_json(spec_to_dict(spec), path)
 
 
-def load_spec(fp: IO[str] | str) -> ProblemSpec:
-    """Read and validate a problem instance from a JSON document."""
-    return spec_from_dict(_load_json(fp))
+def load_spec(path: str) -> ProblemSpec:
+    """Read and validate a problem instance from a JSON file."""
+    return spec_from_dict(_load_json(path))
 
 
 def sa_to_dict(sa: SuspendedAnimationSpec) -> dict:
@@ -574,13 +577,13 @@ def sa_to_dict(sa: SuspendedAnimationSpec) -> dict:
     }
 
 
-def save_sa_spec(sa: SuspendedAnimationSpec, fp: IO[str] | str) -> None:
-    _dump_json(sa_to_dict(sa), fp)
+def save_sa_spec(sa: SuspendedAnimationSpec, path: str) -> None:
+    _dump_json(sa_to_dict(sa), path)
 
 
-def load_sa_spec(fp: IO[str] | str) -> SuspendedAnimationSpec:
-    """Read a suspended-animation system description from JSON."""
-    args = _read_doc("system document", _load_json(fp), lambda d: dict(
+def load_sa_spec(path: str) -> SuspendedAnimationSpec:
+    """Read a suspended-animation system description from a JSON file."""
+    args = _read_doc("system document", _load_json(path), lambda d: dict(
         component_failure_probs=tuple(
             _real(q, "component_failure_probs") for q in d["component_failure_probs"]
         ),

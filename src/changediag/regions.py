@@ -366,22 +366,20 @@ def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (values.view(np.float64) if floats else values), index
 
 
-def export_region(region: StoppingRegion, path: str, fmt: str = "embedded") -> None:
+def export_region(region: StoppingRegion, path: str) -> None:
     """Write one CSV row per node, in node order.
 
-    ``fmt`` is "embedded" (adds plot coordinates, M must be 2 or 3) or
-    "raw" (lattice and simplex coordinates only, any M).  The first line is
-    a comment carrying the grid shape and extraction parameters so the file
-    round-trips through import_region.  Integers are written in decimal,
-    floats with 17 significant digits (exact round trip), rows end in
-    CRLF.
+    The columns are the lattice and simplex coordinates, then, at M = 2 or
+    3 (format "embedded"), the plot coordinates of ``embed``, then the
+    label, value and terminal costs; at other M the format is "raw", without
+    plot coordinates.  The first line is a comment carrying the grid shape,
+    the extraction parameters and the format, so the file round-trips
+    through import_region.  Integers are written in decimal, floats with 17
+    significant digits (exact round trip), rows end in CRLF.
     """
     grid = region.grid
     M = grid.M
-    if fmt not in ("embedded", "raw"):
-        raise ValueError(f"unknown export format {fmt!r}")
-    if fmt == "embedded" and M not in (2, 3):
-        raise ValueError(f"embedded export needs 2 or 3 types, grid has M={M}")
+    fmt = "embedded" if M in (2, 3) else "raw"
 
     # (name, printf format, the column's distinct values, each node's index
     # into them).  A column fixed by the lattice is a function of one

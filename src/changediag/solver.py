@@ -14,7 +14,8 @@ The sweep count needed for a target accuracy comes with a guarantee: the
 N-sweep table overshoots the fixed point by at most (|h|^2/c + |h|/p)/N in
 sup norm, where |h| is the largest value of the stopping cost over the
 simplex (beyond M = 8 types, an upper bound on it).  Iteration stops when
-either the sup-norm change or that bound drops below the tolerance.
+the sup-norm change drops below the tolerance; the bound is reported with
+the table.
 
 Lattice interpolation notes.  Kuhn subdivision on raw simplex coordinates
 can place a query's stencil outside the simplex; we therefore triangulate
@@ -82,9 +83,8 @@ _DEAD = np.iinfo(np.int32).max
 _MAGIC = "CDVT"
 _VERSION = 2
 
-#: The stops that can end value iteration: the sweep change, the a-priori
-#: truncation bound, the sweep cap.
-_CRITERIA = ("delta", "bound", "max_iter")
+#: The stops that can end value iteration: the sweep change, the sweep cap.
+_CRITERIA = ("delta", "max_iter")
 
 
 class GridSizeError(ValueError):
@@ -526,7 +526,7 @@ class ValueTable:
     ``values`` approximates the optimal cost-to-go at the nodes; ``labels``
     holds the induced action per node (0 = continue, j = stop and announce
     type j, 1-based), computed at ``stop_tol``.  ``criterion`` names the
-    stop that ended the sweeps: "delta", "bound" or "max_iter".
+    stop that ended the sweeps: "delta" or "max_iter".
     """
 
     grid: SimplexGrid
@@ -537,12 +537,16 @@ class ValueTable:
     error_bound: float
     tol: float
     criterion: str
-    stop_tol: float
 
     @property
     def converged(self) -> bool:
-        """Whether a tolerance test, not the sweep cap, ended the sweeps."""
+        """Whether the tolerance test, not the sweep cap, ended the sweeps."""
         return self.criterion != "max_iter"
+
+    @property
+    def stop_tol(self) -> float:
+        """The stop/continue slack of ``labels``: the last sweep change."""
+        return self.sup_change
 
 
 def _labels(h_all: np.ndarray, h: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
@@ -561,9 +565,12 @@ def value_iterate(
     """Iterate the backup operator from V = h until convergence.
 
     Stops when the sup-norm sweep change drops below ``tol`` (criterion
-    "delta"), when the a priori truncation bound (|h|^2/c + |h|/p)/N drops
-    below ``tol`` (criterion "bound"), or at ``max_iter`` sweeps (criterion
-    "max_iter", table flagged not converged but still returned).
+    "delta"), or at ``max_iter`` sweeps (criterion "max_iter", table
+    flagged not converged but still returned).  The a priori truncation
+    bound (|h|^2/c + |h|/p)/N after the N sweeps is reported as
+    ``error_bound``; it cannot stop the sweeps sooner, since the values fall
+    monotonically to the fixed point and sweep N+1 changes them by at most
+    the bound after N.
 
     Per-node values are non-increasing across sweeps; this is a property of
     the exact operator that could be broken at rounding scale by the
@@ -588,9 +595,7 @@ def value_iterate(
     bound_const = sup_h * sup_h / spec.c + sup_h / spec.p
 
     V, V_new = h.copy(), np.empty_like(h)
-    sup_change = math.inf
     criterion = "max_iter"
-    sweeps = 0
     for sweeps in range(1, max_iter + 1):
         T.matvec(V, out=V_new)
         V_new += delay
@@ -602,15 +607,11 @@ def value_iterate(
         if sup_change < tol:
             criterion = "delta"
             break
-        if bound_const / sweeps < tol:
-            criterion = "bound"
-            break
 
-    stop_tol = sup_change if math.isfinite(sup_change) else tol
     # the continuation costs go into the spare sweep vector
     T.matvec(V, out=V_new)
     V_new += delay
-    labels = _labels(h_all, h, V_new, stop_tol)
+    labels = _labels(h_all, h, V_new, sup_change)
 
     return ValueTable(
         grid=grid,
@@ -618,10 +619,9 @@ def value_iterate(
         labels=labels,
         iterations=sweeps,
         sup_change=sup_change,
-        error_bound=bound_const / max(sweeps, 1),
+        error_bound=bound_const / sweeps,
         tol=tol,
         criterion=criterion,
-        stop_tol=stop_tol,
     )
 
 
@@ -678,15 +678,16 @@ def _record(d) -> dict:
         crc32=_integer(d["crc32"]),
         spec=spec_from_dict(d["model"]),
     )
-    # converged is derived from the criterion, which must be one the solver writes
+    # converged and stop_tol follow from the criterion and sup_change, which
+    # must be values the solver writes; a non-finite slack stops all or none
     converged, criterion = record.pop("converged"), record["criterion"]
+    stop_tol, change = record.pop("stop_tol"), record["sup_change"]
     if criterion not in _CRITERIA:
         raise ValueError(f"criterion {criterion!r} is not one of {', '.join(_CRITERIA)}")
     if converged != (criterion != "max_iter"):
         raise ValueError(f"converged={str(converged).lower()} contradicts criterion {criterion!r}")
-    if not math.isfinite(record["stop_tol"]):
-        # extract_region's rule: a NaN or infinite tolerance stops everywhere or nowhere
-        raise ValueError(f"stop_tol={record['stop_tol']} must be finite")
+    if not (math.isfinite(change) and stop_tol == change):
+        raise ValueError(f"stop_tol={stop_tol} and sup_change={change} must be one finite value")
     return record
 
 
@@ -696,11 +697,11 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
 
     Raises:
         GridSizeError: the sidecar's grid is over the node cap.
-        ValueError: on a missing or malformed sidecar (a non-finite
-            ``stop_tol``, an unknown ``criterion`` and a ``converged``
-            flag against it included), node data of the wrong size or with
-            another crc32 than the sidecar's, a non-finite value, or a
-            label outside 0..M.
+        ValueError: on a missing or malformed sidecar (an unknown
+            ``criterion``, a ``converged`` flag against it, and a
+            ``stop_tol`` other than a finite ``sup_change`` included), node
+            data of the wrong size or with another crc32 than the sidecar's,
+            a non-finite value, or a label outside 0..M.
     """
     sidecar = path + ".json"
     if not os.path.exists(sidecar):

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import re
@@ -194,8 +193,23 @@ def test_polar_entry_points_refuse_more_than_two_types(split_boundaries):
     with pytest.raises(ValueError, match="^boundary curves are defined for the 2-type problem$"):
         B.boundary_samples(region3, 1)
     spec, _, fitted = split_boundaries
-    with pytest.raises(ValueError, match="^fast membership is built for the 2-type problem$"):
+    with pytest.raises(ValueError) as info:
         cd.fast_member_many(spec, fitted, np.full((5, 4), 0.25))
+    assert str(info.value) == (
+        "fast membership needs 2-type posteriors, shape (n, 3), not (5, 4)"
+    )
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 3)], ids=["one-posterior", "3-d"])
+def test_fast_member_many_refuses_a_batch_that_is_not_2_d(split_boundaries, shape):
+    """A single posterior used to end in an IndexError; every shape other
+    than (n, 3) gets the one ValueError."""
+    spec, _, fitted = split_boundaries
+    with pytest.raises(ValueError) as info:
+        cd.fast_member_many(spec, fitted, np.full(shape, 1.0 / 3.0))
+    assert str(info.value) == (
+        f"fast membership needs 2-type posteriors, shape (n, 3), not {shape}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -306,14 +320,15 @@ def test_boundary_json_round_trip(tmp_path, split_boundaries):
         assert loaded[j].rms == fitted[j].rms
 
 
-def test_boundary_json_shapes(split_boundaries):
+def test_boundary_json_shapes(tmp_path, split_boundaries):
     _, _, fitted = split_boundaries
-    buf = io.StringIO()
-    cd.save_boundary(fitted[1], buf)
-    doc = json.loads(buf.getvalue())
+    path = str(tmp_path / "b1.json")
+    cd.save_boundary(fitted[1], path)
+    with open(path) as fh:
+        doc = json.load(fh)
     assert sorted(doc) == ["coefficients", "corner", "knots", "lambda", "rms"]
     # a single-curve document loads just as well as the list form
-    single = cd.load_boundaries(io.StringIO(buf.getvalue()))
+    single = cd.load_boundaries(path)
     assert sorted(single) == [1]
     assert np.array_equal(single[1].coefficients, fitted[1].coefficients)
 

@@ -102,6 +102,11 @@ def test_regions_csv_labels_and_report(runner, model_path, tmp_path):
     assert "continuation components:" in result.output
     manifest = json.loads((tmp_path / "region.csv.manifest.json").read_text())
     assert_phase_timings(manifest, ["load", "check", "export"])
+    # the format follows from M, so the CSV header records it and the
+    # manifest has no option for it
+    assert manifest["parameters"] == {"stop_tol": cd.load_table(table_path)[0].stop_tol}
+    with open(out) as fh:
+        assert fh.readline().endswith(" format=embedded\n")
 
 
 def test_regions_compare_table_reports_the_primary_region(runner, model_path, tmp_path):
@@ -147,7 +152,7 @@ def test_fit_boundary_outputs(runner, model_path, tmp_path):
     assert solve_to(runner, model_path, table_path, "-Q", "100").exit_code == 0
     region_csv = str(tmp_path / "region.csv")
     assert runner.invoke(
-        main, ["regions", table_path, "--format", "raw", "-o", region_csv]
+        main, ["regions", table_path, "-o", region_csv]
     ).exit_code == 0
     out = str(tmp_path / "g1.json")
     result = runner.invoke(main, ["fit-boundary", region_csv, "-j", "1", "-o", out])
@@ -164,7 +169,7 @@ def test_fit_boundary_too_many_segments(runner, model_path, tmp_path):
     assert solve_to(runner, model_path, table_path, "-Q", "20").exit_code == 0
     region_csv = str(tmp_path / "region.csv")
     assert runner.invoke(
-        main, ["regions", table_path, "--format", "raw", "-o", region_csv]
+        main, ["regions", table_path, "-o", region_csv]
     ).exit_code == 0
     result = runner.invoke(
         main,
@@ -743,7 +748,7 @@ def artefacts(tmp_path_factory):
         table = cd.value_iterate(spec, cd.build_grid(2, Q))
         cd.save_table(table, spec, str(root / f"t{Q}.cdvt"))
         if Q == 20:
-            cd.export_region(cd.extract_region(spec, table), str(root / "r.csv"), "raw")
+            cd.export_region(cd.extract_region(spec, table), str(root / "r.csv"))
             cd.save_table(table, spec, str(root / "t20-array-sidecar.cdvt"))
             (root / "t20-array-sidecar.cdvt.json").write_text("[1]")
             bad = dataclasses.replace(table, values=np.full_like(table.values, np.nan))
@@ -899,7 +904,8 @@ def artefacts(tmp_path_factory):
         (["regions", "t20-converged-yes.cdvt"],
          "malformed t20-converged-yes.cdvt.json: table sidecar: 'yes' is not true or false"),
         (["simulate", "model.json", "--table", "t20-stop-tol-nan.cdvt", "--runs", "5"],
-         "malformed t20-stop-tol-nan.cdvt.json: table sidecar: stop_tol=nan must be finite"),
+         "malformed t20-stop-tol-nan.cdvt.json: table sidecar: "
+         "stop_tol=nan and sup_change=8.305009400366714e-05 must be one finite value"),
         (["regions", "t20-Q-0.cdvt"],
          "malformed t20-Q-0.cdvt.json: table sidecar: Q=0 must be at least 1"),
         (["regions", "t20-Q-5000.cdvt"],
@@ -940,7 +946,7 @@ def artefacts(tmp_path_factory):
          "converged=false contradicts criterion 'delta'"),
         (["simulate", "model.json", "--table", "t20-criterion-gap.cdvt", "--runs", "5"],
          "malformed t20-criterion-gap.cdvt.json: table sidecar: "
-         "criterion 'gap' is not one of delta, bound, max_iter"),
+         "criterion 'gap' is not one of delta, max_iter"),
         (["derive-sa", "sa.json", "--delay-cost", "1", "--terminal-costs", "tc-vector.json"],
          "tc-vector.json: terminal costs must be a numeric matrix (it has shape (3,))"),
         (["derive-sa", "sa.json", "--delay-cost", "1"],

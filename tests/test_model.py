@@ -1,6 +1,5 @@
 import dataclasses
 import inspect
-import io
 import json
 import math
 
@@ -105,13 +104,15 @@ def test_spec_with_a_density_row_summing_past_one_cannot_be_built():
     assert str(info.value) == "density row 2 not normalized: sums to 1.5"
 
 
-def test_invalid_suspended_animation_system_cannot_be_built():
+def test_invalid_suspended_animation_system_cannot_be_built(tmp_path):
     sa = instances.sa_two_component(cd.phi_min_index(2))
     with pytest.raises(SpecValidationError, match="component 2 failure probability 1.5"):
         cd.SuspendedAnimationSpec((0.1, 1.5), sa.phi, sa.label_densities)
     doc = {**sa_to_dict(sa), "component_failure_probs": [0.1, 1.5]}
+    path = tmp_path / "sa.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(SpecValidationError) as info:
-        cd.load_sa_spec(io.StringIO(json.dumps(doc)))
+        cd.load_sa_spec(str(path))
     assert str(info.value) == "component 2 failure probability 1.5 outside (0, 1)"
 
 
@@ -129,9 +130,11 @@ def test_invalid_suspended_animation_system_cannot_be_built():
     ],
     ids=["list", "string", "phi-entry-int", "phi-label-text"],
 )
-def test_malformed_system_document_rejected(doc, message):
+def test_malformed_system_document_rejected(tmp_path, doc, message):
+    path = tmp_path / "sa.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(SpecValidationError, match=message):
-        cd.load_sa_spec(io.StringIO(json.dumps(doc)))
+        cd.load_sa_spec(str(path))
 
 
 def test_theta_prior_values():
@@ -139,6 +142,7 @@ def test_theta_prior_values():
     assert spec.p0 == 0.02
     assert cd.theta_prior(spec, 0) == 0.02
     assert cd.theta_prior(spec, 1) == pytest.approx(0.98 * 0.05, abs=1e-15)
+    assert cd.theta_prior(spec, np.int64(3)) == cd.theta_prior(spec, 3)
 
 
 def test_theta_prior_immediate_change():
@@ -250,14 +254,15 @@ def test_phi_constructors():
         assert len(phi) == 7
 
 
-def test_spec_json_round_trip():
+def test_spec_json_round_trip(tmp_path):
     spec = instances.FIGURES["asym_split"]
-    buf = io.StringIO()
-    cd.save_spec(spec, buf)
-    doc = json.loads(buf.getvalue())
+    path = str(tmp_path / "spec.json")
+    cd.save_spec(spec, path)
+    with open(path) as fh:
+        doc = json.load(fh)
     assert sorted(doc) == ["alphabet_size", "delay_cost", "densities", "nu",
                            "num_types", "p", "p0", "terminal_costs"]
-    back = cd.load_spec(io.StringIO(buf.getvalue()))
+    back = cd.load_spec(path)
     assert back.alphabet_size == spec.alphabet_size
     assert back.num_types == spec.num_types
     assert back.p0 == spec.p0 and back.p == spec.p and back.c == spec.c
@@ -310,9 +315,9 @@ def test_spec_equality_compares_every_field(tmp_path):
         assert spec_from_dict({**doc, key: value}) != first, key
 
 
-def test_json_writers_give_handles_the_bytes_of_a_path(tmp_path):
-    """Every save function writes the same indented, newline-terminated
-    document to an open handle as to a path."""
+def test_json_writers_write_indented_newline_terminated_documents(tmp_path):
+    """Every save function writes its document to a path as indented JSON
+    ending in a newline."""
     sa = instances.sa_two_component(cd.phi_min_index(2))
     sb = cd.SplineBoundary(corner=1, knots=np.linspace(0.2, 1.0, 5),
                            coefficients=np.full(7, 0.3), lam=0.5, rms=0.01)
@@ -325,10 +330,7 @@ def test_json_writers_give_handles_the_bytes_of_a_path(tmp_path):
     for save, obj in cases:
         path = tmp_path / "doc.json"
         save(obj, str(path))
-        buf = io.StringIO()
-        save(obj, buf)
         text = path.read_text()
-        assert buf.getvalue() == text, save.__name__
         assert text == json.dumps(json.loads(text), indent=2) + "\n", save.__name__
 
 
@@ -394,10 +396,15 @@ _SEVEN_TYPE_COSTS = np.ones((8, 7)) - np.eye(8, 7, -1)
         (lambda: spec_from_dict({**spec_to_dict(_merged()), "alphabet_size": 5}),
          "model document has alphabet_size=5, but its densities give 4"),
         (lambda: cd.theta_prior(_merged(), -1), "change time t=-1 must be nonnegative"),
+        (lambda: cd.theta_prior(_merged(), 2.5), "t=2.5 must be an integer"),
+        (lambda: cd.theta_prior(_merged(), True), "t=True must be an integer"),
         (lambda: _sa((), {}), "at least one component required"),
         (lambda: _sa((0.1,), {_ONE: 1, _TWO: 1}), "phi labels 1 subsets outside 1..1, e.g. [2]"),
         (lambda: _sa((0.1, 0.1), {_ONE: 1, _TWO: 3, _BOTH: 3}),
          "labels must cover 1..3 with every label used; unused: [2]"),
+        (lambda: _sa((0.1,), {_ONE: 0}, rows=2), "phi labels subset [1] with 0; labels start at 1"),
+        (lambda: _sa((0.1, 0.1), {_ONE: 1, _TWO: 0, _BOTH: 2}),
+         "phi labels subset [2] with 0; labels start at 1"),
         (lambda: _sa((0.1, 0.1), cd.phi_min_index(2), rows=2),
          "label_densities has 2 rows, expected 3 (pre-failure row plus one per label)"),
         # the joint failure of the two rare components underflows to weight 0
@@ -407,8 +414,10 @@ _SEVEN_TYPE_COSTS = np.ones((8, 7)) - np.eye(8, 7, -1)
     ],
     ids=["f-one-row", "f-no-symbol", "f-3-d", "nu-shape", "nu-negative", "nu-sum",
          "f-negative", "a-shape", "a-negative", "document-num-types",
-         "document-alphabet-size", "theta-prior-negative-t", "sa-no-component",
-         "sa-phi-outside", "sa-label-unused", "sa-density-rows", "sa-unreachable-label"],
+         "document-alphabet-size", "theta-prior-negative-t", "theta-prior-fractional-t",
+         "theta-prior-boolean-t", "sa-no-component", "sa-phi-outside", "sa-label-unused",
+         "sa-label-zero", "sa-label-zero-among-three", "sa-density-rows",
+         "sa-unreachable-label"],
 )
 def test_model_refusals_are_one_line(build, message):
     with pytest.raises(ValueError) as info:

@@ -27,7 +27,7 @@ def small_table():
     return cd.ValueTable(grid=grid, values=np.linspace(0.0, 1.0, grid.n_nodes),
                          labels=(np.arange(grid.n_nodes) % 3).astype(np.int8),
                          iterations=21, sup_change=5e-5, error_bound=0.25, tol=1e-4,
-                         criterion="delta", stop_tol=5e-5)
+                         criterion="delta")
 
 
 def three_component_system():
@@ -169,18 +169,40 @@ def test_reader_reads_an_integral_float_as_an_integer(tmp_path, reader):
     assert all(type(value) is int for value in integers)
 
 
+def _refusal_of_sidecar(tmp_path, **fields):
+    doc = {**_sidecar_doc(tmp_path), **fields}
+    (tmp_path / "t.cdvt.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        cd.load_table(str(tmp_path / "t.cdvt"))
+    prefix = f"malformed {tmp_path / 't.cdvt.json'}: table sidecar: "
+    assert str(info.value).startswith(prefix)
+    return str(info.value)[len(prefix):]
+
+
 @pytest.mark.parametrize("stop_tol", [math.nan, math.inf, -math.inf])
 def test_sidecar_refuses_a_non_finite_stop_tol(tmp_path, stop_tol):
     """A NaN stop_tol used to load, and a table strategy on it never
     stopped a run; the sidecar is refused by extract_region's rule."""
-    doc = {**_sidecar_doc(tmp_path), "stop_tol": stop_tol}
-    (tmp_path / "t.cdvt.json").write_text(json.dumps(doc))
-    with pytest.raises(ValueError) as info:
-        cd.load_table(str(tmp_path / "t.cdvt"))
-    assert str(info.value) == (
-        f"malformed {tmp_path / 't.cdvt.json'}: table sidecar: "
-        f"stop_tol={stop_tol} must be finite"
+    assert _refusal_of_sidecar(tmp_path, stop_tol=stop_tol) == (
+        f"stop_tol={stop_tol} and sup_change=5e-05 must be one finite value"
     )
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"stop_tol": 1e-3}, "stop_tol=0.001 and sup_change=5e-05 must be one finite value"),
+        ({"stop_tol": math.nan, "sup_change": math.nan},
+         "stop_tol=nan and sup_change=nan must be one finite value"),
+        ({"stop_tol": math.inf, "sup_change": math.inf},
+         "stop_tol=inf and sup_change=inf must be one finite value"),
+    ],
+    ids=["other-than-sup-change", "both-nan", "both-inf"],
+)
+def test_sidecar_stop_tol_is_its_finite_sup_change(tmp_path, fields, message):
+    """The labels are solved at the last sweep change, so a table's stop_tol
+    is its sup_change; a sidecar that stores another is refused."""
+    assert _refusal_of_sidecar(tmp_path, **fields) == message
 
 
 def test_two_curves_for_one_corner_are_refused(tmp_path):

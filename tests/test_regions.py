@@ -204,10 +204,14 @@ def test_export_embedded_row_count_and_corner_row(tmp_path):
     assert float(e1_rows[0]["h1"]) == 0.0
 
 
-def test_export_raw_round_trip(tmp_path, merged_region):
-    _, region = merged_region
+def test_export_raw_round_trip(tmp_path):
+    """Outside M = 2, 3 the export is raw, with no plot columns."""
+    region = small_region(instances.shiryaev_binary(), 30)
     path = tmp_path / "region_raw.csv"
-    cd.export_region(region, str(path), fmt="raw")
+    cd.export_region(region, str(path))
+    head, columns = path.read_text().splitlines()[:2]
+    assert head.endswith(" format=raw")
+    assert columns == "k0,k1,pi0,pi1,label,value,h,h1"
     back = cd.import_region(str(path))
     assert back.grid.Q == region.grid.Q and back.grid.M == region.grid.M
     assert np.array_equal(back.labels, region.labels)
@@ -252,10 +256,13 @@ def small_region(spec, Q):
     return cd.extract_region(spec, cd.value_iterate(spec, grid))
 
 
-def csv_writer_reference(region, fmt):
-    """The export written row by row with csv.writer and str formatting."""
+def csv_writer_reference(region):
+    """The export written row by row with csv.writer and str formatting;
+    the plot coordinates are the planar and spatial embeddings of
+    ``regions.embed``, term for term."""
     grid = region.grid
     M = grid.M
+    fmt = "embedded" if M in (2, 3) else "raw"
     g = lambda x: format(float(x), ".17g")  # noqa: E731
     lines = io.StringIO(newline="")
     lines.write(
@@ -265,15 +272,18 @@ def csv_writer_reference(region, fmt):
     writer = csv.writer(lines)
     header = [f"k{i}" for i in range(M + 1)] + [f"pi{i}" for i in range(M + 1)]
     if fmt == "embedded":
-        header += ["x", "y"]
+        header += ["x", "y", "z"][:M]
     header += ["label", "value", "h"] + [f"h{j}" for j in range(1, M + 1)]
     writer.writerow(header)
     for k in range(grid.n_nodes):
         lat = [int(v) for v in grid.lattice[k]]
         pi = [v / grid.Q for v in lat]
         row = [str(v) for v in lat] + [g(v) for v in pi]
-        if fmt == "embedded":
+        if M == 2:
             row += [g((2.0 * pi[1] + pi[2]) / math.sqrt(3.0)), g(pi[2])]
+        elif M == 3:
+            row += [g(math.sqrt(1.5) * (pi[1] + 0.5 * pi[2] + 0.5 * pi[3])),
+                    g(math.sqrt(0.5) * (1.5 * pi[2] + 0.5 * pi[3])), g(pi[3])]
         h_row = [float(v) for v in region.h_all[k]]
         row += [str(int(region.labels[k])), g(region.values[k]), g(min(h_row))]
         row += [g(v) for v in h_row]
@@ -282,21 +292,24 @@ def csv_writer_reference(region, fmt):
 
 
 @pytest.mark.parametrize(
-    "spec,Q,fmt",
+    "spec,Q",
     [
-        (instances.FIGURES["merged"], 12, "embedded"),
-        (instances.three_type(), 8, "raw"),
+        (instances.FIGURES["merged"], 12),
+        (instances.three_type(), 8),
+        (instances.shiryaev_binary(), 20),
+        (instances.sa_three_component(), 3),
         # more rows than one export chunk (4096)
-        (instances.FIGURES["merged"], 100, "embedded"),
-        (instances.three_type(), 28, "raw"),
+        (instances.FIGURES["merged"], 100),
+        (instances.three_type(), 28),
     ],
-    ids=["M2-embedded", "M3-raw", "M2-embedded-5151-rows", "M3-raw-4495-rows"],
+    ids=["M2-embedded", "M3-embedded", "M1-raw", "M7-raw", "M2-embedded-5151-rows",
+         "M3-embedded-4495-rows"],
 )
-def test_export_bytes_match_csv_writer(tmp_path, spec, Q, fmt):
+def test_export_bytes_match_csv_writer(tmp_path, spec, Q):
     region = small_region(spec, Q)
     path = tmp_path / "region.csv"
-    cd.export_region(region, str(path), fmt=fmt)
-    expected = csv_writer_reference(region, fmt)
+    cd.export_region(region, str(path))
+    expected = csv_writer_reference(region)
     assert path.read_bytes() == expected.encode("ascii")
 
 
@@ -315,7 +328,7 @@ def test_export_writes_signed_zeros_apart(tmp_path):
     )
     path = tmp_path / "region.csv"
     cd.export_region(region, str(path))
-    assert path.read_bytes() == csv_writer_reference(region, "embedded").encode("ascii")
+    assert path.read_bytes() == csv_writer_reference(region).encode("ascii")
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert [row["value"] for row in rows[:3]] == ["0", "-0", "0"]
@@ -324,16 +337,16 @@ def test_export_writes_signed_zeros_apart(tmp_path):
 
 def test_export_import_round_trip_three_types(tmp_path):
     region = small_region(instances.three_type(), 8)
-    for fmt in ("embedded", "raw"):
-        path = tmp_path / f"region-{fmt}.csv"
-        cd.export_region(region, str(path), fmt=fmt)
-        back = cd.import_region(str(path))
-        assert back.grid.M == 3 and back.grid.Q == 8
-        assert np.array_equal(back.labels, region.labels)
-        assert np.array_equal(back.values, region.values)
-        assert np.array_equal(back.h_all, region.h_all)
-        assert back.N_used == region.N_used
-        assert back.stop_tol == region.stop_tol
+    path = tmp_path / "region.csv"
+    cd.export_region(region, str(path))
+    assert path.read_text().splitlines()[0].endswith(" format=embedded")
+    back = cd.import_region(str(path))
+    assert back.grid.M == 3 and back.grid.Q == 8
+    assert np.array_equal(back.labels, region.labels)
+    assert np.array_equal(back.values, region.values)
+    assert np.array_equal(back.h_all, region.h_all)
+    assert back.N_used == region.N_used
+    assert back.stop_tol == region.stop_tol
 
 
 @pytest.fixture()
@@ -375,13 +388,8 @@ def test_import_reads_header_numbers_as_ascii_decimal_text(exported_csv, old, ne
     [
         (lambda path: cd.import_region(str(path.with_suffix(".cdvt.json"))),
          "{path}.cdvt.json: not a region export"),
-        (lambda path: cd.export_region(small_region(instances.FIGURES["merged"], 6),
-                                       str(path), "xml"),
-         "unknown export format 'xml'"),
-        (lambda path: cd.export_region(small_region(instances.shiryaev_binary(), 6), str(path)),
-         "embedded export needs 2 or 3 types, grid has M=1"),
     ],
-    ids=["import-a-table-sidecar", "export-unknown-format", "export-embedded-one-type"],
+    ids=["import-a-table-sidecar"],
 )
 def test_region_file_refusals_are_one_line(tmp_path, act, message):
     spec = instances.FIGURES["merged"]

@@ -389,23 +389,38 @@ def test_value_iterate_rejects_non_finite_tol(tol):
         cd.value_iterate(spec, cd.build_grid(1, 10), tol=tol, max_iter=5)
 
 
-def test_value_iterate_bound_criterion_is_reachable(monkeypatch, tmp_path):
-    """With a stopping cost this small the a-priori bound is under ``tol``
-    after the first sweep, while the sweep change is not; the sidecar
-    records the stop, and ``converged`` follows from it."""
-    spec = instances.FIGURES["merged"]
-    monkeypatch.setattr(solver, "stopping_cost_sup", lambda spec: 1e-9)
-    table = cd.value_iterate(spec, cd.build_grid(2, 20))
-    assert (table.criterion, table.converged, table.iterations) == ("bound", True, 1)
-    assert table.sup_change >= table.tol
-    assert table.error_bound == 1e-9 * 1e-9 / spec.c + 1e-9 / spec.p
-    path = str(tmp_path / "t.cdvt")
-    cd.save_table(table, spec, path)
-    sidecar = json.loads(pathlib.Path(path + ".json").read_text())
-    assert (sidecar["criterion"], sidecar["converged"]) == ("bound", True)
-    loaded, _ = cd.load_table(path)
-    assert (loaded.criterion, loaded.converged, loaded.error_bound) == (
-        "bound", True, table.error_bound)
+_BOUND_CASES = {
+    **{name: (spec, 20) for name, spec in instances.FIGURES.items()},
+    "three_type": (instances.three_type(), 8),
+    "shiryaev_binary": (instances.shiryaev_binary(), 50),
+    "hypothesis_testing_two_type": (instances.hypothesis_testing_two_type(), 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_CASES))
+def test_sweep_change_is_under_the_bound_of_the_sweeps_before(name):
+    """The iterates fall monotonically from h to the fixed point, so the
+    change at sweep N is at most the truncation bound after N-1 sweeps:
+    the bound could never end the sweeps more than one sweep before the
+    sweep change does.  Checked at every sweep up to the tolerance stop."""
+    spec, Q = _BOUND_CASES[name]
+    grid = cd.build_grid(spec.num_types, Q)
+    tables = [cd.value_iterate(spec, grid, max_iter=1)]
+    while tables[-1].criterion == "max_iter":
+        tables.append(cd.value_iterate(spec, grid, max_iter=len(tables) + 1))
+    assert len(tables) >= 6
+    for before, after in zip(tables, tables[1:]):
+        assert after.sup_change <= before.error_bound, after.iterations
+
+
+def test_stop_tol_is_the_last_sweep_change(solve200):
+    """The labels are solved at the last sweep change; the table stores it
+    once, and its record has no other slack to set."""
+    _, table = solve200("merged")
+    assert table.stop_tol == table.sup_change > 0.0
+    fields = [f.name for f in dataclasses.fields(cd.ValueTable)]
+    assert fields == ["grid", "values", "labels", "iterations", "sup_change",
+                      "error_bound", "tol", "criterion"]
 
 
 @pytest.mark.parametrize(
@@ -575,14 +590,15 @@ def test_load_table_rejects_sidecar_header_mismatch(saved_table, key, wrong):
     "fields,message",
     [
         ({"magic": "CDVX"}, "magic 'CDVX' is not 'CDVT'"),
-        ({"criterion": "gap"}, "criterion 'gap' is not one of delta, bound, max_iter"),
-        ({"criterion": 3}, "criterion 3 is not one of delta, bound, max_iter"),
+        ({"criterion": "gap"}, "criterion 'gap' is not one of delta, max_iter"),
+        ({"criterion": "bound"}, "criterion 'bound' is not one of delta, max_iter"),
+        ({"criterion": 3}, "criterion 3 is not one of delta, max_iter"),
         ({"converged": False}, "converged=false contradicts criterion 'delta'"),
         ({"criterion": "max_iter"}, "converged=true contradicts criterion 'max_iter'"),
         ({"model": {**spec_to_dict(instances.FIGURES["merged"]), "num_types": 3}},
          "model document has num_types=3, but its densities give 2"),
     ],
-    ids=["magic", "criterion-unknown", "criterion-number", "converged-false",
+    ids=["magic", "criterion-unknown", "criterion-bound", "criterion-number", "converged-false",
          "converged-true", "model-sizes"],
 )
 def test_load_table_refuses_a_sidecar_record_in_one_line(saved_table, fields, message):
