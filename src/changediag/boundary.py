@@ -32,7 +32,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .model import (
-    ProblemSpec, _check_int, _dump_json, _integer, _load_json, _read_doc, _real, _reals
+    ProblemSpec, _check_int, _dump_json, _integer, _load_json, _nonnegative, _read_doc, _real,
+    _reals
 )
 from .posterior import _check_finite, h_values_many
 from .regions import StoppingRegion, boundary_nodes
@@ -115,8 +116,9 @@ class SplineBoundary:
     Raises:
         ValueError: the corner is not 1 or 2, a knot or a coefficient is
             not finite, the knots are not a 1-D strictly increasing array
-            of two or more, or the coefficients do not have shape
-            (knots.size + 2,).
+            of two or more, the coefficients do not have shape
+            (knots.size + 2,), or ``lam`` or ``rms`` is negative or not
+            finite.
     """
 
     corner: int
@@ -148,6 +150,8 @@ class SplineBoundary:
                 f"boundary curve for corner {self.corner} has coefficients of "
                 f"shape {coef.shape}, expected ({knots.size + 2},)"
             )
+        for name, value in (("lambda", self.lam), ("rms", self.rms)):
+            _nonnegative(f"boundary curve for corner {self.corner}: {name}", value)
         t = _full_knots(knots)
         # one column per knot (the first twice): the knot, then g's d-th
         # derivative there over d!; c2 = c3 = 0 turns the end columns into
@@ -241,28 +245,21 @@ def _solve_penalized(
 
 
 def fit_spline(
-    beta: np.ndarray,
-    r: np.ndarray,
-    K: int,
-    lam: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, float, float, float | None]:
+    beta: np.ndarray, r: np.ndarray, K: int
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """Fit the penalized cubic spline to samples (beta, r).
 
-    With ``lam`` None, picks the smoothing parameter by 5-fold
-    cross-validation on a fixed log grid; folds are round-robin over the
-    beta-sorted samples so every fold spans the angular range, and the
-    whole procedure is deterministic.
+    The smoothing parameter is picked by 5-fold cross-validation on a fixed
+    log grid; folds are round-robin over the beta-sorted samples so every
+    fold spans the angular range, and the whole procedure is deterministic.
 
     :param K: number of uniform spline segments over the sample range.
     :return: (breakpoints, coefficients, lam, rms of fitted residuals,
-        cross-validation SSE of the chosen lam, or None when lam was given).
-    :raises ValueError: for K not an integer of at least 1, or a negative or
-        non-finite ``lam``.
+        cross-validation SSE of the chosen lam).
+    :raises ValueError: for K not an integer of at least 1.
     """
     if _check_int("K", K, None) < 1:
         raise ValueError(f"K={K} spline segments must be at least 1")
-    if lam is not None and not 0.0 <= lam < np.inf:
-        raise ValueError(f"lam={lam} must be finite and nonnegative")
     beta = np.asarray(beta, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if beta.size < K + 4:
@@ -278,33 +275,30 @@ def fit_spline(
     phi = _design(t, beta)
     curvature = _curvature_rows(t, breaks)
 
-    cv_score = None
-    if lam is None:
-        order = np.argsort(beta, kind="stable")
-        # each fold's validation rows (in angle order) and training rows,
-        # picked once for every candidate lam
-        splits = []
-        for fold in range(5):
-            val = order[fold::5]
-            train = np.ones(beta.size, dtype=bool)
-            train[val] = False
-            splits.append((phi[val], r[val], phi[train], r[train]))
-        best, best_score = LAMBDA_GRID[0], np.inf
-        for cand in LAMBDA_GRID:
-            sse = 0.0
-            for phi_val, r_val, phi_train, r_train in splits:
-                coef = _solve_penalized(phi_train, curvature, r_train, cand)
-                resid = r_val - phi_val @ coef
-                sse += float(resid @ resid)
-            if sse <= best_score:
-                best, best_score = cand, sse
-        lam = float(best)
-        cv_score = float(best_score)
+    order = np.argsort(beta, kind="stable")
+    # each fold's validation rows (in angle order) and training rows, picked
+    # once for every candidate lam
+    splits = []
+    for fold in range(5):
+        val = order[fold::5]
+        train = np.ones(beta.size, dtype=bool)
+        train[val] = False
+        splits.append((phi[val], r[val], phi[train], r[train]))
+    best, best_score = LAMBDA_GRID[0], np.inf
+    for cand in LAMBDA_GRID:
+        sse = 0.0
+        for phi_val, r_val, phi_train, r_train in splits:
+            coef = _solve_penalized(phi_train, curvature, r_train, cand)
+            resid = r_val - phi_val @ coef
+            sse += float(resid @ resid)
+        if sse <= best_score:
+            best, best_score = cand, sse
+    lam = float(best)
 
     coef = _solve_penalized(phi, curvature, r, lam)
     resid = r - phi @ coef
     rms = float(np.sqrt(np.mean(resid * resid)))
-    return breaks, coef, float(lam), rms, cv_score
+    return breaks, coef, lam, rms, float(best_score)
 
 
 def fit_boundary(region: StoppingRegion, j: int, K: int) -> SplineBoundary:
@@ -355,6 +349,7 @@ def fast_member_many(
     :raises ValueError: for ``pis`` that is not 2-D with rows 3 long, or a
         row with a coordinate that is not finite.
     """
+    pis = np.asarray(pis, dtype=np.float64)
     if pis.ndim != 2 or pis.shape[1] != 3:
         raise ValueError(f"fast membership needs 2-type posteriors, shape (n, 3), not {pis.shape}")
     _check_finite(pis)

@@ -168,15 +168,9 @@ def solve(model: str, Q: int, tol: float, max_iter: int, out: str) -> None:
 
 @main.command()
 @click.argument("table_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--stop-tol", type=_Decimal(float), default=None, help="Stop/continue slack; defaults to the table's final sweep change.")
 @click.option("--compare-table", type=click.Path(exists=True, dir_okay=False), default=None, help="Second table (shorter horizon) for the nestedness check.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
-def regions(
-    table_path: str,
-    stop_tol: float | None,
-    compare_table: str | None,
-    out: str,
-) -> None:
+def regions(table_path: str, compare_table: str | None, out: str) -> None:
     """Extract stopping sets from a table, check them, export CSV."""
     from .model import _dump_json
     from .regions import check_region_properties, export_region, extract_region
@@ -184,7 +178,7 @@ def regions(
     started = time.monotonic()
     phases = _Phases()
     table, spec = _load_solved_table(table_path)
-    region = extract_region(spec, table, stop_tol)
+    region = extract_region(spec, table)
     other = None
     if compare_table is not None:
         other = extract_region(spec, _load_solved_table(compare_table, spec)[0])
@@ -222,10 +216,10 @@ def regions(
 @click.argument("region_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option("-j", "--corner", "j", type=_Decimal(int), required=True, help="1-based type whose boundary to fit.")
 @click.option("-K", "--segments", "K", type=_Decimal(int), default=12, show_default=True)
-@click.option("--lam", type=_Decimal(float), default=None, help="Smoothing parameter; omitted means 5-fold cross-validation.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
-def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: str) -> None:
-    """Fit the polar spline of one stopping boundary from a region CSV."""
+def fit_boundary_cmd(region_csv: str, j: int, K: int, out: str) -> None:
+    """Fit the polar spline of one stopping boundary from a region CSV, with
+    the smoothing picked by 5-fold cross-validation."""
     from .boundary import SplineBoundary, boundary_samples, fit_spline, is_concave, save_boundary
     from .model import _fmt
     from .regions import import_region
@@ -233,21 +227,20 @@ def fit_boundary_cmd(region_csv: str, j: int, K: int, lam: float | None, out: st
     started = time.monotonic()
     region = import_region(region_csv)
     beta, r = boundary_samples(region, j)
-    breaks, coef, lam_used, rms, cv = fit_spline(beta, r, K, lam)
+    breaks, coef, lam_used, rms, cv = fit_spline(beta, r, K)
     sb = SplineBoundary(corner=j, knots=breaks, coefficients=coef, lam=lam_used, rms=rms)
     save_boundary(sb, out)
     _write_manifest(
         out,
         "fit-boundary",
         {"region": region_csv},
-        {"j": j, "K": K, "lam": lam},
+        {"j": j, "K": K},
         [out],
         started,
         report={"rms": rms, "lambda": lam_used, "cv_sse": cv, "samples": int(beta.size)},
     )
     click.echo(f"samples={beta.size} lambda={_fmt(lam_used)} rms={_fmt(rms)}")
-    if cv is not None:
-        click.echo(f"cv_sse={_fmt(cv)}")
+    click.echo(f"cv_sse={_fmt(cv)}")
     if not is_concave(sb):
         click.echo("note: fitted curve is not concave at the knots", err=True)
 

@@ -477,6 +477,13 @@ def _check_int(name: str, value: int, low: int | None, key: bool = False) -> int
     return int(value)
 
 
+def _nonnegative(name: str, value: float) -> float:
+    """``value``, refused unless finite and nonnegative."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name}={value} must be finite and nonnegative")
+    return value
+
+
 def _flag(x) -> bool:
     """A boolean field of a JSON document: true or false, not 1 or "true"."""
     if not isinstance(x, bool):
@@ -497,8 +504,8 @@ def _reals(x, field: str) -> np.ndarray:
 
 
 def _real(x, field: str) -> float:
-    """A real scalar field of a JSON document, read as by :func:`_reals`;
-    a list, even of one number, is refused naming ``field``."""
+    """A real scalar field of a JSON document, or a real parameter, read as
+    by :func:`_reals`; a list, even of one number, is refused naming ``field``."""
     out = _reals(x, field)
     if out.ndim != 0:
         raise ValueError(f"{field} is {x!r}, not one number")

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _decimal
-from .model import ProblemSpec, _fmt
+from .model import ProblemSpec, _check_int, _fmt, _nonnegative
 from .posterior import _row_min, h_values_many
-from .solver import (
-    SimplexGrid, ValueTable, _labels, _rank, _rank_shifts, build_grid, transition_matrix
-)
+from .solver import SimplexGrid, ValueTable, _rank, _rank_shifts, build_grid
 
 __all__ = [
     "StoppingRegion",
@@ -51,8 +49,8 @@ class StoppingRegion:
     """Per-node stop/continue labeling induced by a value table.
 
     ``labels[k]`` is 0 to continue at node k, or the 1-based type to
-    announce.  ``h_all`` and ``values`` are kept alongside for export and
-    for relabeling at other tolerances.
+    announce, solved at the slack ``stop_tol``.  ``h_all`` and ``values``
+    are kept alongside for export.
     """
 
     grid: SimplexGrid
@@ -67,39 +65,23 @@ class StoppingRegion:
         return self.labels == j
 
 
-def extract_region(
-    spec: ProblemSpec, table: ValueTable, stop_tol: float | None = None
-) -> StoppingRegion:
-    """Label every grid node stop/continue against the table's values.
+def extract_region(spec: ProblemSpec, table: ValueTable) -> StoppingRegion:
+    """The stop/continue labeling of every grid node that the solver stored
+    with the table, and the terminal costs there.
 
-    A node stops when h(node) <= c*(1 - pi_0) + (T V)(node) + stop_tol; the
-    tolerance (defaulting to the table's final sweep change) absorbs the
-    fact that V is itself only tol-converged.  Ties go to stopping and the
-    announced type is the smallest index attaining the minimum of h.
-
-    At the table's own ``stop_tol`` this is exactly the labeling the solver
-    stored with the table, which is reused; another tolerance rebuilds the
-    continuation costs from T.
+    A node stops when h(node) <= c*(1 - pi_0) + (T V)(node) + stop_tol, the
+    slack being the table's final sweep change, which absorbs the fact that
+    V is itself only tol-converged.  Ties go to stopping and the announced
+    type is the smallest index attaining the minimum of h.
     """
-    if stop_tol is None:
-        stop_tol = table.stop_tol
-    if not math.isfinite(stop_tol):
-        raise ValueError(f"stop_tol={stop_tol} must be finite")
     grid = table.grid
-    h_all = h_values_many(spec, grid.nodes)
-    if stop_tol == table.stop_tol:
-        labels = table.labels.astype(np.int8)
-    else:
-        cont = transition_matrix(spec, grid).matvec(table.values)
-        cont += spec.c * (1.0 - grid.nodes[:, 0])
-        labels = _labels(h_all, _row_min(h_all), cont, stop_tol)
     return StoppingRegion(
         grid=grid,
-        labels=labels,
+        labels=table.labels.astype(np.int8),
         values=table.values,
-        h_all=h_all,
+        h_all=h_values_many(spec, grid.nodes),
         N_used=table.iterations,
-        stop_tol=float(stop_tol),
+        stop_tol=table.stop_tol,
     )
 
 
@@ -428,9 +410,10 @@ def import_region(path: str) -> StoppingRegion:
     """Rebuild a StoppingRegion from an exported CSV.
 
     Raises:
-        ValueError: on a malformed header, unparsable rows, a row count
-            other than the grid's node count, rows out of node order, or
-            labels outside 0..M.
+        ValueError: on a malformed header (a sweep count N under 1 or a
+            negative or non-finite stop_tol included), unparsable rows, a
+            row count other than the grid's node count, rows out of node
+            order, or labels outside 0..M.
     """
     with open(path) as fh:
         head = fh.readline()
@@ -440,8 +423,8 @@ def import_region(path: str) -> StoppingRegion:
             meta = dict(part.split("=", 1) for part in head[2:].split()[1:])
             M = _decimal(meta["M"])
             Q = _decimal(meta["Q"])
-            N_used = _decimal(meta["N"])
-            stop_tol = _decimal(meta["stop_tol"], float)
+            N_used = _check_int("N", _decimal(meta["N"]), 1)
+            stop_tol = _nonnegative("stop_tol", _decimal(meta["stop_tol"], float))
             col = {name: i for i, name in enumerate(fh.readline().strip().split(","))}
             tail_cols = [col[f"k{i}"] for i in range(1, M + 1)]
             h_cols = [col[f"h{j}"] for j in range(1, M + 1)]

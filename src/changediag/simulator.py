@@ -41,7 +41,7 @@ import numpy as np
 
 from . import DEFAULT_N_MAX
 from .boundary import SplineBoundary, fast_member, fast_member_many
-from .model import ProblemSpec, _check_int
+from .model import ProblemSpec, _check_int, _real
 from .posterior import _announce, _row_min, h_values_many, initial_posterior, update_many
 from .solver import ValueTable, interpolate_many
 
@@ -267,7 +267,7 @@ class PosteriorThreshold(Strategy):
     """Baseline: stop once the change probability reaches ``threshold``."""
 
     def __init__(self, threshold: float):
-        self.threshold = float(threshold)
+        self.threshold = _real(threshold, "threshold")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold={self.threshold} must lie in [0, 1]")
 

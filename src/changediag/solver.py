@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    ProblemSpec, _check_int, _dump_json, _flag, _integer, _load_json, _read_doc, _real,
-    spec_from_dict, spec_to_dict
+    ProblemSpec, _check_int, _dump_json, _flag, _integer, _load_json, _nonnegative,
+    _read_doc, _real, spec_from_dict, spec_to_dict
 )
 from .posterior import _announce, _check_finite, _row_min, _step_weights, h_values_many
 
@@ -82,9 +82,6 @@ _DEAD = np.iinfo(np.int32).max
 #: The magic and format version that a table sidecar records.
 _MAGIC = "CDVT"
 _VERSION = 2
-
-#: The stops that can end value iteration: the sweep change, the sweep cap.
-_CRITERIA = ("delta", "max_iter")
 
 
 class GridSizeError(ValueError):
@@ -525,8 +522,9 @@ class ValueTable:
 
     ``values`` approximates the optimal cost-to-go at the nodes; ``labels``
     holds the induced action per node (0 = continue, j = stop and announce
-    type j, 1-based), computed at ``stop_tol``.  ``criterion`` names the
-    stop that ended the sweeps: "delta" or "max_iter".
+    type j, 1-based), computed once, by ``value_iterate``, at the slack
+    ``stop_tol``.  ``converged``, ``criterion`` and ``stop_tol`` follow from
+    ``sup_change`` and ``tol``.
     """
 
     grid: SimplexGrid
@@ -536,12 +534,17 @@ class ValueTable:
     sup_change: float
     error_bound: float
     tol: float
-    criterion: str
 
     @property
     def converged(self) -> bool:
-        """Whether the tolerance test, not the sweep cap, ended the sweeps."""
-        return self.criterion != "max_iter"
+        """Whether the tolerance test, not the sweep cap, ended the sweeps:
+        ``value_iterate`` stops exactly when the sweep change is under tol."""
+        return self.sup_change < self.tol
+
+    @property
+    def criterion(self) -> str:
+        """The stop that ended the sweeps: "delta" or "max_iter"."""
+        return "delta" if self.converged else "max_iter"
 
     @property
     def stop_tol(self) -> float:
@@ -549,11 +552,12 @@ class ValueTable:
         return self.sup_change
 
 
-def _labels(h_all: np.ndarray, h: np.ndarray, cont: np.ndarray, stop_tol: float) -> np.ndarray:
-    """The Bellman stop rule: stop where h <= cont + ``stop_tol``, h being
-    the row minima of ``h_all``.  The tolerance is added into ``cont``."""
-    cont += stop_tol
-    return _announce(h_all, h <= cont)
+def _check_tol(tol: float) -> float:
+    """The sweep tolerance as a float, refused unless finite and positive."""
+    tol = _real(tol, "tol")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol={tol} must be {'positive' if math.isfinite(tol) else 'finite'}")
+    return tol
 
 
 def value_iterate(
@@ -578,10 +582,7 @@ def value_iterate(
     sweeps reuse two node vectors: the new values, and the old ones, which
     then hold the change.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tol={tol} must be finite")
-    if tol <= 0.0:
-        raise ValueError(f"tol={tol} must be positive")
+    tol = _check_tol(tol)
     max_iter = _check_int("max_iter", max_iter, 1)
 
     # T first: its build's temporaries then meet no node vector
@@ -595,7 +596,6 @@ def value_iterate(
     bound_const = sup_h * sup_h / spec.c + sup_h / spec.p
 
     V, V_new = h.copy(), np.empty_like(h)
-    criterion = "max_iter"
     for sweeps in range(1, max_iter + 1):
         T.matvec(V, out=V_new)
         V_new += delay
@@ -605,13 +605,14 @@ def value_iterate(
         sup_change = float(np.subtract(V, V_new, out=V).max())
         V, V_new = V_new, V
         if sup_change < tol:
-            criterion = "delta"
             break
 
-    # the continuation costs go into the spare sweep vector
+    # the Bellman stop rule, h <= c*(1 - pi_0) + T V + sup_change: the
+    # continuation costs and the slack go into the spare sweep vector
     T.matvec(V, out=V_new)
     V_new += delay
-    labels = _labels(h_all, h, V_new, sup_change)
+    V_new += sup_change
+    labels = _announce(h_all, h <= V_new)
 
     return ValueTable(
         grid=grid,
@@ -621,7 +622,6 @@ def value_iterate(
         sup_change=sup_change,
         error_bound=bound_const / sweeps,
         tol=tol,
-        criterion=criterion,
     )
 
 
@@ -661,34 +661,29 @@ def save_table(table: ValueTable, spec: ProblemSpec, path: str) -> None:
 
 
 def _record(d) -> dict:
-    """The fields of a table sidecar of this version."""
+    """The fields of a table sidecar of this version.  Its ``criterion``,
+    ``converged`` and ``stop_tol`` must be what a table of the other fields
+    derives, as the solver wrote them."""
     if d["magic"] != _MAGIC:
         raise ValueError(f"magic {d['magic']!r} is not {_MAGIC!r}")
     if _integer(d["version"]) != _VERSION:
         raise ValueError(f"unsupported version {d['version']}")
-    record = dict(
-        Q=_check_int("Q", _integer(d["Q"]), 1),
-        iterations=_integer(d["iterations"]),
-        tol=_real(d["tol"], "tol"),
-        criterion=d["criterion"],
-        sup_change=_real(d["sup_change"], "sup_change"),
-        error_bound=_real(d["error_bound"], "error_bound"),
-        stop_tol=_real(d["stop_tol"], "stop_tol"),
-        converged=_flag(d["converged"]),
-        crc32=_integer(d["crc32"]),
-        spec=spec_from_dict(d["model"]),
+    Q = _check_int("Q", _integer(d["Q"]), 1)
+    solve = dict(
+        iterations=_check_int("iterations", _integer(d["iterations"]), 1),
+        tol=_check_tol(d["tol"]),
+        sup_change=_nonnegative("sup_change", _real(d["sup_change"], "sup_change")),
+        error_bound=_nonnegative("error_bound", _real(d["error_bound"], "error_bound")),
     )
-    # converged and stop_tol follow from the criterion and sup_change, which
-    # must be values the solver writes; a non-finite slack stops all or none
-    converged, criterion = record.pop("converged"), record["criterion"]
-    stop_tol, change = record.pop("stop_tol"), record["sup_change"]
-    if criterion not in _CRITERIA:
-        raise ValueError(f"criterion {criterion!r} is not one of {', '.join(_CRITERIA)}")
-    if converged != (criterion != "max_iter"):
-        raise ValueError(f"converged={str(converged).lower()} contradicts criterion {criterion!r}")
-    if not (math.isfinite(change) and stop_tol == change):
-        raise ValueError(f"stop_tol={stop_tol} and sup_change={change} must be one finite value")
-    return record
+    # the table's own properties derive them, so the rule stays in one place
+    derived = ValueTable(grid=None, values=None, labels=None, **solve)
+    stored = dict(criterion=d["criterion"], converged=_flag(d["converged"]),
+                  stop_tol=_real(d["stop_tol"], "stop_tol"))
+    for name, value in stored.items():
+        if value != getattr(derived, name):
+            raise ValueError(f"{name}={value!r} contradicts sup_change={derived.sup_change!r} "
+                             f"and tol={derived.tol!r}, which give {getattr(derived, name)!r}")
+    return dict(Q=Q, crc32=_integer(d["crc32"]), spec=spec_from_dict(d["model"]), **solve)
 
 
 def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
@@ -697,11 +692,10 @@ def load_table(path: str) -> tuple[ValueTable, ProblemSpec]:
 
     Raises:
         GridSizeError: the sidecar's grid is over the node cap.
-        ValueError: on a missing or malformed sidecar (an unknown
-            ``criterion``, a ``converged`` flag against it, and a
-            ``stop_tol`` other than a finite ``sup_change`` included), node
-            data of the wrong size or with another crc32 than the sidecar's,
-            a non-finite value, or a label outside 0..M.
+        ValueError: on a missing or malformed sidecar (a record the solver
+            cannot write included), node data of the wrong size or with
+            another crc32 than the sidecar's, a non-finite value, or a label
+            outside 0..M.
     """
     sidecar = path + ".json"
     if not os.path.exists(sidecar):

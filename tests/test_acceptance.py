@@ -19,6 +19,7 @@ from changediag import boundary as B
 from changediag import posterior as P
 from changediag import solver
 
+import fixed
 import instances
 import oracles
 from replay import replay
@@ -168,9 +169,10 @@ def test_region_structure(solve200, grid200):
             assert per["strict_violations"] == 0, name
         assert report["stopping_components"] == stopping, name
         assert report["continuation_components"] == continuation, name
-        fine = cd.extract_region(spec, table, stop_tol=0.0)
+        # the paper's nestedness holds at zero slack
+        fine = fixed.region_at(spec, table, 0.0)
         shallow = cd.value_iterate(spec, grid200, tol=1e-300, max_iter=25)
-        coarse = cd.extract_region(spec, shallow, stop_tol=0.0)
+        coarse = fixed.region_at(spec, shallow, 0.0)
         nested = cd.check_region_properties(fine, coarse)["nested"]
         assert nested["ok"] and nested["violations"] == 0, name
     assert time.perf_counter() - t0 < 600.0
@@ -302,7 +304,7 @@ def test_spline_boundaries_reproduce_grid_decisions(solve400, grid400):
             # the larger of the two asymmetric stopping sets has a concave
             # radius profile once smoothing irons out lattice-scale scatter
             beta, r = B.boundary_samples(region, 1)
-            smoothed = B.SplineBoundary(1, *B.fit_spline(beta, r, 12, lam=10.0)[:4])
+            smoothed = fixed.spline_at(beta, r, 12, 10.0)
             assert B.is_concave(smoothed)
 
 

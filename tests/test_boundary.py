@@ -9,6 +9,7 @@ import changediag as cd
 from changediag import boundary as B
 from changediag.posterior import _announce, h_values_many
 
+import fixed
 import instances
 import oracles
 
@@ -62,9 +63,8 @@ def test_polar_at_corner_is_radius_zero_angle_zero():
 def test_fit_constant_radius_is_exact():
     beta = np.linspace(0.0, 0.5, 30)
     r = np.full(30, 0.7)
-    breaks, coef, lam, rms, _ = B.fit_spline(beta, r, K=6, lam=1e-3)
-    assert rms < 1e-12
-    sb = cd.SplineBoundary(1, breaks, coef, lam, rms)
+    sb = fixed.spline_at(beta, r, 6, 1e-3)
+    assert sb.rms < 1e-12
     assert B.evaluate_boundary(sb, np.array([0.05, 0.25, 0.49])) == pytest.approx(
         np.full(3, 0.7), abs=1e-12
     )
@@ -75,16 +75,14 @@ def test_fit_reproduces_straight_line_at_any_smoothing():
     beta = np.linspace(0.0, 0.6, 40)
     r = 0.8 - 0.3 * beta
     for lam in (0.0, 1e-6, 10.0, 1e12):
-        _, _, _, rms, _ = B.fit_spline(beta, r, K=8, lam=lam)
-        assert rms < 1e-8
+        assert fixed.spline_at(beta, r, 8, lam).rms < 1e-8
 
 
 def test_heavy_smoothing_tends_to_least_squares_line():
     rng = np.random.default_rng(1)
     beta = np.linspace(0.0, 0.6, 40)
     r = 0.8 - 0.3 * beta + rng.normal(0.0, 0.01, 40)
-    breaks, coef, lam, rms, _ = B.fit_spline(beta, r, K=8, lam=1e12)
-    sb = cd.SplineBoundary(1, breaks, coef, lam, rms)
+    sb = fixed.spline_at(beta, r, 8, 1e12)
     line = np.polyfit(beta, r, 1)
     probe = np.linspace(0.0, 0.6, 13)
     assert B.evaluate_boundary(sb, probe) == pytest.approx(
@@ -100,7 +98,7 @@ def test_cross_validation_is_deterministic():
     second = B.fit_spline(beta, r, K=10)
     assert first[2] == second[2]
     assert np.array_equal(first[1], second[1])
-    assert first[4] is not None and first[4] > 0.0
+    assert first[4] == second[4] > 0.0
 
 
 def test_insufficient_samples_rejected():
@@ -111,15 +109,12 @@ def test_insufficient_samples_rejected():
         B.fit_spline(np.full(30, 0.25), np.full(30, 0.7), K=4)
 
 
-def test_fit_spline_rejects_bad_segment_counts_and_smoothing():
+def test_fit_spline_rejects_bad_segment_counts():
     beta = np.linspace(0.0, 0.5, 30)
     r = np.full(30, 0.7)
     for K in (0, -2):
         with pytest.raises(ValueError, match=f"K={K} spline segments"):
             B.fit_spline(beta, r, K=K)
-    for lam in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"lam={lam} must be finite"):
-            B.fit_spline(beta, r, K=4, lam=lam)
 
 
 @pytest.mark.parametrize(
@@ -150,8 +145,7 @@ def test_counts_and_corners_must_be_integers(split_boundaries, call, message):
 def test_extrapolation_is_linear():
     beta = np.linspace(0.1, 0.5, 30)
     r = 0.7 - 0.2 * beta + 0.3 * beta**2
-    breaks, coef, lam, rms, _ = B.fit_spline(beta, r, K=6, lam=0.0)
-    sb = cd.SplineBoundary(1, breaks, coef, lam, rms)
+    sb = fixed.spline_at(beta, r, 6, 0.0)
     for probes in (np.array([0.5, 0.6, 0.7, 0.8]), np.array([0.1, 0.05, 0.0, -0.05])):
         vals = np.asarray(B.evaluate_boundary(sb, probes))
         second_diff = vals[2:] - 2 * vals[1:-1] + vals[:-2]
@@ -163,9 +157,7 @@ def test_is_concave_tracks_curvature_sign():
     cap = 0.8 - 0.5 * (beta - 0.5) ** 2
     cup = 0.4 + 0.5 * (beta - 0.5) ** 2
     for samples, expected in ((cap, True), (cup, False)):
-        breaks, coef, lam, rms, _ = B.fit_spline(beta, samples, K=8, lam=1e-6)
-        sb = cd.SplineBoundary(1, breaks, coef, lam, rms)
-        assert B.is_concave(sb) is expected
+        assert B.is_concave(fixed.spline_at(beta, samples, 8, 1e-6)) is expected
 
 
 def test_boundary_samples_are_sorted_frontier(solve200):
@@ -210,6 +202,19 @@ def test_fast_member_many_refuses_a_batch_that_is_not_2_d(split_boundaries, shap
     assert str(info.value) == (
         f"fast membership needs 2-type posteriors, shape (n, 3), not {shape}"
     )
+
+
+def test_fast_member_many_reads_a_list_of_rows(split_boundaries, grid200):
+    """Rows given as lists answer as the array does, and a list of rows of
+    the wrong width gets the shape refusal, where both ended in an
+    AttributeError."""
+    spec, _, fitted = split_boundaries
+    pis = grid200.nodes[::97]
+    assert np.array_equal(cd.fast_member_many(spec, fitted, pis.tolist()),
+                          cd.fast_member_many(spec, fitted, pis))
+    with pytest.raises(ValueError) as info:
+        cd.fast_member_many(spec, fitted, [[0.5, 0.5]])
+    assert str(info.value) == "fast membership needs 2-type posteriors, shape (n, 3), not (1, 2)"
 
 
 @pytest.mark.parametrize(
@@ -356,29 +361,41 @@ def test_curve_for_a_corner_outside_the_2_type_model_refused(corner):
         cd.SplineBoundary(corner, np.linspace(0.0, 1.0, 5), np.full(7, 0.3), 1.0, 0.0)
 
 
+#: A well-formed 4-segment curve, which each malformed case edits.
+CURVE = dict(knots=np.linspace(0.0, 1.0, 5), coefficients=np.full(7, 0.3), lam=1.0, rms=0.0)
+
+
 @pytest.mark.parametrize(
-    "knots,coefficients,message",
+    "fields,message",
     [
-        (np.linspace(0.0, 1.0, 5), np.r_[np.full(7, 0.3), 5.0, 9.0],
-         "has coefficients of shape (9,), expected (7,)"),
-        (np.linspace(0.0, 1.0, 5), np.full(6, 0.3),
-         "has coefficients of shape (6,), expected (7,)"),
-        (np.linspace(0.0, 1.0, 5), np.full((7, 1), 0.3),
-         "has coefficients of shape (7, 1), expected (7,)"),
-        (np.array([0.0, 0.5, 0.5, 1.0]), np.full(6, 0.3), "needs two or more"),
-        (np.array([1.0, 0.5, 0.0]), np.full(5, 0.3), "needs two or more"),
-        (np.array([0.5]), np.full(3, 0.3), "needs two or more"),
-        (np.linspace(0.0, 1.0, 5)[None, :], np.full(7, 0.3), "needs two or more"),
+        ({"coefficients": np.r_[np.full(7, 0.3), 5.0, 9.0]},
+         " has coefficients of shape (9,), expected (7,)"),
+        ({"coefficients": np.full(6, 0.3)}, " has coefficients of shape (6,), expected (7,)"),
+        ({"coefficients": np.full((7, 1), 0.3)},
+         " has coefficients of shape (7, 1), expected (7,)"),
+        ({"knots": np.array([0.0, 0.5, 0.5, 1.0]), "coefficients": np.full(6, 0.3)},
+         " needs two or more"),
+        ({"knots": np.array([1.0, 0.5, 0.0]), "coefficients": np.full(5, 0.3)},
+         " needs two or more"),
+        ({"knots": np.array([0.5]), "coefficients": np.full(3, 0.3)}, " needs two or more"),
+        ({"knots": np.linspace(0.0, 1.0, 5)[None, :]}, " needs two or more"),
+        ({"lam": -1.0}, ": lambda=-1.0 must be finite and nonnegative"),
+        ({"lam": math.inf}, ": lambda=inf must be finite and nonnegative"),
+        ({"rms": -1.0}, ": rms=-1.0 must be finite and nonnegative"),
+        ({"rms": math.nan}, ": rms=nan must be finite and nonnegative"),
     ],
     ids=["extra-coefficients", "missing-coefficient", "2-D-coefficients",
-         "repeated-knot", "decreasing-knots", "one-knot", "2-D-knots"],
+         "repeated-knot", "decreasing-knots", "one-knot", "2-D-knots",
+         "lambda-negative", "lambda-inf", "rms-negative", "rms-nan"],
 )
-def test_malformed_curve_refused(knots, coefficients, message):
+def test_malformed_curve_refused(fields, message):
     """Knots must be 1-D and strictly increasing and there must be one
-    coefficient per B-spline, or scipy silently ignores the extras."""
+    coefficient per B-spline, or scipy silently ignores the extras; the
+    smoothing and the fit's rms are finite and nonnegative, as a fit
+    writes them."""
     with pytest.raises(ValueError) as info:
-        cd.SplineBoundary(1, knots, coefficients, 1.0, 0.0)
-    assert str(info.value).startswith(f"boundary curve for corner 1 {message}")
+        cd.SplineBoundary(1, **{**CURVE, **fields})
+    assert str(info.value).startswith(f"boundary curve for corner 1{message}")
     assert "\n" not in str(info.value)
 
 

@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +161,11 @@ def test_fit_boundary_outputs(runner, model_path, tmp_path):
     result = runner.invoke(main, ["fit-boundary", region_csv, "-j", "1", "-o", out])
     assert result.exit_code == 0, result.output
     assert "rms=" in result.output and "lambda=" in result.output
+    assert "cv_sse=" in result.output
+    # cross-validation picks the smoothing, which the report records
+    manifest = json.loads((tmp_path / "g1.json.manifest.json").read_text())
+    assert manifest["parameters"] == {"j": 1, "K": 12}
+    assert manifest["report"]["cv_sse"] > 0.0
     loaded = cd.load_boundaries(out)
     assert loaded[1].corner == 1
     # sample scatter around the true curve is at the lattice scale
@@ -374,14 +382,12 @@ def test_fit_boundary_loads_no_numpy_ma(runner, model_path, tmp_path):
 
 
 def test_regions_and_fit_boundary_load_no_scipy(runner, model_path, tmp_path):
-    """regions at the table's own stop_tol and at another (which rebuilds T)
-    and fit-boundary for both corners load no scipy module."""
+    """regions and fit-boundary for both corners load no scipy module."""
     table_path = str(tmp_path / "t.cdvt")
     assert solve_to(runner, model_path, table_path, "-Q", "60").exit_code == 0
     curves = [str(tmp_path / f"b{j}.json") for j in (1, 2)]
     args = [
         ["regions", table_path, "-o", str(tmp_path / "r.csv")],
-        ["regions", table_path, "--stop-tol", "1e-3", "-o", str(tmp_path / "r2.csv")],
         *(["fit-boundary", str(tmp_path / "r.csv"), "-j", str(j), "-o", out]
           for j, out in zip((1, 2), curves)),
     ]
@@ -391,7 +397,6 @@ def test_regions_and_fit_boundary_load_no_scipy(runner, model_path, tmp_path):
         "    assert main(args, standalone_mode=False) in (None, 0)\n"
     )
     assert modules_after(code, tmp_path) == []
-    assert (tmp_path / "r2.csv").exists()
     both = tmp_path / "bb.json"
     both.write_text(json.dumps([json.loads(Path(out).read_text()) for out in curves]))
     result = runner.invoke(main, ["simulate", model_path, "--boundaries", str(both),
@@ -829,11 +834,8 @@ def artefacts(tmp_path_factory):
         (["solve", "model.json", "--max-iter", "0"], "max_iter=0 must be at least 1"),
         (["solve", "model.json", "-Q", "0"], "Q=0"),
         (["regions", "t20.cdvt", "--compare-table", "t10.cdvt"], "regions on one grid"),
-        (["regions", "t20.cdvt", "--stop-tol", "nan"], "stop_tol=nan must be finite"),
         (["fit-boundary", "r.csv", "-j", "1", "-K", "0"], "K=0 spline segments"),
         (["fit-boundary", "r.csv", "-j", "1", "-K", "-2"], "K=-2 spline segments"),
-        (["fit-boundary", "r.csv", "-j", "1", "--lam", "-1"], "lam=-1.0 must be finite"),
-        (["fit-boundary", "r.csv", "-j", "1", "--lam", "nan"], "lam=nan must be finite"),
         (["simulate", "model.json", "--baseline", "stop-at-5", "--n-max", "-5"],
          "n_max=-5 must be nonnegative"),
         (["simulate", "model.json", "--baseline", "stop-at-5", "--threads", "0"],
@@ -905,7 +907,8 @@ def artefacts(tmp_path_factory):
          "malformed t20-converged-yes.cdvt.json: table sidecar: 'yes' is not true or false"),
         (["simulate", "model.json", "--table", "t20-stop-tol-nan.cdvt", "--runs", "5"],
          "malformed t20-stop-tol-nan.cdvt.json: table sidecar: "
-         "stop_tol=nan and sup_change=8.305009400366714e-05 must be one finite value"),
+         "stop_tol=nan contradicts sup_change=8.305009400366714e-05 and tol=0.0001, "
+         "which give 8.305009400366714e-05"),
         (["regions", "t20-Q-0.cdvt"],
          "malformed t20-Q-0.cdvt.json: table sidecar: Q=0 must be at least 1"),
         (["regions", "t20-Q-5000.cdvt"],
@@ -943,10 +946,12 @@ def artefacts(tmp_path_factory):
          "model document has num_types=3, but its densities give 2"),
         (["regions", "t20-converged-false.cdvt"],
          "malformed t20-converged-false.cdvt.json: table sidecar: "
-         "converged=false contradicts criterion 'delta'"),
+         "converged=False contradicts sup_change=8.305009400366714e-05 and tol=0.0001, "
+         "which give True"),
         (["simulate", "model.json", "--table", "t20-criterion-gap.cdvt", "--runs", "5"],
          "malformed t20-criterion-gap.cdvt.json: table sidecar: "
-         "criterion 'gap' is not one of delta, max_iter"),
+         "criterion='gap' contradicts sup_change=8.305009400366714e-05 and tol=0.0001, "
+         "which give 'delta'"),
         (["derive-sa", "sa.json", "--delay-cost", "1", "--terminal-costs", "tc-vector.json"],
          "tc-vector.json: terminal costs must be a numeric matrix (it has shape (3,))"),
         (["derive-sa", "sa.json", "--delay-cost", "1"],
@@ -957,11 +962,8 @@ def artefacts(tmp_path_factory):
         "solve-max-iter-0",
         "solve-Q-0",
         "regions-compare-other-Q",
-        "regions-stop-tol-nan",
         "fit-K-0",
         "fit-K-minus-2",
-        "fit-lam-minus-1",
-        "fit-lam-nan",
         "simulate-n-max-minus-5",
         "simulate-threads-0",
         "derive-sa-list-document",
@@ -1050,13 +1052,12 @@ SIMULATE_STOP_AT_1 = ["simulate", "model.json", "--baseline", "stop-at-1"]
         (["solve", "model.json", "--tol", "1_0e-4"], "'1_0e-4' is not a valid float."),
         (["solve", "model.json", "--tol", "١e-4"], "'١e-4' is not a valid float."),
         (["fit-boundary", "r.csv", "-j", "١"], "'١' is not a valid integer."),
-        (["regions", "t20.cdvt", "--stop-tol", "1e-0_3"], "'1e-0_3' is not a valid float."),
         (["derive-sa", "sa.json", "--delay-cost", "0x1", *DERIVE_COSTS[2:]],
          "'0x1' is not a valid float."),
     ],
     ids=["runs-abc", "runs-underscore", "runs-arabic-digits", "seed-space",
          "solve-Q-underscore", "solve-tol-underscore", "solve-tol-arabic-digit",
-         "fit-j-arabic-digit", "regions-stop-tol-underscore", "derive-sa-hex-cost"],
+         "fit-j-arabic-digit", "derive-sa-hex-cost"],
 )
 def test_numeric_options_read_ascii_decimal_text_only(artefacts, monkeypatch, args, refusal):
     """int() and float() also read underscores, other scripts' digits and
@@ -1068,6 +1069,65 @@ def test_numeric_options_read_ascii_decimal_text_only(artefacts, monkeypatch, ar
     assert result.stdout == ""
     assert result.stderr.endswith(refusal + "\n"), result.stderr
     assert not (artefacts / "out").exists()
+
+
+#: Every option of every command, by its spellings.
+CLI_OPTIONS = {
+    "solve": ["-Q/--resolution", "--tol", "--max-iter", "-o/--out"],
+    "regions": ["--compare-table", "-o/--out"],
+    "fit-boundary": ["-j/--corner", "-K/--segments", "-o/--out"],
+    "simulate": ["--table", "--boundaries", "--baseline", "--runs", "--seed", "--n-max",
+                 "--threads", "--trace", "-o/--out"],
+    "diagnose": ["--table", "--boundaries", "--stream", "--echo-posterior"],
+    "derive-sa": ["--delay-cost", "--false-alarm", "--misdiagnosis", "--terminal-costs",
+                  "-o/--out"],
+}
+
+#: Every parameter with a default of a public function or method (its
+#: ``__init__`` included) that a module of the package defines.
+DEFAULTED_PARAMETERS = {
+    "regions.check_region_properties": {"other": None},
+    "simulator.Environment.__init__": {"run_index": 0},
+    "simulator.estimate_risk": {"n_max": cd.DEFAULT_N_MAX, "threads": 1},
+    "solver.TransitionOperator.matvec": {"out": None},
+    "solver.value_iterate": {"tol": 1e-4, "max_iter": 100_000},
+}
+
+
+def _defaulted_parameters() -> dict:
+    found = {}
+    for info in pkgutil.iter_modules(cd.__path__):
+        module = importlib.import_module(f"changediag.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = [(name, obj)]
+            elif inspect.isclass(obj):
+                members = [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                           if inspect.isfunction(fn)
+                           and (attr == "__init__" or not attr.startswith("_"))]
+            else:
+                continue
+            for qualname, fn in members:
+                defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                            if p.default is not p.empty}
+                if defaults:
+                    found[f"{info.name}.{qualname}"] = defaults
+    return found
+
+
+def test_every_knob_is_listed():
+    """An option or a defaulted parameter is a setting that every test and
+    benchmark must cover, so adding one means adding it to the lists
+    above.  A value the code can work out is not one: the region slack and
+    the spline smoothing are not."""
+    options = {name: ["/".join(param.opts) for param in command.params
+                      if isinstance(param, click.Option)]
+               for name, command in main.commands.items()}
+    assert options == CLI_OPTIONS
+    assert _defaulted_parameters() == DEFAULTED_PARAMETERS
+    assert sum(map(len, DEFAULTED_PARAMETERS.values())) == 7
 
 
 def test_no_option_keeps_a_plain_number_type():

@@ -26,8 +26,7 @@ def small_table():
     grid = cd.build_grid(2, 6)
     return cd.ValueTable(grid=grid, values=np.linspace(0.0, 1.0, grid.n_nodes),
                          labels=(np.arange(grid.n_nodes) % 3).astype(np.int8),
-                         iterations=21, sup_change=5e-5, error_bound=0.25, tol=1e-4,
-                         criterion="delta")
+                         iterations=21, sup_change=5e-5, error_bound=0.25, tol=1e-4)
 
 
 def three_component_system():
@@ -182,20 +181,21 @@ def _refusal_of_sidecar(tmp_path, **fields):
 @pytest.mark.parametrize("stop_tol", [math.nan, math.inf, -math.inf])
 def test_sidecar_refuses_a_non_finite_stop_tol(tmp_path, stop_tol):
     """A NaN stop_tol used to load, and a table strategy on it never
-    stopped a run; the sidecar is refused by extract_region's rule."""
+    stopped a run."""
     assert _refusal_of_sidecar(tmp_path, stop_tol=stop_tol) == (
-        f"stop_tol={stop_tol} and sup_change=5e-05 must be one finite value"
+        f"stop_tol={stop_tol} contradicts sup_change=5e-05 and tol=0.0001, which give 5e-05"
     )
 
 
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ({"stop_tol": 1e-3}, "stop_tol=0.001 and sup_change=5e-05 must be one finite value"),
+        ({"stop_tol": 1e-3},
+         "stop_tol=0.001 contradicts sup_change=5e-05 and tol=0.0001, which give 5e-05"),
         ({"stop_tol": math.nan, "sup_change": math.nan},
-         "stop_tol=nan and sup_change=nan must be one finite value"),
+         "sup_change=nan must be finite and nonnegative"),
         ({"stop_tol": math.inf, "sup_change": math.inf},
-         "stop_tol=inf and sup_change=inf must be one finite value"),
+         "sup_change=inf must be finite and nonnegative"),
     ],
     ids=["other-than-sup-change", "both-nan", "both-inf"],
 )

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,8 @@ from changediag.regions import (
     boundary_nodes,
     corner_node,
 )
-from changediag.solver import transition_matrix
 
+import fixed
 import instances
 import oracles
 
@@ -116,7 +117,8 @@ def test_nestedness_of_truncated_regions():
     regions = {}
     for n in (5, 50):
         table = cd.value_iterate(spec, grid, tol=1e-300, max_iter=n)
-        regions[n] = cd.extract_region(spec, table, stop_tol=0.0)
+        # the paper's nestedness holds at zero slack
+        regions[n] = fixed.region_at(spec, table, 0.0)
     report = cd.check_region_properties(regions[50], regions[5])
     assert report["nested"]["ok"]
     assert report["nested"]["violations"] == 0
@@ -383,13 +385,37 @@ def test_import_reads_header_numbers_as_ascii_decimal_text(exported_csv, old, ne
         cd.import_region(str(exported_csv))
 
 
+def _import_edited(path, pattern, text):
+    """Import the region of the table at ``path``.cdvt, exported to
+    ``path``.csv with ``pattern`` in its header replaced by ``text``."""
+    table, spec = cd.load_table(f"{path}.cdvt")
+    csv_path = f"{path}.csv"
+    cd.export_region(cd.extract_region(spec, table), csv_path)
+    with open(csv_path, newline="") as fh:
+        head, rest = fh.readline(), fh.read()
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(re.sub(pattern, text, head) + rest)
+    return cd.import_region(csv_path)
+
+
 @pytest.mark.parametrize(
     "act,message",
     [
         (lambda path: cd.import_region(str(path.with_suffix(".cdvt.json"))),
          "{path}.cdvt.json: not a region export"),
+        (lambda path: _import_edited(path, r" N=\d+ ", " N=0 "),
+         "{path}.csv: malformed region header (N=0 must be at least 1)"),
+        (lambda path: _import_edited(path, r" N=\d+ ", " N=-3 "),
+         "{path}.csv: malformed region header (N=-3 must be at least 1)"),
+        (lambda path: _import_edited(path, r" stop_tol=\S+ ", " stop_tol=-1 "),
+         "{path}.csv: malformed region header (stop_tol=-1.0 must be finite and nonnegative)"),
+        (lambda path: _import_edited(path, r" stop_tol=\S+ ", " stop_tol=nan "),
+         "{path}.csv: malformed region header (stop_tol=nan must be finite and nonnegative)"),
+        (lambda path: _import_edited(path, r" stop_tol=\S+ ", " stop_tol=inf "),
+         "{path}.csv: malformed region header (stop_tol=inf must be finite and nonnegative)"),
     ],
-    ids=["import-a-table-sidecar"],
+    ids=["import-a-table-sidecar", "import-N-0", "import-N-minus-3", "import-stop-tol-minus-1",
+         "import-stop-tol-nan", "import-stop-tol-inf"],
 )
 def test_region_file_refusals_are_one_line(tmp_path, act, message):
     spec = instances.FIGURES["merged"]
@@ -447,28 +473,16 @@ def test_check_and_export_peak_memory_is_bounded_per_node(merged_region, tmp_pat
         assert peak <= per_node * region.grid.n_nodes
 
 
-@pytest.mark.parametrize("stop_tol", [None, 0.0, 1e-3])
-def test_extract_region_from_loaded_table_matches_recomputation(tmp_path, stop_tol):
+def test_extract_region_from_loaded_table_matches_recomputation(tmp_path):
+    """The stored labels are the Bellman stop rule at the table's own
+    slack, recomputed here from T."""
     spec = instances.FIGURES["merged"]
-    grid = cd.build_grid(2, 40)
     path = str(tmp_path / "t.cdvt")
-    cd.save_table(cd.value_iterate(spec, grid), spec, path)
+    cd.save_table(cd.value_iterate(spec, cd.build_grid(2, 40)), spec, path)
     table, _ = cd.load_table(path)
-    region = cd.extract_region(spec, table, stop_tol)
-
-    tol = table.stop_tol if stop_tol is None else stop_tol
-    h_all = grid.nodes @ spec.a
-    cont = spec.c * (1.0 - grid.nodes[:, 0]) + transition_matrix(spec, grid).matvec(table.values)
-    expected = np.where(h_all.min(axis=1) <= cont + tol, h_all.argmin(axis=1) + 1, 0)
-    assert np.array_equal(region.labels, expected)
-    assert region.stop_tol == tol
-
-
-def test_extract_region_rejects_a_non_finite_stop_tol(solve200):
-    spec, table = solve200("merged")
-    for stop_tol in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=f"stop_tol={stop_tol} must be finite"):
-            cd.extract_region(spec, table, stop_tol)
+    region = cd.extract_region(spec, table)
+    assert np.array_equal(region.labels, fixed.labels_at(spec, table, table.stop_tol))
+    assert region.stop_tol == table.stop_tol
 
 
 def reference_neighbors(grid):

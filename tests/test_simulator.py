@@ -579,10 +579,18 @@ def test_monte_carlo_inputs_are_validated():
             env.symbol(n)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, 1.5, -0.1, math.inf])
-def test_posterior_threshold_outside_unit_interval_rejected(threshold):
-    with pytest.raises(ValueError, match=f"threshold={threshold} must lie in"):
+@pytest.mark.parametrize(
+    "threshold,message",
+    [(math.nan, "threshold=nan must lie in [0, 1]"), (1.5, "threshold=1.5 must lie in [0, 1]"),
+     (-0.1, "threshold=-0.1 must lie in [0, 1]"), (math.inf, "threshold=inf must lie in [0, 1]"),
+     (True, "threshold holds True, not a number")],
+    ids=["nan", "1.5", "-0.1", "inf", "bool"],
+)
+def test_posterior_threshold_outside_unit_interval_rejected(threshold, message):
+    """A bool is refused rather than read as the threshold 1.0."""
+    with pytest.raises(ValueError) as info:
         PosteriorThreshold(threshold)
+    assert str(info.value) == message
     assert PosteriorThreshold(0.0).threshold == 0.0
     assert PosteriorThreshold(1.0).threshold == 1.0
 

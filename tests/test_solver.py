@@ -281,7 +281,7 @@ def backup(spec, pis, TV):
     (T V) there: action 0 continues, j > 0 announces type j; ties stop."""
     h_all = h_values_many(spec, pis)
     cont = spec.c * (1.0 - pis[:, 0]) + TV
-    action = solver._labels(h_all, h_all.min(axis=1), cont, 0.0)
+    action = posterior._announce(h_all, h_all.min(axis=1) <= cont)
     return np.where(action > 0, h_all.min(axis=1), cont), action
 
 
@@ -382,11 +382,18 @@ def test_value_iterate_error_bound_formula():
     assert (norm_h**2 / spec.c + norm_h / spec.p) / 2100 == pytest.approx(0.01, rel=1e-12)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
-def test_value_iterate_rejects_non_finite_tol(tol):
+@pytest.mark.parametrize(
+    "tol,message",
+    [(math.nan, "tol=nan must be finite"), (math.inf, "tol=inf must be finite"),
+     (-math.inf, "tol=-inf must be finite"), (True, "tol holds True, not a number")],
+    ids=["nan", "inf", "-inf", "bool"],
+)
+def test_value_iterate_rejects_non_finite_tol(tol, message):
+    """A bool is refused rather than read as tol 1.0."""
     spec = instances.shiryaev_binary()
-    with pytest.raises(ValueError, match=f"tol={tol} must be finite"):
+    with pytest.raises(ValueError) as info:
         cd.value_iterate(spec, cd.build_grid(1, 10), tol=tol, max_iter=5)
+    assert str(info.value) == message
 
 
 _BOUND_CASES = {
@@ -415,12 +422,16 @@ def test_sweep_change_is_under_the_bound_of_the_sweeps_before(name):
 
 def test_stop_tol_is_the_last_sweep_change(solve200):
     """The labels are solved at the last sweep change; the table stores it
-    once, and its record has no other slack to set."""
+    once, and its record has no other slack to set.  The stop that ended
+    the sweeps follows from the sweep change and tol too."""
     _, table = solve200("merged")
     assert table.stop_tol == table.sup_change > 0.0
     fields = [f.name for f in dataclasses.fields(cd.ValueTable)]
     assert fields == ["grid", "values", "labels", "iterations", "sup_change",
-                      "error_bound", "tol", "criterion"]
+                      "error_bound", "tol"]
+    assert table.criterion == "delta" and table.converged
+    capped = dataclasses.replace(table, sup_change=table.tol)
+    assert capped.criterion == "max_iter" and not capped.converged
 
 
 @pytest.mark.parametrize(
@@ -586,27 +597,51 @@ def test_load_table_rejects_sidecar_header_mismatch(saved_table, key, wrong):
         cd.load_table(saved_table)
 
 
+#: The tail of a refusal of a stored value that the record derives
+#: otherwise, formatted with the edited sidecar.
+GIVE = "contradicts sup_change={sup_change!r} and tol={tol!r}, which give"
+
+
 @pytest.mark.parametrize(
     "fields,message",
     [
         ({"magic": "CDVX"}, "magic 'CDVX' is not 'CDVT'"),
-        ({"criterion": "gap"}, "criterion 'gap' is not one of delta, max_iter"),
-        ({"criterion": "bound"}, "criterion 'bound' is not one of delta, max_iter"),
-        ({"criterion": 3}, "criterion 3 is not one of delta, max_iter"),
-        ({"converged": False}, "converged=false contradicts criterion 'delta'"),
-        ({"criterion": "max_iter"}, "converged=true contradicts criterion 'max_iter'"),
+        ({"criterion": "gap"}, f"criterion='gap' {GIVE} 'delta'"),
+        ({"criterion": "bound"}, f"criterion='bound' {GIVE} 'delta'"),
+        ({"criterion": 3}, f"criterion=3 {GIVE} 'delta'"),
+        ({"converged": False}, f"converged=False {GIVE} True"),
+        ({"criterion": "max_iter", "sup_change": 1e-3, "stop_tol": 1e-3},
+         f"converged=True {GIVE} False"),
         ({"model": {**spec_to_dict(instances.FIGURES["merged"]), "num_types": 3}},
          "model document has num_types=3, but its densities give 2"),
+        ({"iterations": 0}, "iterations=0 must be at least 1"),
+        ({"iterations": -5}, "iterations=-5 must be at least 1"),
+        ({"tol": -1.0}, "tol=-1.0 must be positive"),
+        ({"tol": 0.0}, "tol=0.0 must be positive"),
+        ({"tol": math.nan}, "tol=nan must be finite"),
+        ({"error_bound": -3.0}, "error_bound=-3.0 must be finite and nonnegative"),
+        ({"error_bound": math.inf}, "error_bound=inf must be finite and nonnegative"),
+        ({"sup_change": -1e-5, "stop_tol": -1e-5},
+         "sup_change=-1e-05 must be finite and nonnegative"),
+        ({"sup_change": 5.0, "stop_tol": 5.0}, f"criterion='delta' {GIVE} 'max_iter'"),
     ],
     ids=["magic", "criterion-unknown", "criterion-bound", "criterion-number", "converged-false",
-         "converged-true", "model-sizes"],
+         "converged-true", "model-sizes", "iterations-0", "iterations-minus-5", "tol-minus-1",
+         "tol-0", "tol-nan", "error-bound-minus-3", "error-bound-inf", "sup-change-negative",
+         "delta-over-tol"],
 )
 def test_load_table_refuses_a_sidecar_record_in_one_line(saved_table, fields, message):
+    """Each row is a record the solver cannot write; the last one, a
+    "delta" stop with a sweep change over tol, used to load, and a table
+    strategy on it stopped wherever h - V <= 5."""
     assert json.loads(pathlib.Path(saved_table + ".json").read_text())["criterion"] == "delta"
     _edit_sidecar(saved_table, **fields)
+    doc = json.loads(pathlib.Path(saved_table + ".json").read_text())
     with pytest.raises(ValueError) as info:
         cd.load_table(saved_table)
-    assert str(info.value) == f"malformed {saved_table}.json: table sidecar: {message}"
+    assert str(info.value) == (
+        f"malformed {saved_table}.json: table sidecar: {message.format(**doc)}"
+    )
 
 
 def test_load_table_names_the_sidecar_of_a_grid_over_the_cap(saved_table):
