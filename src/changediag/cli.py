@@ -193,10 +193,11 @@ def regions(table_path: str, compare_table: str | None, out: str) -> None:
         out,
         "regions",
         {"table": table_path, "compare_table": compare_table},
-        {"stop_tol": region.stop_tol},
+        {},
         [out, report_path],
         started,
-        report=report,
+        # the labels' slack is the table's, not a setting of this run
+        report={**report, "stop_tol": region.stop_tol},
         timings=phases.seconds,
     )
     for j, entry in report["labels"].items():

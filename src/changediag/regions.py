@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _decimal
-from .model import ProblemSpec, _check_int, _fmt, _nonnegative
+from .model import ProblemSpec, _check_int, _nonnegative
 from .posterior import _row_min, h_values_many
 from .solver import SimplexGrid, ValueTable, _rank, _rank_shifts, build_grid
 
@@ -340,7 +340,7 @@ def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the narrowest unsigned dtype that holds it.
 
     Floats are told apart by bit pattern: 0.0 and -0.0 compare equal but
-    print as "0" and "-0".
+    print as "0.0" and "-0.0".
     """
     floats = col.dtype == np.float64
     values, inv = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
@@ -356,46 +356,48 @@ def export_region(region: StoppingRegion, path: str) -> None:
     label, value and terminal costs; at other M the format is "raw", without
     plot coordinates.  The first line is a comment carrying the grid shape,
     the extraction parameters and the format, so the file round-trips
-    through import_region.  Integers are written in decimal, floats with 17
-    significant digits (exact round trip), rows end in CRLF.
+    through import_region.  Integers are written in decimal, floats as
+    ``repr`` writes them, the shortest text that reads back as the same
+    float64; rows end in CRLF.
     """
     grid = region.grid
     M = grid.M
     fmt = "embedded" if M in (2, 3) else "raw"
 
-    # (name, printf format, the column's distinct values, each node's index
-    # into them).  A column fixed by the lattice is a function of one
-    # coordinate k_i, so its values are those at k_i = 0..Q, indexed by k_i.
+    # (name, the column's distinct values, each node's index into them).  A
+    # column fixed by the lattice is a function of one coordinate k_i, so
+    # its values are those at k_i = 0..Q, indexed by k_i.
     steps = np.arange(grid.Q + 1)
     fractions = steps / grid.Q
-    columns = [(f"k{i}", "%d", steps, grid.lattice[:, i]) for i in range(M + 1)]
-    columns += [(f"pi{i}", "%.17g", fractions, grid.lattice[:, i]) for i in range(M + 1)]
+    columns = [(f"k{i}", steps, grid.lattice[:, i]) for i in range(M + 1)]
+    columns += [(f"pi{i}", fractions, grid.lattice[:, i]) for i in range(M + 1)]
     if fmt == "embedded":
         xyz = embed(grid.nodes)
-        columns += [("xyz"[i], "%.17g", *_distinct(xyz[:, i])) for i in range(M - 1)]
+        columns += [("xyz"[i], *_distinct(xyz[:, i])) for i in range(M - 1)]
         # the last coordinate of either embedding is pi_M
-        columns.append(("xyz"[M - 1], "%.17g", fractions, grid.lattice[:, M]))
+        columns.append(("xyz"[M - 1], fractions, grid.lattice[:, M]))
     columns += [
-        ("label", "%d", *_distinct(region.labels)),
-        ("value", "%.17g", *_distinct(region.values)),
-        ("h", "%.17g", *_distinct(_row_min(region.h_all))),
+        ("label", *_distinct(region.labels)),
+        ("value", *_distinct(region.values)),
+        ("h", *_distinct(_row_min(region.h_all))),
     ]
-    columns += [(f"h{j}", "%.17g", *_distinct(region.h_all[:, j - 1])) for j in range(1, M + 1)]
-    header = ",".join(name for name, _, _, _ in columns)
+    columns += [(f"h{j}", *_distinct(region.h_all[:, j - 1])) for j in range(1, M + 1)]
+    header = ",".join(name for name, _, _ in columns)
 
     # Each distinct value is formatted once, its text already carrying the
-    # separator that follows it, and rows are gathered by index.
+    # separator that follows it, and rows are gathered by index.  ``tolist``
+    # gives Python ints and floats, whose repr is the text to write.
     seps = [","] * (len(columns) - 1) + ["\r\n"]
     texts = [
-        np.array([conv % v + sep for v in values.tolist()], dtype=object)
-        for (_, conv, values, _), sep in zip(columns, seps)
+        np.array([repr(v) + sep for v in values.tolist()], dtype=object)
+        for (_, values, _), sep in zip(columns, seps)
     ]
-    index = [idx for _, _, _, idx in columns]
+    index = [idx for _, _, idx in columns]
 
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# changediag-region M={M} Q={grid.Q} N={region.N_used} "
-            f"stop_tol={_fmt(region.stop_tol)} format={fmt}\n"
+            f"stop_tol={float(region.stop_tol)!r} format={fmt}\n"
         )
         fh.write(header + "\r\n")
         for start in range(0, grid.n_nodes, _EXPORT_CHUNK):

@@ -97,17 +97,25 @@ class SimplexGrid:
         Q: lattice resolution; node coordinates are multiples of 1/Q.
         lattice: integer coordinates, shape (n_nodes, M+1), rows summing
             to Q, in ascending lexicographic order (a node's id is its row).
-        nodes: lattice / Q as float64.
+
+    The grid holds no float copy of the lattice: ``nodes`` computes one on
+    each access.
     """
 
     M: int
     Q: int
     lattice: np.ndarray
-    nodes: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return self.lattice.shape[0]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """lattice / Q as float64, read-only."""
+        nodes = self.lattice / self.Q
+        nodes.setflags(write=False)
+        return nodes
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -147,10 +155,8 @@ def build_grid(M: int, Q: int) -> SimplexGrid:
             f"grid M={M}, Q={Q} has {count} nodes, over the cap {DEFAULT_MAX_NODES}"
         )
     lattice = _compositions(Q, M + 1)
-    nodes = lattice.astype(np.float64) / Q
     lattice.setflags(write=False)
-    nodes.setflags(write=False)
-    return SimplexGrid(M=M, Q=Q, lattice=lattice, nodes=nodes)
+    return SimplexGrid(M=M, Q=Q, lattice=lattice)
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,11 +315,12 @@ class TransitionOperator:
     The rows are stored in blocks of ``_TRANSITION_ROWS``.  A block is a
     (width, rows) array of column ids and one of weights: column r of the
     block lists row r's distinct columns in ascending order, padded to the
-    block's width with column 0 at weight 0.  ``matvec`` gathers a
-    block's values into one buffer, scales it by the weights and adds its
-    lines up one after another, so every row is summed from left to right
-    from 0.0, as a CSR product sums it.  A padding entry adds a zero, which
-    changes no bit of the sum while ``values`` is finite.
+    block's width with column 0 at weight 0.  ``matvec`` gathers one line
+    of a block's values at a time into a buffer of one line, scales it by
+    the line's weights and adds it into the block's rows, so every row is
+    summed from left to right from 0.0, as a CSR product sums it.  A
+    padding entry adds a zero, which changes no bit of the sum while
+    ``values`` is finite.
 
     ``indptr``, ``indices`` and ``data`` give the same operator in CSR form,
     with 32-bit indices where they fit; ``indices`` and ``data`` are built
@@ -365,18 +372,19 @@ class TransitionOperator:
             raise ValueError(f"T has shape {self.shape}, got values of shape {values.shape}")
         if out is None:
             out = np.empty(self.shape[0])
-        buf = np.empty(max((ids.size for ids, _ in self._blocks), default=0))
+        # one line, not a block: the buffer then adds little to the sweep
+        buf = np.empty(min(self.shape[0], _TRANSITION_ROWS))
         for b, (ids, w) in enumerate(self._blocks):
             lo = b * _TRANSITION_ROWS
             row = out[lo : lo + ids.shape[1]]
-            terms = buf[: ids.size].reshape(ids.shape)
-            # every id is in range; "clip" skips the slower checks of "raise"
-            np.take(values, ids, out=terms, mode="clip")
-            terms *= w
+            term = buf[: ids.shape[1]]
             # line by line: np.add.reduce sums a one-row block pairwise
-            np.add(terms[0], 0.0, out=row)
-            for line in terms[1:]:
-                row += line
+            row.fill(0.0)
+            for i in range(ids.shape[0]):
+                # every id is in range; "clip" skips the slower checks of "raise"
+                np.take(values, ids[i], out=term, mode="clip")
+                term *= w[i]
+                row += term
         return out
 
 
@@ -384,6 +392,10 @@ def _transition(
     spec: ProblemSpec, grid: SimplexGrid, points: np.ndarray
 ) -> TransitionOperator:
     """One-step expectation operator from ``points`` onto the grid.
+
+    ``points`` are simplex points as floats, or lattice rows as integers,
+    which each chunk of ``_STENCIL_ROWS`` reads as rows / Q: the floats of
+    the whole batch are then never held at once.
 
     Row k holds, for every symbol with positive predictive probability at
     point k, that probability spread over the interpolation stencil of the
@@ -399,6 +411,7 @@ def _transition(
     is stable only that far; wider rows have the order above.
     """
     n, width = points.shape[0], spec.alphabet_size * (grid.M + 1)
+    lattice = points.dtype.kind in "iu"
     counts = np.empty(n, dtype=np.int64)
     blocks = []
     for lo in range(0, n, _TRANSITION_ROWS):
@@ -407,7 +420,8 @@ def _transition(
         # every row is computed alone, so the chunks change no bit of T
         for sub in range(lo, lo + m, _STENCIL_ROWS):
             chunk = slice(sub, min(lo + m, sub + _STENCIL_ROWS))
-            cols, vals, counts[chunk] = _row_entries(spec, grid, points[chunk])
+            rows = points[chunk] / grid.Q if lattice else points[chunk]
+            cols, vals, counts[chunk] = _row_entries(spec, grid, rows)
             ids[:, chunk.start - lo : chunk.stop - lo] = cols.T
             w[:, chunk.start - lo : chunk.stop - lo] = vals.T
         used = counts[lo : lo + m].max()
@@ -469,7 +483,7 @@ def _row_entries(
 
 def transition_matrix(spec: ProblemSpec, grid: SimplexGrid) -> TransitionOperator:
     """One-step expectation operator at every grid node, row k at node k."""
-    return _transition(spec, grid, grid.nodes)
+    return _transition(spec, grid, grid.lattice)
 
 
 def stopping_cost_sup(spec: ProblemSpec) -> float:
@@ -578,19 +592,19 @@ def value_iterate(
 
     Per-node values are non-increasing across sweeps; this is a property of
     the exact operator that could be broken at rounding scale by the
-    product with T, so each sweep is clamped by the previous one.  The
-    sweeps reuse two node vectors: the new values, and the old ones, which
-    then hold the change.
+    product with T, so each sweep is clamped by the previous one.  Beside
+    T the sweeps hold four node vectors: h, the delay cost, the new values,
+    and the old ones, which then hold the change.
     """
     tol = _check_tol(tol)
     max_iter = _check_int("max_iter", max_iter, 1)
 
-    # T first: its build's temporaries then meet no node vector
-    T = transition_matrix(spec, grid)
+    # the node vectors from one float copy of the lattice, dropped before T
     nodes = grid.nodes
-    h_all = h_values_many(spec, nodes)
-    h = _row_min(h_all)
+    h = _row_min(h_values_many(spec, nodes))
     delay = spec.c * (1.0 - nodes[:, 0])
+    del nodes
+    T = transition_matrix(spec, grid)
 
     sup_h = stopping_cost_sup(spec)
     bound_const = sup_h * sup_h / spec.c + sup_h / spec.p
@@ -608,11 +622,13 @@ def value_iterate(
             break
 
     # the Bellman stop rule, h <= c*(1 - pi_0) + T V + sup_change: the
-    # continuation costs and the slack go into the spare sweep vector
+    # continuation costs and the slack go into the spare sweep vector, and
+    # the costs per type are worked out again once T is gone
     T.matvec(V, out=V_new)
+    del T
     V_new += delay
     V_new += sup_change
-    labels = _announce(h_all, h <= V_new)
+    labels = _announce(h_values_many(spec, grid.nodes), h <= V_new)
 
     return ValueTable(
         grid=grid,

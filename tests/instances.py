@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from changediag import ProblemSpec, SuspendedAnimationSpec, derive_suspended_animation, phi_binary
+from changediag import (
+    ProblemSpec, SuspendedAnimationSpec, derive_suspended_animation, make_hypothesis_testing,
+    phi_binary
+)
 
 TWO_TYPE_F = np.array(
     [
@@ -81,6 +84,20 @@ def hypothesis_testing_two_type() -> ProblemSpec:
         f=TWO_TYPE_F,
         c=1.0,
         a=np.array([[10.0, 10.0], [0.0, 3.0], [3.0, 0.0]]),
+    )
+
+
+#: (q, c) of the symmetric binary two-hypothesis tests that
+#: ``oracles.sprt_value`` solves exactly, and their terminal costs.
+SPRT_CASES = ((0.7, 0.05), (0.6, 0.01), (0.55, 0.005))
+SPRT_COSTS = [[10.0, 10.0], [0.0, 3.0], [3.0, 0.0]]
+
+
+def sprt(q: float, c: float) -> ProblemSpec:
+    """Two hypotheses at prior (1/2, 1/2) with binary symbols,
+    f_1 = (q, 1 - q) and f_2 = (1 - q, q), c per observation."""
+    return make_hypothesis_testing(
+        [0.5, 0.5], [[0.5, 0.5], [q, 1.0 - q], [1.0 - q, q]], c, SPRT_COSTS
     )
 
 

@@ -132,6 +132,47 @@ def horizon_value(spec: ProblemSpec, H: int) -> float:
     return value([], H)
 
 
+def sprt_value(q: float, c: float, a, l0):
+    """Exact optimal cost of the two-hypothesis test at the log-odds
+    ``l0`` = log(pi_1 / pi_2), a number or an array of them (+-inf at the
+    corners of the face pi_0 = 0).
+
+    The change has already happened; each observation costs ``c`` and is
+    binary, with f_1 = (q, 1 - q) and f_2 = (1 - q, q); announcing type j
+    under hypothesis i costs ``a[i][j - 1]`` (the model's cost matrix, whose
+    row 0 does not enter).  A symbol moves the log-odds by +-d,
+    d = log(q / (1 - q)), so from l0 the posterior walks on l0 + k d for
+    integer k.  Where stopping costs at most c it is optimal, since going on
+    costs c at least; those states bound the walk, and value iteration from
+    the stopping cost over the states between them, each iterate clamped by
+    the one before, falls to the fixed point and ends when an iteration
+    changes nothing.
+    """
+    a = np.asarray(a, dtype=np.float64)[1:]
+    l0 = np.asarray(l0, dtype=np.float64)
+    d = math.log(q / (1.0 - q))
+
+    def walk(k):
+        # posterior (pi_1, pi_2) at log-odds l0 + k d, and its stopping cost
+        with np.errstate(over="ignore"):
+            l = l0 + k * d
+            pi1, pi2 = 1.0 / (1.0 + np.exp(-l)), 1.0 / (1.0 + np.exp(l))
+        return pi1, pi2, np.minimum(pi1 * a[0, 0] + pi2 * a[1, 0], pi1 * a[0, 1] + pi2 * a[1, 1])
+
+    K = 1
+    while (walk(-K)[2] > c).any() or (walk(K)[2] > c).any():
+        K += 1
+    pi1, pi2, h = walk(np.arange(-K, K + 1).reshape((-1,) + (1,) * l0.ndim))
+    up = pi1[1:-1] * q + pi2[1:-1] * (1.0 - q)  # symbol 0 moves k up by one
+    V = h.copy()
+    while True:
+        new = np.minimum(h[1:-1], c + up * V[2:] + (1.0 - up) * V[:-2])
+        np.minimum(new, V[1:-1], out=new)
+        if np.array_equal(new, V[1:-1]):
+            return V[K]
+        V[1:-1] = new
+
+
 def stopping_cost_sup_lp(a: np.ndarray) -> float:
     """max over the simplex of min_j pi·a[:, j], as the linear program
     max t subject to t <= pi·a[:, j] for every j, pi >= 0 and sum(pi) = 1."""

@@ -146,6 +146,65 @@ def test_value_sweeps_are_monotone_and_bounded():
         assert (converged.values <= reference).all()
 
 
+@pytest.fixture(scope="module")
+def sprt_tables():
+    """The tables of the SPRT instances at Q = 50 and 100, solved to a
+    sweep change under 1e-12, so they sit that close to the grid fixed
+    point; keyed by (q, c) and then Q."""
+    return {
+        (q, c): {Q: cd.value_iterate(instances.sprt(q, c), cd.build_grid(2, Q), tol=1e-12)
+                 for Q in (50, 100)}
+        for q, c in instances.SPRT_CASES
+    }
+
+
+@pytest.mark.parametrize("q,c", instances.SPRT_CASES)
+def test_grid_fixed_point_is_below_the_exact_sprt_value_on_the_face(sprt_tables, q, c):
+    """The interpolant of the concave V lies below V and the operator is
+    monotone (Lovejoy 1991), so the grid fixed point is at most the exact
+    value at every node of the face, corners included.  The sweeps end just
+    above that fixed point, so the tables are held to it to 1e-12."""
+    for Q, table in sprt_tables[q, c].items():
+        face = np.flatnonzero(table.grid.lattice[:, 0] == 0)
+        k1, k2 = table.grid.lattice[face, 1:].T
+        with np.errstate(divide="ignore"):
+            exact = oracles.sprt_value(q, c, instances.SPRT_COSTS, np.log(k1) - np.log(k2))
+        assert face.size == Q + 1
+        assert (table.values[face] <= exact + 1e-12).all(), Q
+
+
+@pytest.mark.parametrize("q,c", instances.SPRT_CASES)
+def test_grid_value_at_the_prior_rises_towards_the_exact_sprt_value(sprt_tables, q, c):
+    exact = oracles.sprt_value(q, c, instances.SPRT_COSTS, 0.0)
+    prior = np.array([0.0, 0.5, 0.5])
+    coarse, fine = (cd.interpolate(sprt_tables[q, c][Q], prior) for Q in (50, 100))
+    assert coarse < fine < exact
+
+
+@pytest.mark.parametrize("q,c", instances.SPRT_CASES)
+def test_table_rule_on_the_face_is_an_sprt(sprt_tables, q, c):
+    """Along the walk of the log-odds k log(q / (1 - q)) from the prior,
+    over every k where stopping costs more than c and one step beyond, the
+    table rule continues on one interval of k around 0, announces type 1
+    above it and type 2 below it, and continues wherever the exact rule
+    does (the table's value is at most the exact one)."""
+    spec = instances.sprt(q, c)
+    k = np.arange(-200, 201)
+    pi_1 = 1.0 / (1.0 + (q / (1.0 - q)) ** -k)
+    pis = np.stack([np.zeros_like(pi_1), pi_1, 1.0 - pi_1], axis=1)
+    h = (pis @ spec.a).min(axis=1)
+    lo, hi = np.flatnonzero(h > c)[[0, -1]]
+    k, pis, h = k[lo - 1 : hi + 2], pis[lo - 1 : hi + 2], h[lo - 1 : hi + 2]
+    exact = oracles.sprt_value(q, c, instances.SPRT_COSTS, k * np.log(q / (1.0 - q)))
+    for Q, table in sprt_tables[q, c].items():
+        decisions = cd.TableStrategy(table).decide_many(spec, pis, 0)
+        go_on = k[decisions == 0]
+        assert go_on.min() <= 0 <= go_on.max(), Q
+        assert decisions[0] == 2 and decisions[-1] == 1, Q
+        assert (decisions == np.where(k < go_on.min(), 2, np.where(k > go_on.max(), 1, 0))).all(), Q
+        assert (decisions[exact < h - 1e-9] == 0).all(), Q
+
+
 def test_region_structure(solve200, grid200):
     """Stopping sets are nonempty, own their corner, are discretely convex,
     shrink as the sweep count grows, and their component counts reproduce

@@ -276,9 +276,10 @@ def test_fast_member_matches_region_labels(split_boundaries):
     grid = region.grid
     rng = np.random.default_rng(3)
     ids = rng.choice(grid.n_nodes, size=2000, replace=False)
+    nodes = grid.nodes
     agree = 0
     for node_id in ids:
-        got = cd.fast_member(spec, fitted, grid.nodes[node_id])
+        got = cd.fast_member(spec, fitted, nodes[node_id])
         want = int(region.labels[node_id])
         agree += (got or 0) == want
     assert agree / ids.size >= 0.99

@@ -106,8 +106,10 @@ def test_regions_csv_labels_and_report(runner, model_path, tmp_path):
     manifest = json.loads((tmp_path / "region.csv.manifest.json").read_text())
     assert_phase_timings(manifest, ["load", "check", "export"])
     # the format follows from M, so the CSV header records it and the
-    # manifest has no option for it
-    assert manifest["parameters"] == {"stop_tol": cd.load_table(table_path)[0].stop_tol}
+    # manifest has no option for it; the slack is the table's, so the
+    # manifest reports it beside the region report
+    assert manifest["parameters"] == {}
+    assert manifest["report"] == {**report, "stop_tol": cd.load_table(table_path)[0].stop_tol}
     with open(out) as fh:
         assert fh.readline().endswith(" format=embedded\n")
 

@@ -259,13 +259,13 @@ def small_region(spec, Q):
 
 
 def csv_writer_reference(region):
-    """The export written row by row with csv.writer and str formatting;
-    the plot coordinates are the planar and spatial embeddings of
-    ``regions.embed``, term for term."""
+    """The export written row by row with csv.writer, integers by str and
+    floats by repr; the plot coordinates are the planar and spatial
+    embeddings of ``regions.embed``, term for term."""
     grid = region.grid
     M = grid.M
     fmt = "embedded" if M in (2, 3) else "raw"
-    g = lambda x: format(float(x), ".17g")  # noqa: E731
+    g = lambda x: repr(float(x))  # noqa: E731
     lines = io.StringIO(newline="")
     lines.write(
         f"# changediag-region M={M} Q={grid.Q} N={region.N_used} "
@@ -316,8 +316,8 @@ def test_export_bytes_match_csv_writer(tmp_path, spec, Q):
 
 
 def test_export_writes_signed_zeros_apart(tmp_path):
-    """0.0 and -0.0 compare equal but print as "0" and "-0"; the export
-    keeps them apart however often either repeats."""
+    """0.0 and -0.0 compare equal but print as "0.0" and "-0.0"; the
+    export keeps them apart however often either repeats."""
     grid = cd.build_grid(2, 4)
     n = grid.n_nodes
     values = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
@@ -333,8 +333,8 @@ def test_export_writes_signed_zeros_apart(tmp_path):
     assert path.read_bytes() == csv_writer_reference(region).encode("ascii")
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
-    assert [row["value"] for row in rows[:3]] == ["0", "-0", "0"]
-    assert {row["value"] for row in rows} == {"0", "-0", "0.25"}
+    assert [row["value"] for row in rows[:3]] == ["0.0", "-0.0", "0.0"]
+    assert {row["value"] for row in rows} == {"0.0", "-0.0", "0.25"}
 
 
 def test_export_import_round_trip_three_types(tmp_path):

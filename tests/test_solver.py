@@ -460,10 +460,11 @@ def test_single_sweep_matches_one_step_operator():
         (instances.FIGURES["merged"], cd.build_grid(2, 40)),
     ]:
         table1 = cd.value_iterate(spec, grid, tol=1e-300, max_iter=1)
-        h_at_nodes = h_values_many(spec, grid.nodes).min(axis=1)
+        nodes = grid.nodes
+        h_at_nodes = h_values_many(spec, nodes).min(axis=1)
         h_table = dataclasses.replace(table1, values=h_at_nodes)
         for node_id in range(grid.n_nodes):
-            pi = grid.nodes[node_id : node_id + 1]
+            pi = nodes[node_id : node_id + 1]
             [want], _ = backup(spec, pi, expect(spec, h_table, pi))
             assert table1.values[node_id] == want
 
@@ -481,8 +482,9 @@ def test_apply_T_at_nodes_is_the_grid_operator(make_spec, M, Q):
     grid = cd.build_grid(M, Q)
     table = cd.value_iterate(spec, grid, tol=1e-300, max_iter=5)
     swept = solver.transition_matrix(spec, grid).matvec(table.values)
+    nodes = grid.nodes
     for node_id in range(grid.n_nodes):
-        [value] = expect(spec, table, grid.nodes[node_id : node_id + 1])
+        [value] = expect(spec, table, nodes[node_id : node_id + 1])
         assert value == swept[node_id]
 
 
@@ -877,6 +879,32 @@ def test_transition_matrix_peak_memory_is_a_small_multiple_of_its_size():
     assert peak <= 2.0 * (T.indptr.nbytes + T.indices.nbytes + T.data.nbytes)
 
 
+def test_grid_stores_only_its_lattice():
+    """``nodes`` is derived: lattice / Q, bit for bit the float64 division
+    of the integer coordinates, and read-only."""
+    grid = cd.build_grid(3, 9)
+    assert [field.name for field in dataclasses.fields(cd.SimplexGrid)] == ["M", "Q", "lattice"]
+    nodes = grid.nodes
+    assert nodes.dtype == np.float64
+    assert nodes.tobytes() == (grid.lattice.astype(np.float64) / grid.Q).tobytes()
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        grid.nodes = nodes
+
+
+def test_transition_of_the_float_nodes_is_T():
+    """``_transition`` reads float points and integer lattice rows alike:
+    T from the nodes as floats has the bytes of T from the lattice."""
+    spec = instances.FIGURES["merged"]
+    grid = cd.build_grid(2, 150)
+    T, from_floats = (solver._transition(spec, grid, points)
+                      for points in (grid.lattice, grid.nodes))
+    for part in ("indptr", "indices", "data"):
+        assert getattr(T, part).tobytes() == getattr(from_floats, part).tobytes()
+
+
 @pytest.mark.parametrize(
     "make_spec,Q", [(wide_spec, 12), (zero_density_spec, 15), (instances.three_type, 6)],
     ids=["wide", "zero-density", "three-type"],
@@ -931,16 +959,21 @@ def test_product_sums_each_row_from_left_to_right(make_spec):
 
 
 def test_value_iterate_peak_memory_is_the_operator_and_a_few_node_vectors():
+    """Beside T, a solve holds the lattice (1.5 node vectors at M = 2), h,
+    the delay cost and the two sweep vectors.  At Q=200 its traced peak,
+    grid included, is T plus 12.8 node vectors, the transient of T's row
+    chunks among them; a grid that stored its nodes, and sweeps that kept
+    the costs per type, peaked at T plus 15.4."""
     spec = instances.FIGURES["merged"]
-    grid = cd.build_grid(2, 200)
-    nbytes = solver.transition_matrix(spec, grid).nbytes
+    nbytes = solver.transition_matrix(spec, cd.build_grid(2, 200)).nbytes
     tracemalloc.start()
     try:
+        grid = cd.build_grid(2, 200)
         cd.value_iterate(spec, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= nbytes + 16 * 8 * grid.n_nodes
+    assert peak <= nbytes + 14 * 8 * grid.n_nodes
 
 
 def test_seven_type_grid_and_solve_peak_memory_is_a_small_multiple_of_the_operator():
