@@ -64,12 +64,22 @@ class InsufficientBoundary(ValueError):
     """Too few boundary samples to determine the spline basis."""
 
 
+def _corner_sq(pis: np.ndarray, corner: int) -> np.ndarray:
+    """(1 + sum(pi^2))/2 - pi_c of each row of the (n, 3) array ``pis``:
+    3/4 of its squared distance from corner c, up to rounding."""
+    return (1.0 + np.add.reduce(pis * pis, axis=-1)) / 2.0 - pis[:, corner]
+
+
 def _polar(pis: np.ndarray, corner: int) -> tuple[np.ndarray, np.ndarray]:
     """Corner radius r and angle beta, both of shape (n,), of each row of
     the (n, 3) array ``pis`` seen from corner 1 or 2; rows with r = 0 sit
     at the corner and get angle 0, which is of no use."""
     pis = np.asarray(pis, dtype=np.float64)
-    sq = (1.0 + np.add.reduce(pis * pis, axis=-1)) / 2.0 - pis[:, corner]
+    return _polar_of(pis, corner, _corner_sq(pis, corner))
+
+
+def _polar_of(pis: np.ndarray, corner: int, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_polar`` of rows whose ``_corner_sq`` is ``sq``."""
     r = np.sqrt(4.0 / 3.0 * np.maximum(sq, 0.0))
     # left at angle 0 where r = 0
     beta = np.zeros(pis.shape[0])
@@ -112,6 +122,12 @@ class SplineBoundary:
     and a column per piece, g(x) = c0 + c1 u + c2 u^2 + c3 u^3 with
     u = x - base: the line left of the first knot, each segment's Taylor
     expansion at its left knot, and the line right of the last knot.
+    ``_reach``, built with it, bounds max(g(beta), 0) from above over the
+    angles 0 <= beta <= pi/2 that ``_polar`` returns: on each piece's share
+    of that range the cubic lies below its largest Bernstein coefficient,
+    and a margin of 1e-9 times the size of the piece's terms covers the
+    rounding of that bound and of ``evaluate_boundary``.  On "merged"
+    (Q=200, K=12) it is 0.79981, against a sampled maximum of 0.79955.
 
     Raises:
         ValueError: the corner is not 1 or 2, a knot or a coefficient is
@@ -127,6 +143,7 @@ class SplineBoundary:
     lam: float
     rms: float
     _pieces: np.ndarray = field(init=False, repr=False, compare=False)
+    _reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots, coef = self.knots, self.coefficients
@@ -161,6 +178,35 @@ class SplineBoundary:
         pieces = np.vstack([knots, *taylor])[:, np.r_[0, : knots.size]]
         pieces[3:, [0, -1]] = 0.0
         object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_reach", _reach(pieces, knots))
+
+
+def _reach(pieces: np.ndarray, knots: np.ndarray) -> float:
+    """An upper bound of max(g(beta), 0) over 0 <= beta <= pi/2, the angles
+    ``_polar`` returns.
+
+    Each piece's cubic, restricted to its part [lo, hi] of that range, is
+    written in the Bernstein basis of [lo - base, hi - base]; the cubic
+    lies below its largest Bernstein coefficient there (the convex hull
+    property).  The margin 1e-9 (1 + the largest |c_d u^d| over those
+    pieces) exceeds the rounding of this conversion and of Horner's rule
+    in ``evaluate_boundary``.
+    """
+    lo = np.maximum(np.r_[-np.inf, knots], 0.0)
+    hi = np.minimum(np.r_[knots, np.inf], np.pi / 2)
+    used = lo <= hi
+    base, c0, c1, c2, c3 = pieces[:, used]
+    a, b = lo[used] - base, hi[used] - base
+    w = b - a
+    # the cubic in t = (u - a)/w, then its Bernstein coefficients
+    d0 = ((c3 * a + c2) * a + c1) * a + c0
+    d1 = w * ((3.0 * c3 * a + 2.0 * c2) * a + c1)
+    d2 = w * w * (3.0 * c3 * a + c2)
+    d3 = w * w * w * c3
+    bern = np.stack([d0, d0 + d1 / 3.0, d0 + (2.0 * d1 + d2) / 3.0, d0 + d1 + d2 + d3])
+    m = np.maximum(np.abs(a), np.abs(b))
+    scale = np.abs(c0) + (np.abs(c1) + (np.abs(c2) + np.abs(c3) * m) * m) * m
+    return float(max(bern.max(), 0.0) + 1e-9 * (1.0 + scale.max()))
 
 
 def _full_knots(breaks: np.ndarray) -> np.ndarray:
@@ -345,6 +391,14 @@ def fast_member_many(
     some row picks are consulted; at the corner itself the answer is
     immediate since every stopping set contains its own corner.
 
+    Most rows continue without an angle or a curve evaluation.  A row whose
+    ``_polar`` quantity sq = (1 + sum(pi^2))/2 - pi_i exceeds
+    3/4 reach^2 (1 + 1e-8), reach being the curve's ``_reach``, has
+    r = sqrt(4/3 sq) > reach >= max(g(beta), 0) at whatever angle beta
+    ``_polar`` would give it, so the exact test r <= max(g(beta), 0)
+    fails; the factor 1 + 1e-8 covers the rounding of r.  Every other row
+    takes the exact path with the sq already computed.
+
     :return: int8 array, the announced type per row or 0 to continue.
     :raises ValueError: for ``pis`` that is not 2-D with rows 3 long, or a
         row with a coordinate that is not finite.
@@ -357,13 +411,25 @@ def fast_member_many(
     # the cheapest type is 2 where strictly cheaper, else 1: the first on
     # ties, as ``posterior._announce`` picks
     second = h_all[:, 1] < h_all[:, 0]
-    stop = np.empty(pis.shape[0], dtype=bool)
+    stop = np.zeros(pis.shape[0], dtype=bool)
     for corner, picked in ((1, ~second), (2, second)):
         rows = picked.nonzero()[0]
-        if rows.size:
-            r, beta = _polar(pis.T.take(rows, axis=1).T, corner)
-            # r >= 0, and r = 0 (the corner) stops whatever the curve says
-            stop[rows] = r <= np.maximum(evaluate_boundary(boundaries[corner], beta), 0.0)
+        if not rows.size:
+            continue
+        sb = boundaries[corner]
+        near = pis.T.take(rows, axis=1).T
+        sq = _corner_sq(near, corner)
+        # beyond the curve's reach a row continues
+        reached = ~(sq > 0.75 * sb._reach * sb._reach * (1.0 + 1e-8))
+        count = np.count_nonzero(reached)
+        if not count:
+            continue
+        if count < rows.size:
+            keep = reached.nonzero()[0]
+            rows, near, sq = rows.take(keep), near.take(keep, axis=0), sq.take(keep)
+        r, beta = _polar_of(near, corner, sq)
+        # r >= 0, and r = 0 (the corner) stops whatever the curve says
+        stop[rows] = r <= np.maximum(evaluate_boundary(sb, beta), 0.0)
     return np.multiply(1 + second, stop, dtype=np.int8, casting="unsafe")
 
 

@@ -358,7 +358,8 @@ def export_region(region: StoppingRegion, path: str) -> None:
     the extraction parameters and the format, so the file round-trips
     through import_region.  Integers are written in decimal, floats as
     ``repr`` writes them, the shortest text that reads back as the same
-    float64; rows end in CRLF.
+    float64, less the ".0" of an integral float ("-0.0" is written "-0",
+    which reads back as -0.0); rows end in CRLF.
     """
     grid = region.grid
     M = grid.M
@@ -386,10 +387,12 @@ def export_region(region: StoppingRegion, path: str) -> None:
 
     # Each distinct value is formatted once, its text already carrying the
     # separator that follows it, and rows are gathered by index.  ``tolist``
-    # gives Python ints and floats, whose repr is the text to write.
+    # gives Python ints and floats, whose repr less a final ".0" (which no
+    # int's repr has) is the text to write.
     seps = [","] * (len(columns) - 1) + ["\r\n"]
     texts = [
-        np.array([repr(v) + sep for v in values.tolist()], dtype=object)
+        np.array([t.removesuffix(".0") + sep for t in map(repr, values.tolist())],
+                 dtype=object)
         for (_, values, _), sep in zip(columns, seps)
     ]
     index = [idx for _, _, idx in columns]

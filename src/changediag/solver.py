@@ -283,6 +283,25 @@ def _stencil(grid: SimplexGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ids, weights
 
 
+def _check_points(grid: SimplexGrid, points: np.ndarray) -> np.ndarray:
+    """The points as a 2-D array, refused unless each has the grid's M+1
+    coordinates, all finite."""
+    points = np.atleast_2d(points)
+    if points.shape[-1] != grid.M + 1:
+        raise ValueError(
+            f"points have {points.shape[-1]} coordinates, the grid's simplex "
+            f"has {grid.M + 1}"
+        )
+    _check_finite(points)
+    return points
+
+
+def _interpolate(grid: SimplexGrid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``interpolate_many`` of points ``_check_points`` has passed."""
+    ids, weights = _stencil(grid, points)
+    return np.einsum("nk,nk->n", values[ids], weights)
+
+
 def interpolate_many(
     grid: SimplexGrid, values: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
@@ -292,15 +311,7 @@ def interpolate_many(
         ValueError: if the points do not have the grid's M+1 coordinates,
             or one of them has a coordinate that is not finite.
     """
-    points = np.atleast_2d(points)
-    if points.shape[-1] != grid.M + 1:
-        raise ValueError(
-            f"points have {points.shape[-1]} coordinates, the grid's simplex "
-            f"has {grid.M + 1}"
-        )
-    _check_finite(points)
-    ids, weights = _stencil(grid, points)
-    return np.einsum("nk,nk->n", values[ids], weights)
+    return _interpolate(grid, values, _check_points(grid, points))
 
 
 def interpolate(table: "ValueTable", pi: np.ndarray) -> float:

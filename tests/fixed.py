@@ -1,10 +1,14 @@
-"""Stopping labels and spline fits at a slack or smoothing a test fixes.
+"""Stopping labels and spline fits at a slack or smoothing a test fixes,
+and the two online stop rules without their bounds.
 
 The library works both out itself: ``value_iterate`` labels the nodes at
 the table's last sweep change, and ``fit_spline`` picks the smoothing by
 cross-validation.  Tests that need another value (the paper's zero-slack
 nestedness, a curve at a given lambda) take it from here, where each step
-is written out from its definition.
+is written out from its definition.  ``TableStrategy`` and
+``fast_member_many`` answer most posteriors from a bound; ``table_rule``
+and ``spline_rule`` decide every row the long way, from the interpolation
+and polar kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +19,31 @@ import numpy as np
 
 import changediag as cd
 from changediag import boundary as B
-from changediag.solver import transition_matrix
+from changediag.posterior import _announce, _row_min, h_values_many
+from changediag.solver import interpolate_many, transition_matrix
+
+
+def table_rule(spec: cd.ProblemSpec, table: cd.ValueTable, pis: np.ndarray) -> np.ndarray:
+    """Stop where h - V <= ``table.stop_tol``, V interpolated at every row,
+    announcing the first type of least terminal cost; else 0."""
+    h_all = h_values_many(spec, pis)
+    values = interpolate_many(table.grid, table.values, pis)
+    return _announce(h_all, _row_min(h_all) - values <= table.stop_tol)
+
+
+def spline_rule(spec: cd.ProblemSpec, boundaries: dict, pis: np.ndarray) -> np.ndarray:
+    """Stop where the corner radius of a row, seen from the corner of its
+    cheapest decision, is at most that corner's curve (or 0) at its angle,
+    announcing that decision; else 0."""
+    h_all = h_values_many(spec, pis)
+    second = h_all[:, 1] < h_all[:, 0]
+    stop = np.zeros(pis.shape[0], dtype=bool)
+    for corner, picked in ((1, ~second), (2, second)):
+        rows = picked.nonzero()[0]
+        if rows.size:
+            r, beta = B._polar(pis[rows], corner)
+            stop[rows] = r <= np.maximum(B.evaluate_boundary(boundaries[corner], beta), 0.0)
+    return np.where(stop, 1 + second, 0).astype(np.int8)
 
 
 def labels_at(spec: cd.ProblemSpec, table: cd.ValueTable, slack: float) -> np.ndarray:

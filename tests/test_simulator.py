@@ -520,10 +520,25 @@ def test_risk_json_shape(solve200):
     spec, table = solve200("merged")
     est = cd.estimate_risk(spec, TableStrategy(table), runs=300, seed=77)
     doc = est.to_json()
-    assert sorted(doc) == ["breakdown", "cap_rate", "mean", "runs", "seed", "std_error"]
+    assert sorted(doc) == ["breakdown", "cap_rate", "mean", "posterior_form_mean",
+                           "posterior_form_std_error", "runs", "seed", "std_error"]
+    assert doc["posterior_form_mean"] == est.posterior_form.mean()
     assert sorted(doc["breakdown"]) == ["delay", "false_alarm", "false_isolation"]
     total = sum(doc["breakdown"].values())
     assert total == pytest.approx(doc["mean"], rel=1e-12)
+
+
+def test_posterior_form_risk_has_the_smaller_standard_error(solve200):
+    """The posterior-form cost of a run is the expectation of its realized
+    cost given its observations, so its mean estimates the same risk with
+    less spread: on "merged" the variance falls about 14-fold."""
+    spec, table = solve200("merged")
+    est = cd.estimate_risk(spec, TableStrategy(table), runs=4000, seed=12)
+    assert est.posterior_form_std_error < est.std_error / 3
+    assert est.posterior_form_std_error == pytest.approx(
+        est.posterior_form.std(ddof=1) / np.sqrt(est.runs), rel=1e-15)
+    both = np.hypot(est.std_error, est.posterior_form_std_error)
+    assert abs(est.posterior_form_mean - est.mean) <= 4 * both
 
 
 def test_run_count_is_read_off_the_run_arrays():
@@ -535,6 +550,7 @@ def test_run_count_is_read_off_the_run_arrays():
         assert est.runs == runs == est.realized.size == est.tau.size
         assert est.to_json()["runs"] == runs
         assert (est.std_error > 0.0) == (runs > 1)
+        assert (est.posterior_form_std_error > 0.0) == (runs > 1)
 
 
 def test_spline_strategy_matches_table_strategy_often(solve200):
